@@ -49,6 +49,7 @@ from elastosim.solver import (
     SimState,
     cg_solve,
     displace_landmarks,
+    prepare_settle,
     run_to_steady_state,
     step,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "load_volume",
     "mask_roi",
     "mean_shear_modulus",
+    "prepare_settle",
     "run_cohort_retractions",
     "run_to_steady_state",
     "sample_dofs",

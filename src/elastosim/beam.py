@@ -35,6 +35,7 @@ from elastosim.meshfree import (
 from elastosim.solver import (
     LinearSystem,
     LoadCase,
+    NonConvergenceError,
     cg_solve,
     displace_landmarks,
     run_to_steady_state,
@@ -329,6 +330,8 @@ def fea_baseline(
 
     Raises:
         ValueError: degenerate discretization (via spec.cells()).
+        NonConvergenceError: CG missed cg_tol within cg_max iterations
+            (default 8 per DOF).
     """
     cells = spec.cells()
     cx, cy, cz = cells
@@ -370,6 +373,11 @@ def fea_baseline(
 
     n_max = 8 * n_dofs if cg_max is None else cg_max
     result = cg_solve(LinearSystem(A=A, b=b), N_max=n_max, tol=cg_tol)
+    if not result.converged:
+        raise NonConvergenceError(
+            f"FEA baseline CG stopped at relative residual {result.residual:.3e} after "
+            f"{result.iterations} iterations (tolerance {cg_tol:.1e})"
+        )
     u = result.x
 
     uz = u[2::3].reshape(cz + 1, cy + 1, cx + 1)

@@ -66,6 +66,8 @@ class MaterialField:
         if self.mask.n_selected == 0:
             raise ValueError("mask selects no voxels")
         masked_E = self.volume.data[self.mask.flags]
+        if not np.isfinite(masked_E).all():
+            raise ValueError("every masked-in voxel needs a finite Young's modulus")
         if float(masked_E.min()) <= 0.0:
             raise ValueError("every masked-in voxel needs Young's modulus > 0")
 

@@ -6,9 +6,16 @@ Each step solves the backward-Euler velocity update
 
 where K_eff folds any support-spring stiffness into K, and F is the total
 current force: gravity, point loads, spring constants, and the internal
-force -K q - C qdot.  The system matrix is SPD for h > 0, so plain conjugate
+force -K q - C qdot.  The system matrix is SPD for h > 0, so conjugate
 gradient solves it; iterations are capped (default 200) to bound per-step
 cost.  Positions then update as q += h * qdot_new.
+
+For a fixed model, load case and h the matrix is the same on every step of a
+settle, so `prepare_settle` assembles it once and factors it with a sparse
+LU; each step then only forms its right-hand side and runs CG preconditioned
+by that factor, which converges in one or two iterations.  Convergence is
+still judged on the unpreconditioned residual, so the tolerance and the
+iteration cap keep their meaning.
 
 Dirichlet constraints are applied by reducing constrained rows and columns
 to identity, which keeps the system SPD and its size fixed.  The core
@@ -24,14 +31,16 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU, splu
 
 from elastosim.meshfree import MeshFreeModel, shepard_weights
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when a run hits its step budget before reaching steady state."""
+    """Raised when a run hits its step budget before reaching steady state,
+    or a standalone solve hits its iteration cap before its tolerance."""
 
-    def __init__(self, message: str, last_velocity_inf: float):
+    def __init__(self, message: str, last_velocity_inf: float = float("nan")):
         super().__init__(message)
         self.last_velocity_inf = last_velocity_inf
 
@@ -191,6 +200,15 @@ def external_force(model: MeshFreeModel, loads: LoadCase) -> np.ndarray:
     return f + const
 
 
+def _settle_terms(model: MeshFreeModel, loads: LoadCase):
+    """Constant force, K with springs folded in, and fixed DOFs of one load case."""
+    f_const = external_force(model, loads)
+    spring_diag, _ = _spring_terms(model, loads)
+    K_eff = model.matrices.K + sp.diags(spring_diag) if spring_diag.any() else model.matrices.K
+    fixed = [3 * i + c for i in sorted(loads.dirichlet) for c in range(3)]
+    return f_const, K_eff, fixed
+
+
 def build_system(model: MeshFreeModel, state: SimState, loads: LoadCase, h: float) -> LinearSystem:
     """Assemble one implicit-Euler step's SPD system for a mesh-free model.
 
@@ -204,13 +222,70 @@ def build_system(model: MeshFreeModel, state: SimState, loads: LoadCase, h: floa
         raise ValueError(
             f"state has {len(state.q)} DOFs, model has {model.n_dofs}"
         )
-    f_const = external_force(model, loads)
-    spring_diag, _ = _spring_terms(model, loads)
-    K_eff = model.matrices.K + sp.diags(spring_diag) if spring_diag.any() else model.matrices.K
-    fixed = [3 * i + c for i in sorted(loads.dirichlet) for c in range(3)]
+    f_const, K_eff, fixed = _settle_terms(model, loads)
     return implicit_system(
         model.matrices.M, K_eff, model.matrices.C, state.q, state.qdot, f_const, h, fixed
     )
+
+
+@dataclass(frozen=True)
+class Settle:
+    """The parts of the implicit-Euler system that stay fixed over a settle.
+
+    For a fixed model, load case and h, A = M + h*C + h^2*K_eff is the same
+    on every step; only b depends on the state.  `factor` is a sparse LU of
+    the Dirichlet-reduced A, used as an exact CG preconditioner.
+
+    Attributes:
+        h: step size in s.
+        K: stiffness with support springs folded in (K_eff).
+        C: damping matrix.
+        f: constant external force (N).
+        fixed: constrained DOF indices.
+        A: Dirichlet-reduced system matrix.
+        factor: `splu` factor of A.
+    """
+
+    h: float
+    K: sp.spmatrix
+    C: sp.spmatrix
+    f: np.ndarray
+    fixed: np.ndarray
+    A: sp.csr_matrix
+    factor: SuperLU
+
+    def system(self, state: SimState) -> LinearSystem:
+        """This step's system: the shared A with b = h*(F - h*K_eff*qdot), fixed DOFs zeroed.
+
+        Raises:
+            ValueError: the state's length differs from the settle's DOFs.
+        """
+        if len(state.q) != len(self.f):
+            raise ValueError(f"state has {len(state.q)} DOFs, settle has {len(self.f)}")
+        K, h = self.K, self.h
+        force = self.f - K @ state.q - self.C @ state.qdot
+        b = h * (force - h * (K @ state.qdot))
+        b[self.fixed] = 0.0
+        return LinearSystem(A=self.A, b=b)
+
+
+def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
+    """Assemble and factor the implicit-Euler matrix shared by every step of a settle.
+
+    Raises:
+        ValueError: h <= 0 or out-of-range load indices.
+        IndefiniteSystemError: the system matrix is singular.
+    """
+    f_const, K_eff, fixed = _settle_terms(model, loads)
+    # A does not depend on the state; the rest state only fills a b that is dropped.
+    rest = np.zeros(model.n_dofs)
+    A = implicit_system(model.matrices.M, K_eff, model.matrices.C, rest, rest, f_const, h, fixed).A
+    try:
+        factor = splu(A.tocsc(), permc_spec="COLAMD", diag_pivot_thresh=0.0)
+    except RuntimeError as exc:
+        raise IndefiniteSystemError(f"implicit-Euler system matrix is singular: {exc}") from exc
+    return Settle(h=h, K=K_eff, C=model.matrices.C, f=f_const,
+                  fixed=np.asarray(fixed, dtype=np.int64), A=A, factor=factor)
 
 
 def cg_solve(
@@ -219,12 +294,15 @@ def cg_solve(
     N_max: int = 200,
     tol: float = 1e-6,
     record_iterates: bool = False,
+    preconditioner=None,
 ) -> CgResult:
-    """Plain conjugate gradient on an SPD system.
+    """Conjugate gradient on an SPD system, optionally preconditioned.
 
-    Starts from x0 (zeros by default) with p_0 = r_0 and iterates the
-    standard alpha / residual / beta recurrences until the relative residual
-    ||r|| / ||b|| drops to tol or N_max iterations are spent.  A zero b
+    Starts from x0 (zeros by default) with p_0 = z_0 = P(r_0) and iterates
+    the standard alpha / residual / beta recurrences until the relative
+    residual ||r|| / ||b|| drops to tol or N_max iterations are spent.  The
+    preconditioner P is a callable applying an SPD approximation of A^-1 to
+    a vector; without one, z = r and this is plain CG.  A zero b
     short-circuits to the exact solution x = 0.
 
     Raises:
@@ -240,8 +318,10 @@ def cg_solve(
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     r = b - A @ x
-    p = r.copy()
+    z = r if preconditioner is None else preconditioner(r)
+    p = z.copy()
     rr = float(r @ r)
+    rz = rr if preconditioner is None else float(r @ z)
     iterates = [x.copy()] if record_iterates else None
     residual = np.sqrt(rr) / norm_b
     if residual <= tol:
@@ -254,19 +334,21 @@ def cg_solve(
             raise IndefiniteSystemError(
                 f"indefinite system: p^T A p = {pAp} at iteration {n_iter}"
             )
-        alpha = rr / pAp
+        alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        rr_next = float(r @ r)
+        rr = float(r @ r)
         if record_iterates:
             iterates.append(x.copy())
-        residual = np.sqrt(rr_next) / norm_b
+        residual = np.sqrt(rr) / norm_b
         if residual <= tol:
             return CgResult(x=x, iterations=n_iter, residual=residual, converged=True,
                             iterates=iterates)
-        beta = rr_next / rr
-        p = r + beta * p
-        rr = rr_next
+        z = r if preconditioner is None else preconditioner(r)
+        rz_next = rr if preconditioner is None else float(r @ z)
+        beta = rz_next / rz
+        p = z + beta * p
+        rz = rz_next
 
     return CgResult(x=x, iterations=N_max, residual=residual, converged=False, iterates=iterates)
 
@@ -278,20 +360,28 @@ def step(
     h: float = 1e-3,
     N_max: int = 200,
     tol: float = 1e-6,
+    settle: Settle | None = None,
 ) -> SimState:
     """Advance one backward-Euler step: solve for dqdot, then integrate q.
 
+    `settle` is `prepare_settle(model, loads, h)`; pass it to reuse one
+    factorization across steps, or omit it to prepare one for this step.
     The CG iteration cap bounds per-step cost; a capped (unconverged) solve
     still advances the state with its best iterate.
+
+    Raises:
+        ValueError: `settle` was prepared for another step size.
     """
-    system = build_system(model, state, loads, h)
-    result = cg_solve(system, N_max=N_max, tol=tol)
+    if settle is None:
+        settle = prepare_settle(model, loads, h)
+    elif settle.h != h:
+        raise ValueError(f"settle was prepared for h={settle.h}, step asked for h={h}")
+    result = cg_solve(settle.system(state), N_max=N_max, tol=tol,
+                      preconditioner=settle.factor.solve)
     qdot_new = state.qdot + result.x
     q_new = state.q + h * qdot_new
-    if loads.dirichlet:
-        fixed = [3 * i + c for i in loads.dirichlet for c in range(3)]
-        q_new[fixed] = state.q[fixed]
-        qdot_new[fixed] = 0.0
+    q_new[settle.fixed] = state.q[settle.fixed]
+    qdot_new[settle.fixed] = 0.0
     return SimState(q=q_new, qdot=qdot_new, t=state.t + h)
 
 
@@ -307,15 +397,19 @@ def run_to_steady_state(
 ) -> SimState:
     """Step until the velocity infinity-norm stays below v_tol for 3 steps.
 
+    The system matrix is assembled and factored once, then shared by every
+    step.
+
     Raises:
         NonConvergenceError: max_steps reached first; carries the last
             velocity infinity-norm.
     """
+    settle = prepare_settle(model, loads, h)
     current = SimState.rest(model.n_dofs) if state is None else state
     quiet = 0
     v_inf = float(np.abs(current.qdot).max()) if len(current.qdot) else 0.0
     for _ in range(max_steps):
-        current = step(model, current, loads, h=h, N_max=N_max, tol=tol)
+        current = step(model, current, loads, h=h, N_max=N_max, tol=tol, settle=settle)
         v_inf = float(np.abs(current.qdot).max())
         quiet = quiet + 1 if v_inf < v_tol else 0
         if quiet >= 3:

@@ -55,6 +55,8 @@ class VoxelVolume:
             raise VolumeFormatError(
                 f"data has {data.size} scalars but dims {dims} require {n}"
             )
+        if not np.isfinite(data).all():
+            raise VolumeFormatError("voxel values must be finite (no NaN or inf)")
         if self.kind == "elastogram_shear_kPa" and data.size and float(data.min()) < 0.0:
             raise VolumeFormatError("elastogram voxel values must be >= 0")
         object.__setattr__(self, "dims", dims)
@@ -205,7 +207,8 @@ def load_volume(path: str | Path) -> VoxelVolume:
 
     Raises:
         FileNotFoundError: header or raw file missing.
-        VolumeFormatError: malformed header, bad kind, or size mismatch.
+        VolumeFormatError: malformed header, bad kind, size mismatch, or a
+            non-finite voxel.
     """
     path = Path(path)
     header_path = path if path.suffix == ".json" else path.with_suffix(".json")

@@ -19,6 +19,7 @@ from elastosim.beam import (
     theory_curve,
     write_beam_convergence_csv,
 )
+from elastosim.solver import NonConvergenceError
 
 # Resolution 1.25 divides the benchmark box 50 x 10 x 10 exactly, so snapped
 # extents equal the nominal ones and hand-derived values apply unchanged.
@@ -247,6 +248,10 @@ class TestFeaBaseline:
         theory_tip = euler_bernoulli_deflection(spec.snapped_extents()[0], spec)
         assert theory_tip == pytest.approx(0.3, rel=1e-9)
         assert abs(curve.tip_deflection - theory_tip) <= 0.03 * theory_tip
+
+    def test_capped_cg_raises(self):
+        with pytest.raises(NonConvergenceError, match="FEA baseline"):
+            fea_baseline(EXACT, cg_max=3)
 
     def test_monotone_deflection(self):
         curve = fea_baseline(EXACT)

@@ -49,6 +49,18 @@ class TestExitCodes:
         code = cli_main(["validate-beam", "--resolution", "1.3", "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    def test_nan_voxel_is_data_error(self, capsys, tmp_path):
+        cohort = tmp_path / "cohort"
+        assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
+        raw = cohort / "case_000.raw"
+        data = np.fromfile(raw, dtype="<f4")
+        data[np.argmax(data)] = np.nan
+        data.tofile(raw)
+        code = cli_main(["build-model", "--volume", str(cohort / "case_000.json"),
+                         "--out", str(tmp_path / "model.esm")])
+        assert code == EXIT_DATA
+        assert "finite" in capsys.readouterr().err
+
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "elastosim"], capture_output=True)
         assert proc.returncode == EXIT_USAGE

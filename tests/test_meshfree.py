@@ -41,6 +41,16 @@ class TestMaterialField:
         with pytest.raises(ValueError, match="Young"):
             MaterialField(volume=vol, mask=mask)
 
+    def test_rejects_non_finite_young_in_mask(self):
+        # The volume checks its data on construction; a later in-place edit
+        # must still be caught before it reaches assembly.
+        vol = VoxelVolume(dims=(2, 1, 1), spacing_mm=(1.0, 1.0, 1.0),
+                          kind="elastogram_shear_kPa", data=np.array([1.0, 1.0]))
+        vol.data[0] = np.nan
+        mask = RoiMask(dims=(2, 1, 1), flags=np.array([True, True]))
+        with pytest.raises(ValueError, match="finite"):
+            MaterialField(volume=vol, mask=mask)
+
     def test_zero_young_outside_mask_ok(self):
         vol = VoxelVolume(dims=(2, 1, 1), spacing_mm=(1.0, 1.0, 1.0),
                           kind="elastogram_shear_kPa", data=np.array([0.0, 1.0]))

@@ -1,11 +1,22 @@
 """Tests for implicit-Euler stepping, the CG core, and landmark mapping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import make_field, make_point_model
+from scipy.sparse.linalg import splu, spsolve
 
-from elastosim.meshfree import build_model
+from elastosim.beam import BeamSpec, beam_load_case, build_beam_phantom
+from elastosim.experiment import (
+    SyntheticCohortSpec,
+    default_retractor,
+    retraction_load_case,
+    synth_cohort,
+    young_material_field,
+)
+from elastosim.meshfree import SystemMatrices, build_model
 from elastosim.solver import (
     CgResult,
     IndefiniteSystemError,
@@ -16,7 +27,9 @@ from elastosim.solver import (
     build_system,
     cg_solve,
     displace_landmarks,
+    external_force,
     implicit_system,
+    prepare_settle,
     run_to_steady_state,
     step,
     write_landmarks_csv,
@@ -175,6 +188,146 @@ class TestCgSolve:
             errors.append(float(e @ (A_dense @ e)))
         for before, after in zip(errors, errors[1:]):
             assert after <= before * (1 + 1e-12), "A-norm error must not increase"
+
+
+def random_spd(rng, n):
+    g = rng.standard_normal((n, n))
+    return g @ g.T / n + np.diag(rng.uniform(0.1, 10.0, n))
+
+
+class TestPreconditionedCg:
+    @pytest.mark.parametrize("kind", ["jacobi", "exact"])
+    def test_random_spd_matches_dense_solve(self, kind):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            n = int(rng.integers(10, 121))
+            a = random_spd(rng, n)
+            b = rng.standard_normal(n)
+            A = sp.csr_matrix(a)
+            if kind == "jacobi":
+                diag = a.diagonal()
+                precond = lambda r, d=diag: r / d  # noqa: E731
+            else:
+                precond = splu(A.tocsc(), permc_spec="COLAMD", diag_pivot_thresh=0.0).solve
+            res = cg_solve(LinearSystem(A=A, b=b), N_max=n, tol=1e-12, preconditioner=precond)
+            x_direct = np.linalg.solve(a, b)
+            assert res.converged
+            assert np.linalg.norm(res.x - x_direct) <= 1e-8 * np.linalg.norm(x_direct)
+            if kind == "exact":
+                assert res.iterations <= 2, "an exact preconditioner needs at most 2 iterations"
+
+    def test_identity_preconditioner_reproduces_plain_cg(self):
+        rng = np.random.default_rng(4)
+        system = LinearSystem(A=sp.csr_matrix(random_spd(rng, 60)), b=rng.standard_normal(60))
+        plain = cg_solve(system, tol=1e-12)
+        ident = cg_solve(system, tol=1e-12, preconditioner=lambda r: r)
+        assert plain.iterations == ident.iterations
+        assert np.array_equal(plain.x, ident.x)
+        assert plain.residual == ident.residual
+
+    def test_capped_preconditioned_solve_is_flagged(self):
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((40, 40))
+        a = G.T @ G + 1e-8 * np.eye(40)  # ill-conditioned; Jacobi cannot fix that
+        b = rng.standard_normal(40)
+        res = cg_solve(LinearSystem(A=sp.csr_matrix(a), b=b), N_max=5, tol=1e-15,
+                       preconditioner=lambda r: r / a.diagonal())
+        assert not res.converged
+        assert res.iterations == 5
+        assert res.residual > 1e-15
+
+
+@pytest.fixture(scope="module")
+def retraction_case():
+    """The seed-11 cohort case: 300 nodes, k=8, hoisted by the default retractor."""
+    case = synth_cohort(SyntheticCohortSpec(n=1, seed=11, heterogeneity=0.3))[0]
+    field = young_material_field(case.volume, case.mask)
+    model = build_model(field, n_nodes=300, k=8, seed=0)
+    return model, retraction_load_case(model, default_retractor(field)), 0.05, 1e-6
+
+
+@pytest.fixture(scope="module")
+def smoke_beam_case():
+    """The slender cantilever at 1.25 mm voxels with 150 nodes, clamped at x = 0."""
+    spec = BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=1.25)
+    phantom = build_beam_phantom(spec, n_nodes=150, k=6, seed=0)
+    return phantom.model, beam_load_case(phantom), 10.0, 1e-7
+
+
+@pytest.fixture(params=["retraction", "beam"])
+def settle_case(request):
+    return request.getfixturevalue(
+        {"retraction": "retraction_case", "beam": "smoke_beam_case"}[request.param]
+    )
+
+
+class TestPreparedSettle:
+    def test_steps_match_rebuilt_system_with_plain_cg(self, settle_case):
+        # Reference: rebuild A every step and solve it with unpreconditioned CG
+        # to a tight tolerance.  Velocities shrink by orders of magnitude along
+        # a settle, so they are compared against the run's largest velocity.
+        model, loads, h, _ = settle_case
+        settle = prepare_settle(model, loads, h)
+        state = SimState.rest(model.n_dofs)
+        fixed = [3 * i + c for i in loads.dirichlet for c in range(3)]
+        v_scale = 0.0
+        for _ in range(3):
+            fast = step(model, state, loads, h=h, N_max=50, tol=1e-13, settle=settle)
+            system = build_system(model, state, loads, h)
+            ref = cg_solve(system, N_max=20 * model.n_dofs, tol=1e-13)
+            assert ref.converged
+            qdot_ref = state.qdot + ref.x
+            qdot_ref[fixed] = 0.0
+            q_ref = state.q + h * qdot_ref
+            v_scale = max(v_scale, np.linalg.norm(qdot_ref))
+            assert np.linalg.norm(fast.q - q_ref) <= 1e-9 * np.linalg.norm(q_ref)
+            assert np.linalg.norm(fast.qdot - qdot_ref) <= 1e-9 * v_scale
+            state = fast
+
+    def test_settle_matches_direct_static_solve(self, settle_case):
+        # At the last step, with an exact solve, the free DOFs satisfy
+        #   K_eff (q - q*) = -M (qdot_new - qdot_old) / h - C qdot_new,
+        # and both velocities are below v_tol, so
+        #   |q - q*|_inf <= (2 |K_eff^-1 M|_inf / h + |K_eff^-1 C|_inf) * v_tol.
+        model, loads, h, v_tol = settle_case
+        final = run_to_steady_state(model, loads, h=h, max_steps=5000, v_tol=v_tol,
+                                    N_max=200, tol=1e-12)
+        springs = np.zeros(model.n_dofs)
+        for i, k, _ in loads.support_springs:
+            springs[3 * i : 3 * i + 3] += k
+        K_eff = (model.matrices.K + sp.diags(springs)).tocsr()
+        fixed = [3 * i + c for i in loads.dirichlet for c in range(3)]
+        free = np.setdiff1d(np.arange(model.n_dofs), fixed)
+        K_free = K_eff[free][:, free]
+        q_star = np.zeros(model.n_dofs)
+        q_star[free] = spsolve(K_free.tocsc(), external_force(model, loads)[free])
+
+        K_inv = np.linalg.inv(K_free.toarray())
+        KiM = K_inv * model.matrices.M[free]
+        KiC = K_inv @ model.matrices.C.tocsr()[free][:, free].toarray()
+        bound = v_tol * (2.0 * np.abs(KiM).sum(axis=1).max() / h + np.abs(KiC).sum(axis=1).max())
+        err = np.abs(final.q - q_star).max()
+        assert err <= bound, f"settle off the static solution by {err:.3e} mm, bound {bound:.3e}"
+        assert np.abs(q_star).max() > 1e3 * bound, "the bound must be tight enough to mean something"
+
+    def test_one_settle_serves_every_step(self, smoke_beam_case):
+        model, loads, h, _ = smoke_beam_case
+        settle = prepare_settle(model, loads, h)
+        state = SimState.rest(model.n_dofs)
+        shared = step(model, state, loads, h=h, settle=settle)
+        fresh = step(model, state, loads, h=h)
+        assert np.array_equal(shared.q, fresh.q) and np.array_equal(shared.qdot, fresh.qdot)
+        with pytest.raises(ValueError, match="prepared for h"):
+            step(model, state, loads, h=2 * h, settle=settle)
+        with pytest.raises(ValueError, match="DOFs"):
+            step(model, SimState.rest(3), loads, h=h, settle=settle)
+
+    def test_singular_system_is_a_solver_error(self):
+        # A massless, stiffness-free model gives A = 0, which has no LU factor.
+        zero = sp.csr_matrix((3, 3))
+        model = replace(make_point_model(), matrices=SystemMatrices(M=np.zeros(3), K=zero, C=zero))
+        with pytest.raises(IndefiniteSystemError, match="singular"):
+            prepare_settle(model, LoadCase(), h=0.1)
 
 
 class TestStep:

@@ -52,6 +52,26 @@ class TestVoxelVolume:
                 data=np.array([1.0, -0.5]),
             )
 
+    @pytest.mark.parametrize("kind", ["elastogram_shear_kPa", "anatomical_intensity"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, kind, bad):
+        with pytest.raises(VolumeFormatError, match="finite"):
+            VoxelVolume(
+                dims=(2, 1, 1),
+                spacing_mm=(1.0, 1.0, 1.0),
+                kind=kind,
+                data=np.array([1.0, bad]),
+            )
+
+    def test_load_rejects_nan_in_raw_file(self, tmp_path):
+        header = write_volume(make_volume(), tmp_path / "vol.json")
+        raw = header.with_suffix(".raw")
+        data = np.fromfile(raw, dtype="<f4")
+        data[3] = np.nan
+        data.tofile(raw)
+        with pytest.raises(VolumeFormatError, match="finite"):
+            load_volume(header)
+
     def test_anatomical_allows_negative(self):
         vol = VoxelVolume(
             dims=(2, 1, 1),
