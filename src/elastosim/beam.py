@@ -23,21 +23,22 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from elastosim.meshfree import (
     KPA_TO_N_PER_MM2,
     MaterialField,
     MeshFreeModel,
+    _strain_displacement,
+    assemble_blocks,
     build_model,
     elasticity_matrix,
 )
 from elastosim.solver import (
-    LinearSystem,
     LoadCase,
     NonConvergenceError,
     cg_solve,
     displace_landmarks,
+    reduce_dirichlet,
     run_to_steady_state,
 )
 from elastosim.volume import RoiMask, VoxelVolume
@@ -258,39 +259,18 @@ def simulate_beam(
 
 def _hex_element_stiffness(res: float, young_kpa: float, nu: float) -> np.ndarray:
     """24x24 trilinear hexahedron stiffness for a cube of edge res (2x2x2 Gauss)."""
-    d_mat = elasticity_matrix(young_kpa, nu)
-    # Local node order: x fastest, then y, then z.
-    corners = np.array(
-        [[i, j, k] for k in (-1, 1) for j in (-1, 1) for i in (-1, 1)], dtype=float
-    )
-    corners = corners[[0, 1, 3, 2, 4, 5, 7, 6]]  # ring order per z face
-    gp = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+    grid = np.array([[i, j, k] for k in (-1, 1) for j in (-1, 1) for i in (-1, 1)], dtype=float)
+    corners = grid[[0, 1, 3, 2, 4, 5, 7, 6]]  # local node order: ring order per z face
+    gauss = grid / np.sqrt(3.0)  # x fastest, then y, then z
+    # N_a = prod_c (1 + xi_ac g_c) / 8, so dN_a/dxi_c = xi_ac prod_{d != c} (1 + xi_ad g_d) / 8.
+    terms = 1.0 + gauss[:, None, :] * corners[None, :, :]  # (gauss point, node, axis)
+    others = terms[:, :, [[1, 2], [0, 2], [0, 1]]].prod(axis=3)
     jac = res / 2.0
-    det_j = jac**3
-    ke = np.zeros((24, 24))
-    for gz in gp:
-        for gy in gp:
-            for gx in gp:
-                dn = np.empty((8, 3))
-                for a in range(8):
-                    xi, eta, zeta = corners[a]
-                    dn[a, 0] = 0.125 * xi * (1 + eta * gy) * (1 + zeta * gz)
-                    dn[a, 1] = 0.125 * (1 + xi * gx) * eta * (1 + zeta * gz)
-                    dn[a, 2] = 0.125 * (1 + xi * gx) * (1 + eta * gy) * zeta
-                dn /= jac  # d/dx = d/dxi * dxi/dx
-                b = np.zeros((6, 24))
-                cols = 3 * np.arange(8)
-                b[0, cols + 0] = dn[:, 0]
-                b[1, cols + 1] = dn[:, 1]
-                b[2, cols + 2] = dn[:, 2]
-                b[3, cols + 0] = dn[:, 1]
-                b[3, cols + 1] = dn[:, 0]
-                b[4, cols + 1] = dn[:, 2]
-                b[4, cols + 2] = dn[:, 1]
-                b[5, cols + 0] = dn[:, 2]
-                b[5, cols + 2] = dn[:, 0]
-                ke += b.T @ d_mat @ b * det_j
-    return ke
+    b = _strain_displacement(0.125 * corners * others / jac)  # d/dx = d/dxi * dxi/dx
+    d_mat = elasticity_matrix(young_kpa, nu)
+    # Summed point by point: a single einsum over all points rounds differently, and its
+    # residues of cross-element cancellation cost the FEA's CG about 40% more iterations.
+    return sum(bg.T @ d_mat @ bg * jac**3 for bg in b)
 
 
 def _hex_grid_connectivity(cells: tuple[int, int, int]) -> np.ndarray:
@@ -342,18 +322,8 @@ def fea_baseline(
 
     ke = _hex_element_stiffness(res, spec.E, nu)
     conn = _hex_grid_connectivity(cells)
-    n_el = len(conn)
-
-    K = sp.csr_matrix((n_dofs, n_dofs))
-    chunk = 4000
-    for lo in range(0, n_el, chunk):
-        sub = conn[lo : lo + chunk]
-        gdofs = (3 * sub[:, :, None] + np.arange(3)).reshape(len(sub), 24)
-        rows = np.repeat(gdofs, 24, axis=1).ravel()
-        cols = np.tile(gdofs, (1, 24)).ravel()
-        data = np.tile(ke.ravel(), len(sub))
-        K = K + sp.coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-    K.sum_duplicates()
+    gdofs = (3 * conn[:, :, None] + np.arange(3)).reshape(len(conn), 24)
+    K = assemble_blocks(gdofs, np.broadcast_to(ke, (len(conn), 24, 24)), n_dofs)
 
     # Uniform body force -q/(w*h) per mm^3; each corner takes V_e/8 of its element.
     f = np.zeros(n_dofs)
@@ -363,16 +333,8 @@ def fea_baseline(
 
     clamped_nodes = np.arange(n_nodes)[np.arange(n_nodes) % (cx + 1) == 0]
     fixed = (3 * clamped_nodes[:, None] + np.arange(3)).ravel()
-    if len(fixed) == 0:
-        raise ValueError("no clamped nodes; the static system would be singular")
-    keep = np.ones(n_dofs)
-    keep[fixed] = 0.0
-    P = sp.diags(keep)
-    A = (P @ K @ P + sp.diags(1.0 - keep)).tocsr()
-    b = f * keep
-
     n_max = 8 * n_dofs if cg_max is None else cg_max
-    result = cg_solve(LinearSystem(A=A, b=b), N_max=n_max, tol=cg_tol)
+    result = cg_solve(reduce_dirichlet(K, f, fixed), N_max=n_max, tol=cg_tol)
     if not result.converged:
         raise NonConvergenceError(
             f"FEA baseline CG stopped at relative residual {result.residual:.3e} after "

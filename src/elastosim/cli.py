@@ -39,6 +39,7 @@ from elastosim.experiment import (
     RetractionConfig,
     RetractorSpec,
     SyntheticCohortSpec,
+    case_from_volume,
     compare_case,
     default_landmarks,
     default_retractor,
@@ -56,14 +57,10 @@ from elastosim.solver import (
     write_landmarks_csv,
 )
 from elastosim.volume import (
-    CohortRecord,
-    RoiMask,
     VolumeFormatError,
     cohort_stats,
     load_cohort_csv,
     load_volume,
-    mean_shear_modulus,
-    shear_to_young,
     stiffness_histogram,
     write_cohort_csv,
     write_volume,
@@ -164,24 +161,13 @@ def _add_synth_flags(p: argparse.ArgumentParser):
 
 
 def _load_volume_cases(dir_path: Path) -> list[CohortCase]:
-    """Read every `<case>.json` elastogram in a directory as a cohort case.
-
-    The tissue mask is recovered as the strictly positive voxels, matching how
-    the synthetic generator zeroes everything outside the organ.
-    """
+    """Read every `<case>.json` elastogram in a directory as a cohort case."""
     if not dir_path.is_dir():
         raise VolumeFormatError(f"not a directory: {dir_path}")
     headers = sorted(dir_path.glob("*.json"))
     if not headers:
         raise VolumeFormatError(f"no volume headers (*.json) in {dir_path}")
-    cases = []
-    for header in headers:
-        vol = load_volume(header)
-        mask = RoiMask(dims=vol.dims, flags=vol.data > 0)
-        g = mean_shear_modulus(vol, mask)
-        record = CohortRecord(id=header.stem, mean_shear_G=g, young_E=shear_to_young(g))
-        cases.append(CohortCase(record=record, volume=vol, mask=mask))
-    return cases
+    return [case_from_volume(load_volume(header), header.stem) for header in headers]
 
 
 def _retraction_config(args) -> RetractionConfig:
@@ -260,10 +246,9 @@ def cmd_synth_cohort(args) -> int:
 
 
 def cmd_build_model(args) -> int:
-    vol = load_volume(args.volume)
-    mask = RoiMask(dims=vol.dims, flags=vol.data > 0)
+    case = case_from_volume(load_volume(args.volume), Path(args.volume).stem, args.conversion_nu)
     field = young_material_field(
-        vol, mask,
+        case.volume, case.mask,
         conversion_nu=args.conversion_nu,
         sim_nu=args.sim_nu,
         density=args.density,
@@ -311,18 +296,7 @@ def cmd_retract(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    vol = load_volume(args.volume)
-    mask = RoiMask(dims=vol.dims, flags=vol.data > 0)
-    g = mean_shear_modulus(vol, mask)
-    case = CohortCase(
-        record=CohortRecord(
-            id=Path(args.volume).stem,
-            mean_shear_G=g,
-            young_E=shear_to_young(g, args.conversion_nu),
-        ),
-        volume=vol,
-        mask=mask,
-    )
+    case = case_from_volume(load_volume(args.volume), Path(args.volume).stem, args.conversion_nu)
     report = compare_case(case, _retraction_config(args))
     path = write_comparison_csv([report], Path(args.out) / "comparison.csv")
     print(f"{report.case_id}: mean {report.mean_volume_diff:.3f} mm, "

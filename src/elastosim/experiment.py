@@ -34,6 +34,7 @@ from elastosim.volume import (
     VoxelVolume,
     mean_shear_modulus,
     shear_to_young,
+    voxel_centers,
 )
 
 GRAVITY_MM_S2 = (0.0, 0.0, -9810.0)
@@ -184,6 +185,21 @@ class CohortCase:
     mask: RoiMask
 
 
+def case_from_volume(volume: VoxelVolume, case_id: str, conversion_nu: float = 0.5) -> CohortCase:
+    """Cohort case of an elastogram whose tissue is its strictly positive voxels.
+
+    The mask matches how the synthetic generator zeroes everything outside
+    the organ; the record holds the masked mean shear modulus.
+
+    Raises:
+        ValueError: not an elastogram, or no positive voxel.
+    """
+    mask = RoiMask(dims=volume.dims, flags=volume.data > 0)
+    g = mean_shear_modulus(volume, mask)
+    record = CohortRecord(id=case_id, mean_shear_G=g, young_E=shear_to_young(g, conversion_nu))
+    return CohortCase(record=record, volume=volume, mask=mask)
+
+
 def ellipsoid_mask(
     dims: tuple[int, int, int],
     voxel_mm: float,
@@ -194,13 +210,8 @@ def ellipsoid_mask(
     nx, ny, nz = dims
     if center_mm is None:
         center_mm = (nx * voxel_mm / 2.0, ny * voxel_mm / 2.0, nz * voxel_mm / 2.0)
-    vol = VoxelVolume(
-        dims=dims,
-        spacing_mm=(voxel_mm,) * 3,
-        kind="elastogram_shear_kPa",
-        data=np.zeros(nx * ny * nz, dtype=np.float32),
-    )
-    rel = (vol.voxel_centers() - np.asarray(center_mm)) / np.asarray(semi_axes_mm)
+    centers = voxel_centers(dims, (voxel_mm,) * 3)
+    rel = (centers - np.asarray(center_mm)) / np.asarray(semi_axes_mm)
     flags = (rel**2).sum(axis=1) <= 1.0
     return RoiMask(dims=dims, flags=flags)
 
@@ -271,13 +282,7 @@ def synth_cohort(
         axes = rng.uniform(0.72, 0.92, size=3) * extent / 2.0
         mask = ellipsoid_mask(dims, voxel_mm, tuple(axes))
         if spec.heterogeneity > 0:
-            vol_probe = VoxelVolume(
-                dims=dims,
-                spacing_mm=(voxel_mm,) * 3,
-                kind="elastogram_shear_kPa",
-                data=np.zeros(int(np.prod(dims)), dtype=np.float32),
-            )
-            centers = vol_probe.voxel_centers()[mask.flags]
+            centers = voxel_centers(dims, (voxel_mm,) * 3)[mask.flags]
             pattern = _smooth_pattern(centers, extent, rng)
             values = g * (1.0 + spec.heterogeneity * pattern)
         else:
@@ -310,13 +315,7 @@ def stiff_inclusion_case(
     extent = np.array(dims, dtype=float) * voxel_mm
     axes = 0.85 * extent / 2.0
     mask = ellipsoid_mask(dims, voxel_mm, tuple(axes))
-    probe = VoxelVolume(
-        dims=dims,
-        spacing_mm=(voxel_mm,) * 3,
-        kind="elastogram_shear_kPa",
-        data=np.zeros(int(np.prod(dims)), dtype=np.float32),
-    )
-    centers = probe.voxel_centers()
+    centers = voxel_centers(dims, (voxel_mm,) * 3)
     site = np.array([extent[0] / 2.0 + axes[0], extent[1] / 2.0, extent[2] / 2.0])
     inside = np.linalg.norm(centers - site, axis=1) <= inclusion_radius_mm
     data = np.zeros(len(centers), dtype=np.float32)
@@ -325,13 +324,7 @@ def stiff_inclusion_case(
     volume = VoxelVolume(
         dims=dims, spacing_mm=(voxel_mm,) * 3, kind="elastogram_shear_kPa", data=data
     )
-    g_mean = mean_shear_modulus(volume, mask)
-    record = CohortRecord(
-        id=f"inclusion_{contrast:g}x",
-        mean_shear_G=g_mean,
-        young_E=shear_to_young(g_mean, conversion_nu),
-    )
-    return CohortCase(record=record, volume=volume, mask=mask)
+    return case_from_volume(volume, f"inclusion_{contrast:g}x", conversion_nu)
 
 
 def young_material_field(
@@ -359,16 +352,9 @@ def young_material_field(
     return MaterialField(volume=young, mask=mask, nu=sim_nu, density=density)
 
 
-def default_retractor(field_or_mask, voxel_mm: float | None = None) -> RetractorSpec:
-    """Retractor at the +x pole of the mask, hoisting straight up.
-
-    Accepts a MaterialField or a (mask, volume) source of voxel centers.
-    """
-    if isinstance(field_or_mask, MaterialField):
-        centers = field_or_mask.masked_centers()
-    else:
-        volume, mask = field_or_mask
-        centers = volume.voxel_centers()[mask.flags]
+def default_retractor(field: MaterialField) -> RetractorSpec:
+    """Retractor at the +x pole of the field's mask, hoisting straight up."""
+    centers = field.masked_centers()
     pole = centers[np.argmax(centers[:, 0])]
     return RetractorSpec(center=tuple(pole))
 

@@ -17,6 +17,7 @@ assembly so that M, K, C can be combined without hidden factors.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
-from elastosim.volume import RoiMask, VoxelVolume
+from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume
 
 KPA_TO_N_PER_MM2 = 1e-3
 KG_PER_M3_TO_T_PER_MM3 = 1e-12
@@ -418,57 +419,54 @@ def _strain_displacement(gradients: np.ndarray) -> np.ndarray:
     return b
 
 
-def assemble_stiffness(
-    shape: ShapeMap, field: MaterialField, n_nodes: int | None = None
-) -> sp.csr_matrix:
+def assemble_stiffness(shape: ShapeMap, field: MaterialField, n_nodes: int) -> sp.csr_matrix:
     """Assemble sparse K (N/mm) with one integration point per masked voxel.
 
     Each voxel contributes B^T D(E_voxel, nu) B * V_voxel at its center,
     with B built from the first-order-consistent gradients; the result is
     explicitly symmetrized against roundoff.
-
-    Raises:
-        ValueError: a masked voxel has non-positive stiffness.
     """
     young = field.masked_young()
-    if young.min() <= 0:
-        raise ValueError("encountered masked voxel with non-positive Young's modulus")
-    if n_nodes is None:
-        n_nodes = int(shape.indices.max()) + 1
     n_dofs = 3 * n_nodes
     v_vox = field.voxel_volume_mm3
     d_unit = elasticity_matrix(1.0, field.nu)  # D is linear in E
 
-    rows_all, cols_all, data_all = [], [], []
+    blocks = []
     chunk = 4096
     for lo in range(0, shape.n_voxels, chunk):
         hi = min(lo + chunk, shape.n_voxels)
         b = _strain_displacement(shape.corrected_gradients[lo:hi])
         ke = np.einsum("via,ij,vjb->vab", b, d_unit, b, optimize=True)
         ke *= (young[lo:hi] * v_vox)[:, None, None]
-        gdofs = (3 * shape.indices[lo:hi, :, None] + np.arange(3)).reshape(hi - lo, -1)
-        w = gdofs.shape[1]
-        rows_all.append(np.repeat(gdofs, w, axis=1).ravel())
-        cols_all.append(np.tile(gdofs, (1, w)).ravel())
-        data_all.append(ke.ravel())
+        blocks.append(ke)
+    gdofs = (3 * shape.indices[:, :, None] + np.arange(3)).reshape(shape.n_voxels, -1)
+    return assemble_blocks(gdofs, np.concatenate(blocks), n_dofs)
 
-    K = sp.coo_matrix(
-        (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(n_dofs, n_dofs),
-    ).tocsr()
+
+def assemble_blocks(gdofs: np.ndarray, blocks: np.ndarray, n_dofs: int) -> sp.csr_matrix:
+    """Sum dense element blocks into one sparse matrix, symmetrized against roundoff.
+
+    Args:
+        gdofs: global DOF of each local row and column, shape (e, w).
+        blocks: element matrices, shape (e, w, w); block i lands on the
+            rows and columns gdofs[i].
+        n_dofs: size of the assembled square matrix.
+    """
+    w = gdofs.shape[1]
+    rows = np.repeat(gdofs, w, axis=1).ravel()
+    cols = np.tile(gdofs, (1, w)).ravel()
+    K = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
     K = (K + K.T) * 0.5
     K.sum_duplicates()
     return K
 
 
-def assemble_mass(shape: ShapeMap, field: MaterialField, n_nodes: int | None = None) -> np.ndarray:
+def assemble_mass(shape: ShapeMap, field: MaterialField, n_nodes: int) -> np.ndarray:
     """Assemble the lumped mass diagonal as a flat (3n,) array in tonnes.
 
     M_ii = sum over voxels of w_i * rho * V_voxel, replicated on the three
     components of node i; partition of unity conserves total mass.
     """
-    if n_nodes is None:
-        n_nodes = int(shape.indices.max()) + 1
     rho = field.density * KG_PER_M3_TO_T_PER_MM3
     per_voxel = rho * field.voxel_volume_mm3
     node_mass = np.zeros(n_nodes)
@@ -593,58 +591,92 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
     return path
 
 
+def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of a model archive, every manifest entry checked against the payload.
+
+    Raises:
+        VolumeFormatError: bad magic, a short or malformed header, or an
+            array whose offset, size, dtype or shape the payload cannot back.
+    """
+    raw = path.read_bytes()
+    if raw[:8] != _ARCHIVE_MAGIC:
+        raise VolumeFormatError(f"{path} is not a model archive (bad magic)")
+    if len(raw) < 16:
+        raise VolumeFormatError(f"{path}: archive ends inside its header")
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    payload = raw[16 + hlen :]
+    try:
+        header = json.loads(raw[16 : 16 + hlen].decode())
+        arrays = {}
+        for item in header["arrays"]:
+            name, offset, nbytes = item["name"], int(item["offset"]), int(item["nbytes"])
+            dtype, shape = np.dtype(item["dtype"]), tuple(int(n) for n in item["shape"])
+            if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
+                raise VolumeFormatError(f"array {name!r} lies outside the payload")
+            if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize != nbytes:
+                raise VolumeFormatError(f"array {name!r} of shape {shape} does not fill {nbytes} bytes")
+            buf = payload[offset : offset + nbytes]
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise VolumeFormatError(f"{path}: malformed archive header: {exc}") from exc
+    return header, arrays
+
+
 def load_model(path: str | Path) -> MeshFreeModel:
     """Load a model archive written by save_model.
 
     Raises:
         FileNotFoundError: archive missing.
-        ValueError: bad magic or malformed header.
+        VolumeFormatError: bad magic, a truncated or malformed header, a
+            missing array, or an array whose bytes or shape disagree with the
+            manifest or the model's DOF count.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"model archive not found: {path}")
-    raw = path.read_bytes()
-    if raw[:8] != _ARCHIVE_MAGIC:
-        raise ValueError(f"{path} is not a model archive (bad magic)")
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16 : 16 + hlen].decode())
-    payload = raw[16 + hlen :]
-
-    arrays = {}
-    for item in header["arrays"]:
-        buf = payload[item["offset"] : item["offset"] + item["nbytes"]]
-        arrays[item["name"]] = np.frombuffer(buf, dtype=item["dtype"]).reshape(item["shape"])
-
-    volume = VoxelVolume(
-        dims=tuple(header["dims"]),
-        spacing_mm=tuple(header["spacing_mm"]),
-        kind=header["kind"],
-        data=arrays["volume_data"],
-    )
-    mask = RoiMask(dims=volume.dims, flags=arrays["mask_flags"])
-    field = MaterialField(volume=volume, mask=mask, nu=header["nu"], density=header["density"])
-    dofs = DofSet(nodes=arrays["nodes"], owner=arrays["owner"])
-    shape = ShapeMap(
-        indices=arrays["shape_indices"].astype(np.int64),
-        weights=arrays["shape_weights"],
-        gradients=arrays["shape_gradients"],
-        corrected_gradients=arrays["shape_corrected"],
-        k=header["shape_k"],
-    )
-    n_dofs = 3 * dofs.n_nodes
-    K = sp.csr_matrix(
-        (arrays["K_data"], arrays["K_indices"], arrays["K_indptr"]), shape=(n_dofs, n_dofs)
-    )
-    C = sp.csr_matrix(
-        (arrays["C_data"], arrays["C_indices"], arrays["C_indptr"]), shape=(n_dofs, n_dofs)
-    )
-    return MeshFreeModel(
-        field=field,
-        dofs=dofs,
-        shape=shape,
-        matrices=SystemMatrices(M=arrays["M"].copy(), K=K, C=C),
-        q0=arrays["q0"].copy(),
-        alpha=header["alpha"],
-        beta=header["beta"],
-        seed=header["seed"],
-    )
+    header, arrays = _read_archive(path)
+    try:
+        volume = VoxelVolume(
+            dims=tuple(header["dims"]),
+            spacing_mm=tuple(header["spacing_mm"]),
+            kind=header["kind"],
+            data=arrays["volume_data"],
+        )
+        mask = RoiMask(dims=volume.dims, flags=arrays["mask_flags"])
+        field = MaterialField(volume=volume, mask=mask, nu=header["nu"], density=header["density"])
+        dofs = DofSet(nodes=arrays["nodes"], owner=arrays["owner"])
+        shape = ShapeMap(
+            indices=arrays["shape_indices"].astype(np.int64),
+            weights=arrays["shape_weights"],
+            gradients=arrays["shape_gradients"],
+            corrected_gradients=arrays["shape_corrected"],
+            k=header["shape_k"],
+        )
+        n_dofs = 3 * dofs.n_nodes
+        for name in ("M", "q0"):
+            if arrays[name].shape != (n_dofs,):
+                raise VolumeFormatError(
+                    f"array {name!r} has shape {arrays[name].shape}, {n_dofs} DOFs need ({n_dofs},)"
+                )
+        K = sp.csr_matrix(
+            (arrays["K_data"], arrays["K_indices"], arrays["K_indptr"]), shape=(n_dofs, n_dofs)
+        )
+        C = sp.csr_matrix(
+            (arrays["C_data"], arrays["C_indices"], arrays["C_indptr"]), shape=(n_dofs, n_dofs)
+        )
+        for mat in (K, C):
+            mat.check_format(full_check=True)  # column indices come from outside
+        return MeshFreeModel(
+            field=field,
+            dofs=dofs,
+            shape=shape,
+            matrices=SystemMatrices(M=arrays["M"].copy(), K=K, C=C),
+            q0=arrays["q0"].copy(),
+            alpha=header["alpha"],
+            beta=header["beta"],
+            seed=header["seed"],
+        )
+    except KeyError as exc:
+        raise VolumeFormatError(f"{path}: archive has no {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise VolumeFormatError(f"{path}: {exc}") from exc

@@ -133,7 +133,6 @@ class CgResult:
     iterations: int
     residual: float
     converged: bool
-    iterates: list | None = None
 
 
 def implicit_system(
@@ -165,14 +164,19 @@ def implicit_system(
     A = (sp.diags(M) + h * C + (h * h) * K).tocsr()
     force = f_ext - K @ q - C @ qdot
     b = h * (force - h * (K @ qdot))
+    return reduce_dirichlet(A, b, fixed_dofs)
 
-    if len(fixed_dofs):
-        fixed = np.fromiter(fixed_dofs, dtype=np.int64)
-        keep = np.ones(n)
-        keep[fixed] = 0.0
+
+def reduce_dirichlet(A: sp.csr_matrix, b: np.ndarray, fixed) -> LinearSystem:
+    """Hold the fixed DOFs at zero: their rows and columns of A become identity, their b zero.
+
+    The reduced system stays SPD and keeps its size.
+    """
+    if len(fixed):
+        keep = np.ones(len(b))
+        keep[np.fromiter(fixed, dtype=np.int64)] = 0.0
         P = sp.diags(keep)
-        ident = sp.diags(1.0 - keep)
-        A = (P @ A @ P + ident).tocsr()
+        A = (P @ A @ P + sp.diags(1.0 - keep)).tocsr()
         b = b * keep
     A.sum_duplicates()
     return LinearSystem(A=A, b=b)
@@ -293,7 +297,6 @@ def cg_solve(
     x0: np.ndarray | None = None,
     N_max: int = 200,
     tol: float = 1e-6,
-    record_iterates: bool = False,
     preconditioner=None,
 ) -> CgResult:
     """Conjugate gradient on an SPD system, optionally preconditioned.
@@ -312,9 +315,7 @@ def cg_solve(
     n = len(b)
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
-        x = np.zeros(n)
-        return CgResult(x=x, iterations=0, residual=0.0, converged=True,
-                        iterates=[x.copy()] if record_iterates else None)
+        return CgResult(x=np.zeros(n), iterations=0, residual=0.0, converged=True)
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     r = b - A @ x
@@ -322,10 +323,9 @@ def cg_solve(
     p = z.copy()
     rr = float(r @ r)
     rz = rr if preconditioner is None else float(r @ z)
-    iterates = [x.copy()] if record_iterates else None
     residual = np.sqrt(rr) / norm_b
     if residual <= tol:
-        return CgResult(x=x, iterations=0, residual=residual, converged=True, iterates=iterates)
+        return CgResult(x=x, iterations=0, residual=residual, converged=True)
 
     for n_iter in range(1, N_max + 1):
         Ap = A @ p
@@ -338,19 +338,16 @@ def cg_solve(
         x = x + alpha * p
         r = r - alpha * Ap
         rr = float(r @ r)
-        if record_iterates:
-            iterates.append(x.copy())
         residual = np.sqrt(rr) / norm_b
         if residual <= tol:
-            return CgResult(x=x, iterations=n_iter, residual=residual, converged=True,
-                            iterates=iterates)
+            return CgResult(x=x, iterations=n_iter, residual=residual, converged=True)
         z = r if preconditioner is None else preconditioner(r)
         rz_next = rr if preconditioner is None else float(r @ z)
         beta = rz_next / rz
         p = z + beta * p
         rz = rz_next
 
-    return CgResult(x=x, iterations=N_max, residual=residual, converged=False, iterates=iterates)
+    return CgResult(x=x, iterations=N_max, residual=residual, converged=False)
 
 
 def step(
@@ -455,23 +452,6 @@ def displace_landmarks(
     q_nodes = state.q.reshape(-1, 3)
     moved = positions + np.einsum("lk,lkc->lc", w, q_nodes[idx])
     return [(label, moved[row]) for row, (label, _) in enumerate(landmarks)]
-
-
-def write_trajectory_csv(states: list[SimState], path: str | Path) -> Path:
-    """Write per-step nodal displacements as CSV `step,t_s,node,qx_mm,qy_mm,qz_mm`."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t_s", "node", "qx_mm", "qy_mm", "qz_mm"])
-        for step_i, st in enumerate(states):
-            q = st.q.reshape(-1, 3)
-            for node in range(len(q)):
-                writer.writerow(
-                    [step_i, repr(float(st.t)), node,
-                     repr(float(q[node, 0])), repr(float(q[node, 1])), repr(float(q[node, 2]))]
-                )
-    return path
 
 
 def write_landmarks_csv(landmarks: list[tuple[str, np.ndarray]], path: str | Path) -> Path:

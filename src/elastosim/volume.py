@@ -75,13 +75,18 @@ class VoxelVolume:
 
     def voxel_centers(self) -> np.ndarray:
         """Physical centers of all voxels, shape (n_voxels, 3), x fastest, in mm."""
-        nx, ny, nz = self.dims
-        sx, sy, sz = self.spacing_mm
-        xs = (np.arange(nx) + 0.5) * sx
-        ys = (np.arange(ny) + 0.5) * sy
-        zs = (np.arange(nz) + 0.5) * sz
-        zz, yy, xx = np.meshgrid(zs, ys, xs, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
+        return voxel_centers(self.dims, self.spacing_mm)
+
+
+def voxel_centers(dims: tuple[int, int, int], spacing_mm: tuple[float, float, float]) -> np.ndarray:
+    """Physical centers of a grid's voxels, shape (nx*ny*nz, 3), x fastest, in mm."""
+    nx, ny, nz = dims
+    sx, sy, sz = spacing_mm
+    xs = (np.arange(nx) + 0.5) * sx
+    ys = (np.arange(ny) + 0.5) * sy
+    zs = (np.arange(nz) + 0.5) * sz
+    zz, yy, xx = np.meshgrid(zs, ys, xs, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
 
 
 @dataclass(frozen=True)
@@ -295,14 +300,9 @@ def mask_roi(volume: VoxelVolume, polygon: RoiPolygon) -> RoiMask:
     k = polygon.slice_index
     if not 0 <= k < nz:
         raise VolumeFormatError(f"slice_index {k} outside z range [0, {nz})")
-    sx, sy, _ = volume.spacing_mm
-    verts = polygon.vertices_mm
-    flags = np.zeros((nz, ny, nx), dtype=bool)
-    for j in range(ny):
-        cy = (j + 0.5) * sy
-        for i in range(nx):
-            cx = (i + 0.5) * sx
-            flags[k, j, i] = point_in_polygon(cx, cy, verts)
+    flags = np.zeros((nz, ny * nx), dtype=bool)
+    centers = voxel_centers((nx, ny, 1), volume.spacing_mm)
+    flags[k] = [point_in_polygon(x, y, polygon.vertices_mm) for x, y, _ in centers]
     return RoiMask(dims=volume.dims, flags=flags.ravel())
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from elastosim.beam import (
     BeamSpec,
     DeflectionCurve,
+    _hex_element_stiffness,
     axis_samples,
     beam_load_case,
     build_beam_phantom,
@@ -19,6 +20,7 @@ from elastosim.beam import (
     theory_curve,
     write_beam_convergence_csv,
 )
+from elastosim.meshfree import elasticity_matrix
 from elastosim.solver import NonConvergenceError
 
 # Resolution 1.25 divides the benchmark box 50 x 10 x 10 exactly, so snapped
@@ -220,6 +222,32 @@ class TestBeamPhantom:
     def test_uniform_material_at_spec_modulus(self):
         ph = build_beam_phantom(EXACT, n_nodes=60, k=6, seed=0)
         assert np.all(ph.model.field.masked_young() == np.float32(12.0))
+
+
+class TestHexElement:
+    # Local node order of the FEA grid's connectivity table, in cube edges.
+    NODES = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+                      [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3])
+    def test_patch_linear_field_energy(self, nu):
+        res, young = 1.25, 12.0
+        ke = _hex_element_stiffness(res, young, nu)
+        grad = np.random.default_rng(5).standard_normal((3, 3))
+        u = (self.NODES * res @ grad.T + [0.3, -0.2, 0.1]).ravel()
+        strain = np.array([grad[0, 0], grad[1, 1], grad[2, 2], grad[0, 1] + grad[1, 0],
+                           grad[1, 2] + grad[2, 1], grad[0, 2] + grad[2, 0]])
+        want = strain @ elasticity_matrix(young, nu) @ strain * res**3
+        assert u @ ke @ u == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3])
+    def test_symmetric_with_six_rigid_modes(self, nu):
+        ke = _hex_element_stiffness(1.25, 12.0, nu)
+        scale = np.abs(ke).max()
+        assert np.abs(ke - ke.T).max() <= 1e-14 * scale
+        eig = np.linalg.eigvalsh(ke)
+        assert np.sum(np.abs(eig) <= 1e-10 * eig.max()) == 6
+        assert eig.min() >= -1e-10 * eig.max()
 
 
 class TestFeaBaseline:

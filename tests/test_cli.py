@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line harness and its exit-code contract."""
 
+import json
+import struct
 import subprocess
 import sys
 
@@ -149,6 +151,74 @@ class TestModelAndRetract:
                          "--v-tol", "1e-30", "--out", str(tmp_path)])
         assert code == EXIT_SOLVER
         assert "solver error" in capsys.readouterr().err
+
+
+def _entry(header, name):
+    return next(item for item in header["arrays"] if item["name"] == name)
+
+
+def _drop_k_data(header, payload):
+    header["arrays"] = [item for item in header["arrays"] if item["name"] != "K_data"]
+    return payload
+
+
+def _offset_past_payload(header, payload):
+    _entry(header, "q0")["offset"] = len(payload)
+    return payload
+
+
+def _shape_overfills_bytes(header, payload):
+    _entry(header, "M")["shape"][0] += 1
+    return payload
+
+
+def _shape_short_of_dofs(header, payload):
+    m = _entry(header, "M")
+    m["shape"][0] -= 3
+    m["nbytes"] -= 3 * 8
+    return payload
+
+
+def _column_index_past_dofs(header, payload):
+    offset = _entry(header, "K_indices")["offset"]
+    n_dofs = _entry(header, "M")["shape"][0]
+    return payload[:offset] + struct.pack("<q", n_dofs) + payload[offset + 8:]
+
+
+class TestCorruptModelArchive:
+    @pytest.fixture(scope="class")
+    def archive(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("archive")
+        assert cli_main(synth_args(tmp / "cohort", n=1)) == EXIT_OK
+        path = tmp / "model.esm"
+        assert cli_main(["build-model", "--volume", str(tmp / "cohort" / "case_000.json"),
+                         "--nodes", "40", "--k", "6", "--out", str(path)]) == EXIT_OK
+        return path.read_bytes()
+
+    def retract(self, tmp_path, raw):
+        path = tmp_path / "bad.esm"
+        path.write_bytes(raw)
+        return cli_main(["retract", "--model", str(path), "--out", str(tmp_path)])
+
+    def test_short_header_is_data_error(self, capsys, tmp_path, archive):
+        assert self.retract(tmp_path, archive[:12]) == EXIT_DATA
+        assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (_drop_k_data, "'K_data'"),
+        (_offset_past_payload, "'q0'"),
+        (_shape_overfills_bytes, "'M'"),
+        (_shape_short_of_dofs, "'M'"),
+        (_column_index_past_dofs, "indices must be"),
+    ])
+    def test_bad_manifest_is_data_error(self, capsys, tmp_path, archive, corrupt, named):
+        (hlen,) = struct.unpack("<Q", archive[8:16])
+        header, payload = json.loads(archive[16:16 + hlen]), archive[16 + hlen:]
+        payload = corrupt(header, payload)
+        blob = json.dumps(header).encode()
+        raw = archive[:8] + struct.pack("<Q", len(blob)) + blob + payload
+        assert self.retract(tmp_path, raw) == EXIT_DATA
+        assert named in capsys.readouterr().err
 
 
 class TestCompareCommand:

@@ -22,6 +22,7 @@ from elastosim.volume import (
     point_in_polygon,
     shear_to_young,
     stiffness_histogram,
+    voxel_centers,
     write_cohort_csv,
     write_polygon,
     write_volume,
@@ -91,7 +92,6 @@ class TestVoxelVolume:
 
     def test_voxel_centers_order_x_fastest(self):
         vol = make_volume(dims=(2, 2, 1), spacing=(2.0, 3.0, 10.0))
-        centers = vol.voxel_centers()
         expected = np.array(
             [
                 [1.0, 1.5, 5.0],
@@ -100,7 +100,8 @@ class TestVoxelVolume:
                 [3.0, 4.5, 5.0],
             ]
         )
-        assert np.allclose(centers, expected)
+        for centers in (vol.voxel_centers(), voxel_centers(vol.dims, vol.spacing_mm)):
+            assert np.allclose(centers, expected)
 
 
 class TestVolumeIO:
