@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,21 +36,18 @@ from elastosim.beam import (
     write_beam_convergence_csv,
 )
 from elastosim.experiment import (
+    SYNTH_DIMS,
     CohortCase,
     RetractionConfig,
-    RetractorSpec,
     SyntheticCohortSpec,
     case_from_volume,
     compare_case,
     default_landmarks,
-    default_retractor,
     run_cohort_retractions,
-    simulate_retraction,
     synth_cohort,
     write_comparison_csv,
-    young_material_field,
 )
-from elastosim.meshfree import build_model, load_model, save_model
+from elastosim.meshfree import load_model, save_model
 from elastosim.solver import (
     IndefiniteSystemError,
     NonConvergenceError,
@@ -100,64 +98,66 @@ def _point(text: str) -> tuple[float, float, float]:
     return parts
 
 
-def _add_model_flags(p: argparse.ArgumentParser, nodes: int = 300, k: int = 8):
-    p.add_argument("--nodes", type=int, default=nodes, help=f"DOF node count (default {nodes})")
-    p.add_argument("--k", type=int, default=k, help=f"shape-function support size (default {k})")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--sim-nu", type=float, default=0.45,
-                   help="Poisson ratio used in assembly (default 0.45)")
-    p.add_argument("--conversion-nu", type=float, default=0.5,
-                   help="Poisson ratio for the E = 2G(1+nu) conversion (default 0.5)")
-    p.add_argument("--density", type=float, default=1060.0,
-                   help="tissue density in kg/m^3 (default 1060)")
-    p.add_argument("--alpha", type=float, default=0.1,
-                   help="mass-proportional damping (default 0.1)")
-    p.add_argument("--beta", type=float, default=0.01,
-                   help="stiffness-proportional damping (default 0.01)")
+def _knob(p: argparse.ArgumentParser, flag: str, dest: str, type, help: str,
+          of=RetractionConfig, **kwargs):
+    """A flag that sets field `dest` of the dataclass `of` and defaults to that field's default."""
+    kwargs.setdefault("metavar", flag[2:].upper().replace("-", "_"))
+    p.add_argument(flag, dest=dest, type=type, default=getattr(of, dest),
+                   help=f"{help} (default %(default)s)", **kwargs)
 
 
-def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--support-k", type=float, default=0.05,
-                   help="abdomen support spring stiffness in N/mm (default 0.05)")
-    p.add_argument("--mass-kg", type=float, default=None,
-                   help="hoisted mass in kg (default: masked volume x density)")
-    p.add_argument("--h-ms", type=float, default=50.0,
-                   help="implicit time step in milliseconds (default 50)")
-    p.add_argument("--v-tol", type=float, default=1e-6,
-                   help="steady-state velocity tolerance in mm/s (default 1e-6)")
-    p.add_argument("--max-steps", type=int, default=5000,
-                   help="step budget before declaring non-convergence (default 5000)")
-    p.add_argument("--cg-tol", type=float, default=1e-6,
-                   help="CG relative residual tolerance (default 1e-6)")
-    p.add_argument("--cg-max", type=int, default=200,
-                   help="CG iteration cap per solve (default 200)")
+def _seconds_from_ms(text: str) -> float:
+    try:
+        return float(text) / 1000.0
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"time step must be milliseconds, got {text!r}")
+
+
+def _add_model_flags(p: argparse.ArgumentParser):
+    _knob(p, "--nodes", "n_nodes", int, "DOF node count")
+    _knob(p, "--k", "k", int, "shape-function support size")
+    _knob(p, "--seed", "seed", int, "RNG seed")
+    _knob(p, "--sim-nu", "sim_nu", float, "Poisson ratio used in assembly")
+    _knob(p, "--conversion-nu", "conversion_nu", float,
+          "Poisson ratio for the E = 2G(1+nu) conversion")
+    _knob(p, "--density", "density", float, "tissue density in kg/m^3")
+    _knob(p, "--alpha", "alpha", float, "mass-proportional damping")
+    _knob(p, "--beta", "beta", float, "stiffness-proportional damping")
+
+
+def _add_retraction_flags(p: argparse.ArgumentParser):
+    _knob(p, "--support-k", "abdomen_k", float, "abdomen support spring stiffness in N/mm")
+    _knob(p, "--mass-kg", "liver_mass_kg", float,
+          "hoisted mass in kg; unset takes the masked volume x density")
+    # A string default goes through `type` like a typed value, so the help
+    # shows milliseconds while RetractionConfig.h stays in seconds.
+    p.add_argument("--h-ms", dest="h", type=_seconds_from_ms, metavar="H_MS",
+                   default=f"{RetractionConfig.h * 1000.0:g}",
+                   help="implicit time step in milliseconds (default %(default)s)")
+    _knob(p, "--v-tol", "v_tol", float, "steady-state velocity tolerance in mm/s")
+    _knob(p, "--max-steps", "max_steps", int, "step budget before declaring non-convergence")
+    _knob(p, "--cg-tol", "cg_tol", float, "CG relative residual tolerance")
+    _knob(p, "--cg-max", "cg_max", int, "CG iteration cap per solve")
+    _knob(p, "--tool-center", "tool_center", _point,
+          "retractor center in mm; unset takes the +x pole of the mask", metavar="X,Y,Z")
+    _knob(p, "--diameter", "diameter", float, "retractor diameter in mm")
 
 
 def _add_comparison_flags(p: argparse.ArgumentParser):
-    p.add_argument("--atlas-e-kpa", type=float, default=2.1,
-                   help="population atlas Young's modulus in kPa (default 2.1)")
-    p.add_argument("--significance-mm", type=float, default=5.0,
-                   help="clinical significance threshold in mm (default 5.0)")
-    p.add_argument("--voxel-mm", type=float, default=1.64,
-                   help="reference imaging voxel size in mm (default 1.64)")
-
-
-def _add_retractor_flags(p: argparse.ArgumentParser):
-    p.add_argument("--tool-center", type=_point, default=None, metavar="X,Y,Z",
-                   help="retractor center in mm (default: +x pole of the mask)")
-    p.add_argument("--diameter", type=float, default=10.0,
-                   help="retractor diameter in mm (default 10)")
+    _knob(p, "--atlas-e-kpa", "atlas_e_kpa", float, "population atlas Young's modulus in kPa")
+    _knob(p, "--significance-mm", "significance_mm", float,
+          "clinical significance threshold in mm")
 
 
 def _add_synth_flags(p: argparse.ArgumentParser):
-    p.add_argument("--median-kpa", type=float, default=2.8,
-                   help="log-normal median of mean shear G in kPa (default 2.8)")
-    p.add_argument("--log-sd", type=float, default=0.45,
-                   help="log-normal sd of mean shear G (default 0.45)")
-    p.add_argument("--heterogeneity", type=float, default=0.0,
-                   help="within-volume stiffness variation fraction (default 0)")
-    p.add_argument("--dims", type=_dims, default=(32, 26, 16), metavar="NX,NY,NZ",
-                   help="synthetic volume grid (default 32,26,16)")
+    _knob(p, "--median-kpa", "median_kpa", float, "log-normal median of mean shear G in kPa",
+          of=SyntheticCohortSpec)
+    _knob(p, "--log-sd", "log_sd", float, "log-normal sd of mean shear G", of=SyntheticCohortSpec)
+    _knob(p, "--heterogeneity", "heterogeneity", float,
+          "within-volume stiffness variation fraction", of=SyntheticCohortSpec)
+    p.add_argument("--dims", type=_dims, default=SYNTH_DIMS, metavar="NX,NY,NZ",
+                   help="synthetic volume grid (default %(default)s)")
+    _knob(p, "--voxel-mm", "voxel_ref_mm", float, "voxel pitch in mm")
 
 
 def _load_volume_cases(dir_path: Path) -> list[CohortCase]:
@@ -170,31 +170,9 @@ def _load_volume_cases(dir_path: Path) -> list[CohortCase]:
     return [case_from_volume(load_volume(header), header.stem) for header in headers]
 
 
-def _retraction_config(args) -> RetractionConfig:
-    retractor = None
-    if args.tool_center is not None:
-        retractor = RetractorSpec(diameter=args.diameter, center=args.tool_center)
-    return RetractionConfig(
-        n_nodes=args.nodes,
-        k=args.k,
-        seed=args.seed,
-        atlas_e_kpa=args.atlas_e_kpa,
-        significance_mm=args.significance_mm,
-        conversion_nu=args.conversion_nu,
-        sim_nu=args.sim_nu,
-        density=args.density,
-        abdomen_k=args.support_k,
-        liver_mass_kg=args.mass_kg,
-        retractor=retractor,
-        alpha=args.alpha,
-        beta=args.beta,
-        h=args.h_ms / 1000.0,
-        v_tol=args.v_tol,
-        max_steps=args.max_steps,
-        cg_tol=args.cg_tol,
-        cg_max=args.cg_max,
-        voxel_ref_mm=args.voxel_mm,
-    )
+def _config(args, of=RetractionConfig):
+    """The command's `of` config: each field its flags set, the others at their defaults."""
+    return of(**{f.name: getattr(args, f.name) for f in fields(of) if hasattr(args, f.name)})
 
 
 def cmd_cohort_stats(args) -> int:
@@ -229,14 +207,8 @@ def cmd_cohort_stats(args) -> int:
 
 
 def cmd_synth_cohort(args) -> int:
-    spec = SyntheticCohortSpec(
-        n=args.n,
-        seed=args.seed,
-        median_kpa=args.median_kpa,
-        log_sd=args.log_sd,
-        heterogeneity=args.heterogeneity,
-    )
-    cases = synth_cohort(spec, dims=args.dims, voxel_mm=args.voxel_mm)
+    cases = synth_cohort(_config(args, SyntheticCohortSpec), dims=args.dims,
+                         voxel_mm=args.voxel_ref_mm)
     out = Path(args.out)
     for case in cases:
         write_volume(case.volume, out / f"{case.record.id}.json")
@@ -246,21 +218,9 @@ def cmd_synth_cohort(args) -> int:
 
 
 def cmd_build_model(args) -> int:
-    case = case_from_volume(load_volume(args.volume), Path(args.volume).stem, args.conversion_nu)
-    field = young_material_field(
-        case.volume, case.mask,
-        conversion_nu=args.conversion_nu,
-        sim_nu=args.sim_nu,
-        density=args.density,
-    )
-    model = build_model(
-        field,
-        n_nodes=args.nodes,
-        k=args.k,
-        alpha=args.alpha,
-        beta=args.beta,
-        seed=args.seed,
-    )
+    config = _config(args)
+    case = case_from_volume(load_volume(args.volume), Path(args.volume).stem, config.conversion_nu)
+    model = config.measured_model(case)
     path = save_model(model, Path(args.out))
     print(f"{model.n_nodes} nodes / {model.n_dofs} DOFs, "
           f"mass {model.total_mass_kg * 1000:.1f} g -> {path}")
@@ -268,22 +228,10 @@ def cmd_build_model(args) -> int:
 
 
 def cmd_retract(args) -> int:
+    config = _config(args)
     model = load_model(args.model)
-    if args.tool_center is not None:
-        retractor = RetractorSpec(diameter=args.diameter, center=args.tool_center)
-    else:
-        pole = default_retractor(model.field)
-        retractor = RetractorSpec(diameter=args.diameter, center=pole.center)
-    state = simulate_retraction(
-        model, retractor,
-        liver_mass_kg=args.mass_kg,
-        abdomen_k=args.support_k,
-        h=args.h_ms / 1000.0,
-        v_tol=args.v_tol,
-        max_steps=args.max_steps,
-        cg_max=args.cg_max,
-        cg_tol=args.cg_tol,
-    )
+    retractor = config.retractor(model.field)
+    state = config.settle(model, retractor)
     marks = default_landmarks(model, retractor)
     moved = displace_landmarks(model, state, marks)
     out = Path(args.out)
@@ -296,8 +244,9 @@ def cmd_retract(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    case = case_from_volume(load_volume(args.volume), Path(args.volume).stem, args.conversion_nu)
-    report = compare_case(case, _retraction_config(args))
+    config = _config(args)
+    case = case_from_volume(load_volume(args.volume), Path(args.volume).stem, config.conversion_nu)
+    report = compare_case(case, config)
     path = write_comparison_csv([report], Path(args.out) / "comparison.csv")
     print(f"{report.case_id}: mean {report.mean_volume_diff:.3f} mm, "
           f"at tool {report.at_tool_diff:.3f} mm, "
@@ -306,18 +255,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_cohort_run(args) -> int:
+    config = _config(args)
     if args.cohort is not None:
         cases = _load_volume_cases(Path(args.cohort))
     else:
-        spec = SyntheticCohortSpec(
-            n=args.synth_n,
-            seed=args.seed,
-            median_kpa=args.median_kpa,
-            log_sd=args.log_sd,
-            heterogeneity=args.heterogeneity,
-        )
-        cases = synth_cohort(spec, dims=args.dims, voxel_mm=args.voxel_mm)
-    result = run_cohort_retractions(cases, _retraction_config(args))
+        cases = synth_cohort(_config(args, SyntheticCohortSpec), dims=args.dims,
+                             voxel_mm=config.voxel_ref_mm)
+    result = run_cohort_retractions(cases, config)
     path = write_comparison_csv(result.reports, Path(args.out) / "comparison.csv")
     n_sig = sum(1 for r in result.reports if r.significant)
     print(f"{len(result.reports)} cases compared, {len(result.skipped)} skipped -> {path}")
@@ -367,17 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--volumes", help="directory of elastogram volumes (*.json + *.raw)")
     p.add_argument("--bin-width", type=float, default=1.0,
                    help="histogram bin width in kPa (default 1.0)")
-    p.add_argument("--atlas-e-kpa", type=float, default=2.1,
-                   help="population atlas Young's modulus in kPa (default 2.1)")
+    _knob(p, "--atlas-e-kpa", "atlas_e_kpa", float, "population atlas Young's modulus in kPa")
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_cohort_stats)
 
     p = sub.add_parser("synth-cohort", help="generate a synthetic stiffness cohort")
     p.add_argument("--n", type=int, default=120, help="number of cases (default 120)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    _knob(p, "--seed", "seed", int, "RNG seed", of=SyntheticCohortSpec)
     _add_synth_flags(p)
-    p.add_argument("--voxel-mm", type=float, default=1.64,
-                   help="voxel pitch in mm (default 1.64)")
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_synth_cohort)
 
@@ -389,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retract", help="hoist a model and write landmark positions")
     p.add_argument("--model", required=True, help="model archive from build-model")
-    _add_retractor_flags(p)
-    _add_solver_flags(p)
+    _add_retraction_flags(p)
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_retract)
 
@@ -398,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one elastogram vs its constant-atlas twin -> comparison.csv")
     p.add_argument("--volume", required=True, help="elastogram volume header (.json)")
     _add_model_flags(p)
-    _add_retractor_flags(p)
-    _add_solver_flags(p)
+    _add_retraction_flags(p)
     _add_comparison_flags(p)
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_compare)
@@ -408,12 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measured-vs-atlas comparison over a whole cohort")
     src = p.add_mutually_exclusive_group()
     src.add_argument("--cohort", help="directory of elastogram volumes")
-    src.add_argument("--synth-n", type=int, default=3,
+    src.add_argument("--synth-n", dest="n", type=int, default=3,
                      help="synthesize this many cases instead (default 3)")
     _add_synth_flags(p)
     _add_model_flags(p)
-    _add_retractor_flags(p)
-    _add_solver_flags(p)
+    _add_retraction_flags(p)
     _add_comparison_flags(p)
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_cohort_run)

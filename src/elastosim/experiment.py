@@ -39,6 +39,66 @@ from elastosim.volume import (
 
 GRAVITY_MM_S2 = (0.0, 0.0, -9810.0)
 STANDARD_G_M_S2 = 9.81  # hoist force per kg, in N
+SYNTH_DIMS = (32, 26, 16)  # synthetic volume grid (nx, ny, nz)
+
+
+@dataclass(frozen=True)
+class RetractionConfig:
+    """Every knob of a retraction comparison, each with its one default.
+
+    The measured run and its atlas twin are built, hoisted and settled from
+    the same config, so the two differ only in stiffness.  The CLI flags and
+    the keyword defaults of the pipeline functions read their defaults here.
+
+    liver_mass_kg None derives the hoisted mass from the masked volume and
+    density; tool_center None places the retractor at the +x pole of each
+    case's mask.  voxel_ref_mm is the voxel pitch of synthesized cohorts.
+    """
+
+    n_nodes: int = 300
+    k: int = 8
+    seed: int = 0
+    atlas_e_kpa: float = 2.1
+    significance_mm: float = 5.0
+    conversion_nu: float = 0.5
+    sim_nu: float = 0.45
+    density: float = 1060.0
+    abdomen_k: float = 0.05
+    liver_mass_kg: float | None = None
+    tool_center: tuple[float, float, float] | None = None
+    diameter: float = 10.0
+    alpha: float = 0.1
+    beta: float = 0.01
+    h: float = 0.05
+    v_tol: float = 1e-6
+    max_steps: int = 5000
+    cg_tol: float = 1e-6
+    cg_max: int = 200
+    voxel_ref_mm: float = 1.64
+
+    def measured_model(self, case: CohortCase) -> MeshFreeModel:
+        """The case's measured-stiffness model."""
+        field = young_material_field(
+            case.volume, case.mask,
+            conversion_nu=self.conversion_nu, sim_nu=self.sim_nu, density=self.density,
+        )
+        return build_model(
+            field, n_nodes=self.n_nodes, k=self.k, alpha=self.alpha, beta=self.beta,
+            seed=self.seed,
+        )
+
+    def retractor(self, field: MaterialField) -> RetractorSpec:
+        """The tool of ``diameter`` at ``tool_center``, or at the field's +x pole."""
+        center = default_retractor(field).center if self.tool_center is None else self.tool_center
+        return RetractorSpec(diameter=self.diameter, center=center)
+
+    def settle(self, model: MeshFreeModel, retractor: RetractorSpec) -> SimState:
+        """Hoist the model with the config's loads and settle it with its solver knobs."""
+        return simulate_retraction(
+            model, retractor,
+            liver_mass_kg=self.liver_mass_kg, abdomen_k=self.abdomen_k, h=self.h,
+            v_tol=self.v_tol, max_steps=self.max_steps, cg_max=self.cg_max, cg_tol=self.cg_tol,
+        )
 
 
 @dataclass(frozen=True)
@@ -57,7 +117,7 @@ class RetractorSpec:
         radius: region radius in mm; defaults to half the diameter.
     """
 
-    diameter: float = 10.0
+    diameter: float = RetractionConfig.diameter
     center: tuple[float, float, float] | None = None
     direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
     nodes: frozenset[int] | None = None
@@ -122,7 +182,6 @@ class ComparisonReport:
             region, mm.
         significant: True iff at_tool_diff exceeds the clinical threshold.
         threshold_mm: the significance threshold used.
-        voxel_ref_mm: imaging voxel size the differences are judged against.
     """
 
     case_id: str
@@ -130,8 +189,7 @@ class ComparisonReport:
     mean_volume_diff: float
     at_tool_diff: float
     significant: bool
-    threshold_mm: float = 5.0
-    voxel_ref_mm: float = 1.64
+    threshold_mm: float = RetractionConfig.significance_mm
 
     def __post_init__(self):
         marks = tuple((str(label), float(d)) for label, d in self.per_landmark)
@@ -185,7 +243,9 @@ class CohortCase:
     mask: RoiMask
 
 
-def case_from_volume(volume: VoxelVolume, case_id: str, conversion_nu: float = 0.5) -> CohortCase:
+def case_from_volume(
+    volume: VoxelVolume, case_id: str, conversion_nu: float = RetractionConfig.conversion_nu
+) -> CohortCase:
     """Cohort case of an elastogram whose tissue is its strictly positive voxels.
 
     The mask matches how the synthetic generator zeroes everything outside
@@ -260,8 +320,8 @@ def _exact_mean_volume(
 
 def synth_cohort(
     spec: SyntheticCohortSpec,
-    dims: tuple[int, int, int] = (32, 26, 16),
-    voxel_mm: float = 1.64,
+    dims: tuple[int, int, int] = SYNTH_DIMS,
+    voxel_mm: float = RetractionConfig.voxel_ref_mm,
 ) -> list[CohortCase]:
     """Generate a deterministic cohort of stiffness volumes on ellipsoidal masks.
 
@@ -297,11 +357,11 @@ def synth_cohort(
 
 def stiff_inclusion_case(
     contrast: float,
-    dims: tuple[int, int, int] = (32, 26, 16),
-    voxel_mm: float = 1.64,
-    atlas_e_kpa: float = 2.1,
+    dims: tuple[int, int, int] = SYNTH_DIMS,
+    voxel_mm: float = RetractionConfig.voxel_ref_mm,
+    atlas_e_kpa: float = RetractionConfig.atlas_e_kpa,
     inclusion_radius_mm: float = 9.0,
-    conversion_nu: float = 0.5,
+    conversion_nu: float = RetractionConfig.conversion_nu,
 ) -> CohortCase:
     """Atlas-stiffness ellipsoid with a spherical inclusion at contrast x atlas.
 
@@ -330,9 +390,9 @@ def stiff_inclusion_case(
 def young_material_field(
     volume: VoxelVolume,
     mask: RoiMask,
-    conversion_nu: float = 0.5,
-    sim_nu: float = 0.45,
-    density: float = 1060.0,
+    conversion_nu: float = RetractionConfig.conversion_nu,
+    sim_nu: float = RetractionConfig.sim_nu,
+    density: float = RetractionConfig.density,
 ) -> MaterialField:
     """Material field with Young's modulus converted voxelwise from shear.
 
@@ -376,8 +436,8 @@ def inferior_support_springs(
 def retraction_load_case(
     model: MeshFreeModel,
     retractor: RetractorSpec,
-    liver_mass_kg: float | None = None,
-    abdomen_k: float = 0.05,
+    liver_mass_kg: float | None = RetractionConfig.liver_mass_kg,
+    abdomen_k: float = RetractionConfig.abdomen_k,
 ) -> LoadCase:
     """Gravity, hoist loads totaling the liver weight, and abdomen springs.
 
@@ -398,13 +458,13 @@ def retraction_load_case(
 def simulate_retraction(
     model: MeshFreeModel,
     retractor: RetractorSpec,
-    liver_mass_kg: float | None = None,
-    abdomen_k: float = 0.05,
-    h: float = 0.05,
-    v_tol: float = 1e-6,
-    max_steps: int = 5000,
-    cg_max: int = 200,
-    cg_tol: float = 1e-6,
+    liver_mass_kg: float | None = RetractionConfig.liver_mass_kg,
+    abdomen_k: float = RetractionConfig.abdomen_k,
+    h: float = RetractionConfig.h,
+    v_tol: float = RetractionConfig.v_tol,
+    max_steps: int = RetractionConfig.max_steps,
+    cg_max: int = RetractionConfig.cg_max,
+    cg_tol: float = RetractionConfig.cg_tol,
 ) -> SimState:
     """Hoist the retractor region against gravity and settle to steady state.
 
@@ -429,9 +489,8 @@ def compare_placements(
     state_atlas: SimState,
     landmarks: list[tuple[str, np.ndarray]],
     retractor: RetractorSpec,
-    significance_mm: float = 5.0,
+    significance_mm: float = RetractionConfig.significance_mm,
     case_id: str = "case",
-    voxel_ref_mm: float = 1.64,
 ) -> ComparisonReport:
     """Quantify how far atlas-stiffness guidance lands from the measured run.
 
@@ -462,7 +521,6 @@ def compare_placements(
         at_tool_diff=at_tool,
         significant=bool(at_tool > significance_mm),
         threshold_mm=significance_mm,
-        voxel_ref_mm=voxel_ref_mm,
     )
 
 
@@ -485,35 +543,6 @@ def default_landmarks(
 
 
 @dataclass(frozen=True)
-class RetractionConfig:
-    """Knobs shared by per-case retraction comparisons.
-
-    liver_mass_kg None derives the mass from the masked volume and density;
-    retractor None places the default +x pole retractor per case.
-    """
-
-    n_nodes: int = 300
-    k: int = 8
-    seed: int = 0
-    atlas_e_kpa: float = 2.1
-    significance_mm: float = 5.0
-    conversion_nu: float = 0.5
-    sim_nu: float = 0.45
-    density: float = 1060.0
-    abdomen_k: float = 0.05
-    liver_mass_kg: float | None = None
-    retractor: RetractorSpec | None = None
-    alpha: float = 0.1
-    beta: float = 0.01
-    h: float = 0.05
-    v_tol: float = 1e-6
-    max_steps: int = 5000
-    cg_tol: float = 1e-6
-    cg_max: int = 200
-    voxel_ref_mm: float = 1.64
-
-
-@dataclass(frozen=True)
 class CohortRunResult:
     """Per-case comparison reports plus the cases that had to be skipped."""
 
@@ -523,47 +552,18 @@ class CohortRunResult:
 
 def compare_case(case: CohortCase, config: RetractionConfig) -> ComparisonReport:
     """Run one cohort case measured-vs-atlas and report the differences."""
-    field = young_material_field(
-        case.volume,
-        case.mask,
-        conversion_nu=config.conversion_nu,
-        sim_nu=config.sim_nu,
-        density=config.density,
-    )
-    model = build_model(
-        field,
-        n_nodes=config.n_nodes,
-        k=config.k,
-        alpha=config.alpha,
-        beta=config.beta,
-        seed=config.seed,
-    )
+    model = config.measured_model(case)
     atlas = model.with_constant_young(config.atlas_e_kpa)
-    retractor = (
-        default_retractor(field) if config.retractor is None else config.retractor
-    )
-    kwargs = dict(
-        liver_mass_kg=config.liver_mass_kg,
-        abdomen_k=config.abdomen_k,
-        h=config.h,
-        v_tol=config.v_tol,
-        max_steps=config.max_steps,
-        cg_max=config.cg_max,
-        cg_tol=config.cg_tol,
-    )
-    state_m = simulate_retraction(model, retractor, **kwargs)
-    state_a = simulate_retraction(atlas, retractor, **kwargs)
-    landmarks = default_landmarks(model, retractor)
+    retractor = config.retractor(model.field)
     return compare_placements(
         model,
-        state_m,
+        config.settle(model, retractor),
         atlas,
-        state_a,
-        landmarks,
+        config.settle(atlas, retractor),
+        default_landmarks(model, retractor),
         retractor,
         significance_mm=config.significance_mm,
         case_id=case.record.id,
-        voxel_ref_mm=config.voxel_ref_mm,
     )
 
 
@@ -620,6 +620,8 @@ def load_comparison_csv(path: str | Path) -> list[dict]:
         if reader.fieldnames != ["case", "mean_volume_diff_mm", "at_tool_diff_mm", "significant"]:
             raise ValueError(f"unexpected comparison CSV header in {path}")
         for row in reader:
+            if None in row or None in row.values() or row["significant"] not in ("true", "false"):
+                raise ValueError(f"malformed comparison CSV row in {path}: {row}")
             rows.append(
                 {
                     "case": row["case"],

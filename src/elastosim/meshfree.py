@@ -36,6 +36,7 @@ KG_PER_M3_TO_T_PER_MM3 = 1e-12
 _COINCIDENT_D2 = 1e-18
 
 _ARCHIVE_MAGIC = b"ESIMMDL1"
+ARCHIVE_VERSION = 2  # version 1 also stored C; it loads, its C ignored
 
 
 @dataclass(frozen=True)
@@ -544,10 +545,11 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
 
     Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
     (scalars plus an array manifest with dtype/shape/offset), then the raw
-    array bytes back to back.
+    array bytes back to back.  The damping C = alpha*M + beta*K is not
+    stored; `load_model` rebuilds it from the stored M, K, alpha and beta.
     """
     path = Path(path)
-    K, C = model.matrices.K.tocsr(), model.matrices.C.tocsr()
+    K = model.matrices.K.tocsr()
     arrays = {
         "volume_data": model.field.volume.data,
         "mask_flags": model.field.mask.flags,
@@ -561,15 +563,12 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
         "K_data": K.data,
         "K_indices": K.indices.astype(np.int64),
         "K_indptr": K.indptr.astype(np.int64),
-        "C_data": C.data,
-        "C_indices": C.indices.astype(np.int64),
-        "C_indptr": C.indptr.astype(np.int64),
         "q0": model.q0,
     }
     manifest, payload = _pack_arrays(arrays)
     header = {
         "format": "meshfree-model",
-        "version": 1,
+        "version": ARCHIVE_VERSION,
         "dims": list(model.field.volume.dims),
         "spacing_mm": list(model.field.volume.spacing_mm),
         "kind": model.field.volume.kind,
@@ -595,8 +594,9 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and arrays of a model archive, every manifest entry checked against the payload.
 
     Raises:
-        VolumeFormatError: bad magic, a short or malformed header, or an
-            array whose offset, size, dtype or shape the payload cannot back.
+        VolumeFormatError: bad magic, a short or malformed header, an
+            unknown version, an array whose offset, size, dtype or shape the
+            payload cannot back, or a NaN or inf in a float array.
     """
     raw = path.read_bytes()
     if raw[:8] != _ARCHIVE_MAGIC:
@@ -617,13 +617,20 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise VolumeFormatError(f"array {name!r} of shape {shape} does not fill {nbytes} bytes")
             buf = payload[offset : offset + nbytes]
             arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
+            if dtype.kind == "f" and not np.isfinite(arrays[name]).all():
+                raise VolumeFormatError(f"array {name!r} holds a NaN or inf")
     except (KeyError, TypeError, ValueError) as exc:
         raise VolumeFormatError(f"{path}: malformed archive header: {exc}") from exc
+    if header.get("version") not in (1, ARCHIVE_VERSION):
+        raise VolumeFormatError(f"{path}: unsupported archive version {header.get('version')!r}")
     return header, arrays
 
 
 def load_model(path: str | Path) -> MeshFreeModel:
     """Load a model archive written by save_model.
+
+    C is rebuilt as alpha*M + beta*K; a version-1 archive's stored C is
+    ignored.
 
     Raises:
         FileNotFoundError: archive missing.
@@ -636,6 +643,9 @@ def load_model(path: str | Path) -> MeshFreeModel:
         raise FileNotFoundError(f"model archive not found: {path}")
     header, arrays = _read_archive(path)
     try:
+        for name in ("owner", "shape_indices", "K_indices", "K_indptr"):
+            if arrays[name].dtype.kind not in "iu":
+                raise VolumeFormatError(f"array {name!r} must hold integers, not {arrays[name].dtype}")
         volume = VoxelVolume(
             dims=tuple(header["dims"]),
             spacing_mm=tuple(header["spacing_mm"]),
@@ -661,16 +671,14 @@ def load_model(path: str | Path) -> MeshFreeModel:
         K = sp.csr_matrix(
             (arrays["K_data"], arrays["K_indices"], arrays["K_indptr"]), shape=(n_dofs, n_dofs)
         )
-        C = sp.csr_matrix(
-            (arrays["C_data"], arrays["C_indices"], arrays["C_indptr"]), shape=(n_dofs, n_dofs)
-        )
-        for mat in (K, C):
-            mat.check_format(full_check=True)  # column indices come from outside
+        K.check_format(full_check=True)  # column indices come from outside
+        M = arrays["M"].copy()
+        C = assemble_damping(M, K, header["alpha"], header["beta"])
         return MeshFreeModel(
             field=field,
             dofs=dofs,
             shape=shape,
-            matrices=SystemMatrices(M=arrays["M"].copy(), K=K, C=C),
+            matrices=SystemMatrices(M=M, K=K, C=C),
             q0=arrays["q0"].copy(),
             alpha=header["alpha"],
             beta=header["beta"],

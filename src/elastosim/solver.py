@@ -350,36 +350,23 @@ def cg_solve(
     return CgResult(x=x, iterations=N_max, residual=residual, converged=False)
 
 
-def step(
-    model: MeshFreeModel,
-    state: SimState,
-    loads: LoadCase,
-    h: float = 1e-3,
-    N_max: int = 200,
-    tol: float = 1e-6,
-    settle: Settle | None = None,
-) -> SimState:
-    """Advance one backward-Euler step: solve for dqdot, then integrate q.
+def step(settle: Settle, state: SimState, N_max: int = 200, tol: float = 1e-6) -> SimState:
+    """Advance one backward-Euler step of `settle.h`: solve for dqdot, then integrate q.
 
-    `settle` is `prepare_settle(model, loads, h)`; pass it to reuse one
-    factorization across steps, or omit it to prepare one for this step.
-    The CG iteration cap bounds per-step cost; a capped (unconverged) solve
-    still advances the state with its best iterate.
+    `settle` is `prepare_settle(model, loads, h)`, shared by every step of a
+    settle.  The CG iteration cap bounds per-step cost; a capped
+    (unconverged) solve still advances the state with its best iterate.
 
     Raises:
-        ValueError: `settle` was prepared for another step size.
+        ValueError: the state's length differs from the settle's DOFs.
     """
-    if settle is None:
-        settle = prepare_settle(model, loads, h)
-    elif settle.h != h:
-        raise ValueError(f"settle was prepared for h={settle.h}, step asked for h={h}")
     result = cg_solve(settle.system(state), N_max=N_max, tol=tol,
                       preconditioner=settle.factor.solve)
     qdot_new = state.qdot + result.x
-    q_new = state.q + h * qdot_new
+    q_new = state.q + settle.h * qdot_new
     q_new[settle.fixed] = state.q[settle.fixed]
     qdot_new[settle.fixed] = 0.0
-    return SimState(q=q_new, qdot=qdot_new, t=state.t + h)
+    return SimState(q=q_new, qdot=qdot_new, t=state.t + settle.h)
 
 
 def run_to_steady_state(
@@ -406,7 +393,7 @@ def run_to_steady_state(
     quiet = 0
     v_inf = float(np.abs(current.qdot).max()) if len(current.qdot) else 0.0
     for _ in range(max_steps):
-        current = step(model, current, loads, h=h, N_max=N_max, tol=tol, settle=settle)
+        current = step(settle, current, N_max=N_max, tol=tol)
         v_inf = float(np.abs(current.qdot).max())
         quiet = quiet + 1 if v_inf < v_tol else 0
         if quiet >= 3:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +46,7 @@ class VoxelVolume:
         spacing = tuple(float(s) for s in self.spacing_mm)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise VolumeFormatError(f"dims must be 3 positive integers, got {self.dims}")
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
+        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
             raise VolumeFormatError(f"spacing must be 3 positive lengths, got {self.spacing_mm}")
         if self.kind not in VOLUME_KINDS:
             raise VolumeFormatError(f"unknown volume kind {self.kind!r}")
@@ -224,24 +226,32 @@ def load_volume(path: str | Path) -> VoxelVolume:
         raise FileNotFoundError(f"volume raw data not found: {raw_path}")
     try:
         header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise VolumeFormatError(f"invalid JSON header {header_path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise VolumeFormatError(f"volume header {header_path} is not a JSON object")
     for key in ("dims", "spacing_mm", "kind"):
         if key not in header:
             raise VolumeFormatError(f"volume header missing field {key!r}")
-    data = np.fromfile(raw_path, dtype="<f4")
-    dims = header["dims"]
-    expected = int(np.prod(dims)) if len(dims) == 3 else -1
-    if data.size != expected:
+    try:
+        if not isinstance(header["dims"], list) or not isinstance(header["spacing_mm"], list):
+            raise TypeError("dims and spacing_mm must be lists")
+        dims = tuple(operator.index(d) for d in header["dims"])
+        spacing = tuple(float(s) for s in header["spacing_mm"])
+    except (TypeError, ValueError) as exc:
+        raise VolumeFormatError(f"malformed volume header {header_path}: {exc}") from exc
+    expected = math.prod(dims) if len(dims) == 3 else -1
+    n_bytes = raw_path.stat().st_size
+    if n_bytes != 4 * expected:
         raise VolumeFormatError(
-            f"raw file {raw_path} holds {data.size} scalars, header dims {dims} "
-            f"require {expected}"
+            f"raw file {raw_path} holds {n_bytes} bytes ({n_bytes // 4} scalars), "
+            f"header dims {list(dims)} require {expected}"
         )
     return VoxelVolume(
-        dims=tuple(dims),
-        spacing_mm=tuple(header["spacing_mm"]),
+        dims=dims,
+        spacing_mm=spacing,
         kind=header["kind"],
-        data=data,
+        data=np.fromfile(raw_path, dtype="<f4"),
     )
 
 

@@ -1,4 +1,7 @@
-"""Shared builders for small test fields and degenerate point models."""
+"""Shared builders for small test fields, degenerate point models and model archives."""
+
+import json
+import struct
 
 import numpy as np
 
@@ -13,6 +16,18 @@ from elastosim.meshfree import (
     shape_weights,
 )
 from elastosim.volume import RoiMask, VoxelVolume
+
+
+def split_archive(raw):
+    """JSON header and payload of a model archive's bytes."""
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    return json.loads(raw[16:16 + hlen]), raw[16 + hlen:]
+
+
+def join_archive(header, payload):
+    """Model archive bytes from a JSON header and a payload."""
+    blob = json.dumps(header).encode()
+    return b"ESIMMDL1" + struct.pack("<Q", len(blob)) + blob + payload
 
 
 def make_field(dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0), young=2.1, nu=0.45,

@@ -7,9 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import join_archive, split_archive
 
 from elastosim.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, cli_main
 from elastosim.experiment import load_comparison_csv
+from elastosim.meshfree import load_model
 from elastosim.volume import VoxelVolume, load_cohort_csv, write_volume
 
 FAST_SYNTH = ["--dims", "10,9,8", "--voxel-mm", "2.0", "--nodes", "40", "--k", "6"]
@@ -62,6 +64,26 @@ class TestExitCodes:
                          "--out", str(tmp_path / "model.esm")])
         assert code == EXIT_DATA
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("dims", "abc"),
+        ("dims", None),
+        ("dims", [10, 9.5, 8]),
+        ("spacing_mm", 5),
+        ("spacing_mm", [2.0, "x", 2.0]),
+        ("spacing_mm", [2.0, float("inf"), 2.0]),
+    ])
+    def test_malformed_volume_header_is_data_error(self, capsys, tmp_path, field, value):
+        cohort = tmp_path / "cohort"
+        assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
+        header_path = cohort / "case_000.json"
+        header = json.loads(header_path.read_text())
+        header[field] = value
+        header_path.write_text(json.dumps(header))
+        code = cli_main(["build-model", "--volume", str(header_path),
+                         "--out", str(tmp_path / "model.esm")])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "elastosim"], capture_output=True)
@@ -157,6 +179,28 @@ def _entry(header, name):
     return next(item for item in header["arrays"] if item["name"] == name)
 
 
+def _patch_value(raw, name, value):
+    """Archive with the first element of float array `name` set to `value`."""
+    header, payload = split_archive(raw)
+    offset = _entry(header, name)["offset"]
+    return join_archive(header, payload[:offset] + struct.pack("<d", value) + payload[offset + 8:])
+
+
+def _as_version_1(raw, tmp_path):
+    """The same model in the version-1 layout, which also stored C."""
+    path = tmp_path / "v2.esm"
+    path.write_bytes(raw)
+    C = load_model(path).matrices.C.tocsr()
+    header, payload = split_archive(raw)
+    for name, arr in (("C_data", C.data), ("C_indices", C.indices.astype(np.int64)),
+                      ("C_indptr", C.indptr.astype(np.int64))):
+        header["arrays"].append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
+                                 "offset": len(payload), "nbytes": arr.nbytes})
+        payload += arr.tobytes()
+    header["version"] = 1
+    return join_archive(header, payload)
+
+
 def _drop_k_data(header, payload):
     header["arrays"] = [item for item in header["arrays"] if item["name"] != "K_data"]
     return payload
@@ -212,13 +256,35 @@ class TestCorruptModelArchive:
         (_column_index_past_dofs, "indices must be"),
     ])
     def test_bad_manifest_is_data_error(self, capsys, tmp_path, archive, corrupt, named):
-        (hlen,) = struct.unpack("<Q", archive[8:16])
-        header, payload = json.loads(archive[16:16 + hlen]), archive[16 + hlen:]
+        header, payload = split_archive(archive)
         payload = corrupt(header, payload)
-        blob = json.dumps(header).encode()
-        raw = archive[:8] + struct.pack("<Q", len(blob)) + blob + payload
-        assert self.retract(tmp_path, raw) == EXIT_DATA
+        assert self.retract(tmp_path, join_archive(header, payload)) == EXIT_DATA
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["K_data", "M", "nodes"])
+    def test_nan_array_is_data_error(self, capsys, tmp_path, archive, name):
+        assert self.retract(tmp_path, _patch_value(archive, name, np.nan)) == EXIT_DATA
+        assert f"array {name!r} holds a NaN or inf" in capsys.readouterr().err
+
+    def test_inf_in_version_1_damping_is_data_error(self, capsys, tmp_path, archive):
+        raw = _patch_value(_as_version_1(archive, tmp_path), "C_data", np.inf)
+        assert self.retract(tmp_path, raw) == EXIT_DATA
+        assert "'C_data' holds a NaN or inf" in capsys.readouterr().err
+
+    def test_unknown_version_is_data_error(self, capsys, tmp_path, archive):
+        header, payload = split_archive(archive)
+        header["version"] = 3
+        assert self.retract(tmp_path, join_archive(header, payload)) == EXIT_DATA
+        assert "version 3" in capsys.readouterr().err
+
+    def test_version_1_archive_retracts_alike(self, capsys, tmp_path, archive):
+        v2, v1 = tmp_path / "v2", tmp_path / "v1"
+        v2.mkdir()
+        v1.mkdir()
+        assert self.retract(v2, archive) == EXIT_OK
+        assert self.retract(v1, _as_version_1(archive, tmp_path)) == EXIT_OK
+        for name in ("landmarks_rest.csv", "landmarks.csv"):
+            assert (v1 / name).read_bytes() == (v2 / name).read_bytes()
 
 
 class TestCompareCommand:
@@ -234,6 +300,17 @@ class TestCompareCommand:
         assert rows[0]["at_tool_diff_mm"] >= rows[0]["mean_volume_diff_mm"] >= 0.0
         assert rows[0]["significant"] == (rows[0]["at_tool_diff_mm"] > 5.0)
 
+    def test_diameter_alone_widens_the_tool(self, capsys, tmp_path):
+        cohort = tmp_path / "cohort"
+        assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
+        at_tool = []
+        for diameter in ("10", "30"):
+            out = tmp_path / diameter
+            assert cli_main(["compare", "--volume", str(cohort / "case_000.json"),
+                             *FAST_SYNTH[4:], "--diameter", diameter, "--out", str(out)]) == EXIT_OK
+            at_tool.append(load_comparison_csv(out / "comparison.csv")[0]["at_tool_diff_mm"])
+        assert at_tool[0] != at_tool[1]
+
 
 class TestCohortRunCommand:
     def test_synthetic_run_is_deterministic(self, capsys, tmp_path):
@@ -244,6 +321,14 @@ class TestCohortRunCommand:
         assert (a / "comparison.csv").read_bytes() == (b / "comparison.csv").read_bytes()
         rows = load_comparison_csv(a / "comparison.csv")
         assert [r["case"] for r in rows] == ["case_000", "case_001"]
+
+    def test_diameter_alone_changes_the_run(self, capsys, tmp_path):
+        base = ["cohort-run", "--synth-n", "1", "--seed", "7", *FAST_SYNTH]
+        assert cli_main([*base, "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert cli_main([*base, "--diameter", "30", "--out", str(tmp_path / "b")]) == EXIT_OK
+        a = load_comparison_csv(tmp_path / "a" / "comparison.csv")[0]
+        b = load_comparison_csv(tmp_path / "b" / "comparison.csv")[0]
+        assert a["at_tool_diff_mm"] != b["at_tool_diff_mm"]
 
     def test_bad_volume_is_skipped_and_counted(self, capsys, tmp_path):
         cohort = tmp_path / "cohort"

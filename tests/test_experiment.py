@@ -1,5 +1,7 @@
 """Tests for synthetic cohorts, retraction runs, and measured-vs-atlas reports."""
 
+import inspect
+
 import numpy as np
 import pytest
 from conftest import make_field
@@ -320,6 +322,28 @@ class TestSimulateRetraction:
         model = build_model(field, n_nodes=40, k=6, seed=0)
         state = simulate_retraction(model, default_retractor(field))
         assert np.abs(state.qdot).max() < 1e-6
+
+
+class TestRetractionConfig:
+    def test_retractor_at_pole_takes_the_diameter(self):
+        case = tiny_case()
+        field = young_material_field(case.volume, case.mask)
+        retr = RetractionConfig(diameter=30.0).retractor(field)
+        assert retr.diameter == 30.0
+        assert retr.center == default_retractor(field).center
+
+    def test_retractor_at_tool_center(self):
+        case = tiny_case()
+        field = young_material_field(case.volume, case.mask)
+        retr = RetractionConfig(tool_center=(1.0, 2.0, 3.0), diameter=4.0).retractor(field)
+        assert retr.center == (1.0, 2.0, 3.0) and retr.region_radius == 2.0
+
+    def test_pipeline_defaults_are_the_config_defaults(self):
+        config = RetractionConfig()
+        assert RetractorSpec(center=(0.0, 0.0, 0.0)).diameter == config.diameter
+        defaults = inspect.signature(simulate_retraction).parameters
+        for name in ("liver_mass_kg", "abdomen_k", "h", "v_tol", "max_steps", "cg_max", "cg_tol"):
+            assert defaults[name].default == getattr(config, name), name
 
 
 class TestComparePlacements:

@@ -269,7 +269,7 @@ class TestPreparedSettle:
         fixed = [3 * i + c for i in loads.dirichlet for c in range(3)]
         v_scale = 0.0
         for _ in range(3):
-            fast = step(model, state, loads, h=h, N_max=50, tol=1e-13, settle=settle)
+            fast = step(settle, state, N_max=50, tol=1e-13)
             system = build_system(model, state, loads, h)
             ref = cg_solve(system, N_max=20 * model.n_dofs, tol=1e-13)
             assert ref.converged
@@ -311,13 +311,12 @@ class TestPreparedSettle:
         model, loads, h, _ = smoke_beam_case
         settle = prepare_settle(model, loads, h)
         state = SimState.rest(model.n_dofs)
-        shared = step(model, state, loads, h=h, settle=settle)
-        fresh = step(model, state, loads, h=h)
-        assert np.array_equal(shared.q, fresh.q) and np.array_equal(shared.qdot, fresh.qdot)
-        with pytest.raises(ValueError, match="prepared for h"):
-            step(model, state, loads, h=2 * h, settle=settle)
+        first = step(settle, state)
+        second = step(settle, first)
+        fresh = step(prepare_settle(model, loads, h), first)
+        assert np.array_equal(second.q, fresh.q) and np.array_equal(second.qdot, fresh.qdot)
         with pytest.raises(ValueError, match="DOFs"):
-            step(model, SimState.rest(3), loads, h=h, settle=settle)
+            step(settle, SimState.rest(3))
 
     def test_singular_system_is_a_solver_error(self):
         # A massless, stiffness-free model gives A = 0, which has no LU factor.
@@ -331,7 +330,7 @@ class TestStep:
     def test_rest_stays_at_rest(self):
         model = build_model(make_field(), n_nodes=5, k=4, seed=0)
         s0 = SimState.rest(model.n_dofs)
-        s1 = step(model, s0, LoadCase(), h=1e-3)
+        s1 = step(prepare_settle(model, LoadCase(), h=1e-3), s0)
         assert np.all(s1.q == 0.0)
         assert np.all(s1.qdot == 0.0)
         assert s1.t == pytest.approx(1e-3)
@@ -341,16 +340,17 @@ class TestStep:
         model = make_point_model()
         g = (0.0, 0.0, -9810.0)
         h = 1e-3
-        s1 = step(model, SimState.rest(3), LoadCase(gravity=g), h=h)
+        s1 = step(prepare_settle(model, LoadCase(gravity=g), h), SimState.rest(3))
         assert np.allclose(s1.qdot, [0.0, 0.0, -9810.0 * h], rtol=1e-12)
         assert np.allclose(s1.q, [0.0, 0.0, -9810.0 * h * h], rtol=1e-12)
 
     def test_dirichlet_node_never_moves(self):
         model = build_model(make_field(dims=(4, 4, 2)), n_nodes=6, k=4, seed=1)
         loads = LoadCase(gravity=(0.0, 0.0, -9810.0), dirichlet=frozenset({0, 1}))
+        settle = prepare_settle(model, loads, h=1e-3)
         state = SimState.rest(model.n_dofs)
         for _ in range(20):
-            state = step(model, state, loads, h=1e-3)
+            state = step(settle, state)
         for i in (0, 1):
             assert np.all(state.q[3 * i : 3 * i + 3] == 0.0), f"fixed node {i} moved"
         assert np.abs(state.q).max() > 0.0, "free nodes should sag under gravity"
