@@ -322,8 +322,7 @@ def fea_baseline(
 
     ke = _hex_element_stiffness(res, spec.E, nu)
     conn = _hex_grid_connectivity(cells)
-    gdofs = (3 * conn[:, :, None] + np.arange(3)).reshape(len(conn), 24)
-    K = assemble_blocks(gdofs, np.broadcast_to(ke, (len(conn), 24, 24)), n_dofs)
+    K = assemble_blocks(conn, np.broadcast_to(ke, (len(conn), 24, 24)), n_nodes)
 
     # Uniform body force -q/(w*h) per mm^3; each corner takes V_e/8 of its element.
     f = np.zeros(n_dofs)

@@ -35,6 +35,10 @@ KG_PER_M3_TO_T_PER_MM3 = 1e-12
 # coincident: the Shepard weight saturates at 1 and its gradient at 0.
 _COINCIDENT_D2 = 1e-18
 
+# Entries per point-to-node distance block: queries run in row chunks of
+# this many distances so the block stays about 32 MB, whatever the grid.
+_CDIST_ENTRIES = 4_000_000
+
 _ARCHIVE_MAGIC = b"ESIMMDL1"
 ARCHIVE_VERSION = 2  # version 1 also stored C; it loads, its C ignored
 
@@ -252,23 +256,49 @@ def sample_dofs(
     nodes = centers[rng.choice(n_vox, size=n_nodes, replace=False)].copy()
 
     for _ in range(max_lloyd_iters):
-        d2 = cdist(centers, nodes, "sqeuclidean")
-        owner = np.argmin(d2, axis=1)  # ties resolve to the lowest node index
-        new_nodes = nodes.copy()
-        nearest_d2 = d2[np.arange(n_vox), owner]
-        for i in range(n_nodes):
-            sel = owner == i
-            if sel.any():
-                new_nodes[i] = centers[sel].mean(axis=0)
-            else:
-                new_nodes[i] = centers[np.argmax(nearest_d2)]
+        new_nodes = _lloyd_step(centers, nodes)
         movement = float(np.linalg.norm(new_nodes - nodes, axis=1).max())
         nodes = new_nodes
         if movement < move_tol_mm:
             break
 
-    owner = np.argmin(cdist(centers, nodes, "sqeuclidean"), axis=1)
+    owner, _ = _nearest_node(centers, nodes)
     return DofSet(nodes=nodes, owner=owner)
+
+
+def _lloyd_step(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Move each node to the centroid of the points nearest to it.
+
+    A node nearest to no point respawns at the point farthest from its
+    nearest node.
+    """
+    owner, nearest_d2 = _nearest_node(points, nodes)
+    counts = np.bincount(owner, minlength=len(nodes))
+    sums = np.stack(
+        [np.bincount(owner, weights=points[:, c], minlength=len(nodes)) for c in range(3)], axis=1
+    )
+    owned = counts > 0
+    new_nodes = np.empty_like(nodes)
+    new_nodes[owned] = sums[owned] / counts[owned, None]
+    new_nodes[~owned] = points[np.argmax(nearest_d2)]
+    return new_nodes
+
+
+def _nearest_node(points: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest node of each point and its squared distance, in row chunks.
+
+    Ties resolve to the lowest node index.  Returns (owner, nearest_d2),
+    each of shape (m,).
+    """
+    owner = np.empty(len(points), dtype=np.int64)
+    nearest_d2 = np.empty(len(points))
+    chunk = max(1, _CDIST_ENTRIES // max(len(nodes), 1))
+    for lo in range(0, len(points), chunk):
+        d2 = cdist(points[lo : lo + chunk], nodes, "sqeuclidean")
+        best = np.argmin(d2, axis=1)  # ties resolve to the lowest node index
+        owner[lo : lo + len(best)] = best
+        nearest_d2[lo : lo + len(best)] = d2[np.arange(len(best)), best]
+    return owner, nearest_d2
 
 
 def shepard_weights(points: np.ndarray, nodes: np.ndarray, k: int):
@@ -296,8 +326,7 @@ def shepard_weights(points: np.ndarray, nodes: np.ndarray, k: int):
     weights = np.empty((m, k), dtype=np.float64)
     gradients = np.empty((m, k, 3), dtype=np.float64)
 
-    # Chunked so the (chunk, n) distance matrix stays small.
-    chunk = max(1, int(4e6) // max(n, 1))
+    chunk = max(1, _CDIST_ENTRIES // max(n, 1))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         block = points[lo:hi]
@@ -428,7 +457,6 @@ def assemble_stiffness(shape: ShapeMap, field: MaterialField, n_nodes: int) -> s
     explicitly symmetrized against roundoff.
     """
     young = field.masked_young()
-    n_dofs = 3 * n_nodes
     v_vox = field.voxel_volume_mm3
     d_unit = elasticity_matrix(1.0, field.nu)  # D is linear in E
 
@@ -440,23 +468,35 @@ def assemble_stiffness(shape: ShapeMap, field: MaterialField, n_nodes: int) -> s
         ke = np.einsum("via,ij,vjb->vab", b, d_unit, b, optimize=True)
         ke *= (young[lo:hi] * v_vox)[:, None, None]
         blocks.append(ke)
-    gdofs = (3 * shape.indices[:, :, None] + np.arange(3)).reshape(shape.n_voxels, -1)
-    return assemble_blocks(gdofs, np.concatenate(blocks), n_dofs)
+    return assemble_blocks(shape.indices, np.concatenate(blocks), n_nodes)
 
 
-def assemble_blocks(gdofs: np.ndarray, blocks: np.ndarray, n_dofs: int) -> sp.csr_matrix:
+def assemble_blocks(nodes: np.ndarray, blocks: np.ndarray, n_nodes: int) -> sp.csr_matrix:
     """Sum dense element blocks into one sparse matrix, symmetrized against roundoff.
 
+    Entries are summed per node pair, as 3x3 blocks: each distinct pair
+    (i, j) of nodes sharing an element gets one block, the sum of the
+    elements' (i, j) blocks in element order.
+
     Args:
-        gdofs: global DOF of each local row and column, shape (e, w).
-        blocks: element matrices, shape (e, w, w); block i lands on the
-            rows and columns gdofs[i].
-        n_dofs: size of the assembled square matrix.
+        nodes: global node of each local node, shape (e, m).
+        blocks: element matrices, shape (e, 3m, 3m), rows and columns
+            node-major (local DOF 3a + c is component c of local node a);
+            block i lands on the three DOFs of each node in nodes[i].
+        n_nodes: node count; the assembled matrix is (3 n_nodes, 3 n_nodes).
     """
-    w = gdofs.shape[1]
-    rows = np.repeat(gdofs, w, axis=1).ravel()
-    cols = np.tile(gdofs, (1, w)).ravel()
-    K = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
+    nodes = np.asarray(nodes, dtype=np.int64)
+    e, m = nodes.shape
+    keys = (nodes[:, :, None] * n_nodes + nodes[:, None, :]).ravel()
+    pairs, inv = np.unique(keys, return_inverse=True)
+    parts = blocks.reshape(e, m, 3, m, 3)
+    data = np.empty((len(pairs), 3, 3))
+    for a in range(3):
+        for b in range(3):  # one component at a time keeps temporaries at e*m^2
+            weights = parts[:, :, a, :, b].ravel()
+            data[:, a, b] = np.bincount(inv, weights=weights, minlength=len(pairs))
+    indptr = np.searchsorted(pairs, np.arange(n_nodes + 1) * n_nodes)
+    K = sp.bsr_matrix((data, pairs % n_nodes, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
     K = (K + K.T) * 0.5
     K.sum_duplicates()
     return K

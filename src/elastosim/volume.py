@@ -140,15 +140,21 @@ class RoiMask:
 
 @dataclass(frozen=True)
 class CohortRecord:
-    """One scan in a stiffness cohort: mean shear modulus and derived Young's modulus."""
+    """One scan in a stiffness cohort: mean shear modulus and derived Young's modulus.
+
+    Raises:
+        ValueError: a modulus that is NaN, infinite or negative.
+    """
 
     id: str
     mean_shear_G: float
     young_E: float
 
     def __post_init__(self):
-        if self.mean_shear_G < 0:
-            raise ValueError(f"mean shear modulus must be >= 0, got {self.mean_shear_G}")
+        for name, value in (("mean shear modulus", self.mean_shear_G),
+                            ("Young's modulus", self.young_E)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
@@ -398,7 +404,13 @@ def write_cohort_csv(records: list[CohortRecord], path: str | Path) -> Path:
 
 
 def load_cohort_csv(path: str | Path) -> list[CohortRecord]:
-    """Read a cohort CSV written by write_cohort_csv."""
+    """Read a cohort CSV written by write_cohort_csv.
+
+    Raises:
+        FileNotFoundError: CSV missing.
+        VolumeFormatError: a bad header, or a row that is not three fields
+            with finite, non-negative moduli; the message names the row.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"cohort CSV not found: {path}")
@@ -411,7 +423,9 @@ def load_cohort_csv(path: str | Path) -> list[CohortRecord]:
         for row in reader:
             if len(row) != 3:
                 raise VolumeFormatError(f"malformed cohort CSV row: {row}")
-            records.append(
-                CohortRecord(id=row[0], mean_shear_G=float(row[1]), young_E=float(row[2]))
-            )
+            try:
+                g, e = float(row[1]), float(row[2])
+                records.append(CohortRecord(id=row[0], mean_shear_G=g, young_E=e))
+            except ValueError as exc:
+                raise VolumeFormatError(f"{path}, line {reader.line_num}, row {row}: {exc}") from exc
     return records

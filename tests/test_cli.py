@@ -135,6 +135,14 @@ class TestCohortStatsCommand:
         # Fractions are count ratios, so both paths must agree exactly.
         assert stats_v[1].split(",")[2:] == stats_c[1].split(",")[2:]
 
+    def test_nan_modulus_row_is_data_error(self, capsys, tmp_path):
+        csv_path = tmp_path / "cohort.csv"
+        csv_path.write_text("id,G_kPa,E_kPa\nb,0.7,2.1\na,nan,nan\n")
+        code = cli_main(["cohort-stats", "--csv", str(csv_path), "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 3, row ['a', 'nan', 'nan']" in err and "got nan" in err
+
     def test_histogram_counts_sum_to_n(self, capsys, tmp_path):
         cohort = tmp_path / "cohort"
         assert cli_main(synth_args(cohort, n=4)) == EXIT_OK

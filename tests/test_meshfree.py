@@ -5,10 +5,15 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from elastosim import meshfree
+from elastosim.beam import _hex_element_stiffness, _hex_grid_connectivity
 from elastosim.meshfree import (
     DofSet,
     MaterialField,
+    _strain_displacement,
+    assemble_blocks,
     assemble_damping,
     assemble_mass,
     assemble_stiffness,
@@ -116,6 +121,76 @@ class TestSampleDofs:
         b = sample_dofs(field, n_nodes=9, seed=5)
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.owner, b.owner)
+
+
+def loop_lloyd_step(points, nodes):
+    """Reference: the per-node centroid loop that meshfree._lloyd_step replaces."""
+    d2 = cdist(points, nodes, "sqeuclidean")
+    owner = np.argmin(d2, axis=1)
+    nearest_d2 = d2[np.arange(len(points)), owner]
+    new_nodes = nodes.copy()
+    for i in range(len(nodes)):
+        sel = owner == i
+        if sel.any():
+            new_nodes[i] = points[sel].mean(axis=0)
+        else:
+            new_nodes[i] = points[np.argmax(nearest_d2)]
+    return new_nodes
+
+
+def ellipsoid_field(dims=(14, 11, 9), spacing=(0.7, 1.1, 1.3)):
+    n = dims[0] * dims[1] * dims[2]
+    field = make_field(dims=dims, spacing=spacing)
+    rel = (field.volume.voxel_centers() - field.volume.voxel_centers().mean(axis=0)) / (
+        0.45 * np.array(dims) * np.array(spacing))
+    flags = (rel**2).sum(axis=1) <= 1.0
+    young = np.random.default_rng(4).uniform(1.0, 5.0, n)
+    return make_field(dims=dims, spacing=spacing, mask_flags=flags).with_young(young)
+
+
+class TestLloydStep:
+    def test_matches_per_node_loop_bit_for_bit(self):
+        points = ellipsoid_field().masked_centers()
+        nodes = points[np.random.default_rng(0).choice(len(points), 40, replace=False)]
+        for _ in range(8):
+            step = meshfree._lloyd_step(points, nodes)
+            assert np.array_equal(step, loop_lloyd_step(points, nodes))
+            nodes = step
+
+    def test_empty_cells_respawn_at_farthest_point(self):
+        points = ellipsoid_field().masked_centers()
+        nodes = points[np.random.default_rng(1).choice(len(points), 12, replace=False)]
+        nodes[5] = nodes[2]  # a duplicate loses every tie to the lower index
+        nodes[9] = [1e3, 1e3, 1e3]  # far outside the points
+        d2 = cdist(points, nodes, "sqeuclidean")
+        assert set(np.argmin(d2, axis=1)).isdisjoint({5, 9})
+        step = meshfree._lloyd_step(points, nodes)
+        assert np.array_equal(step, loop_lloyd_step(points, nodes))
+        farthest = points[np.argmax(d2.min(axis=1))]
+        assert np.array_equal(step[5], farthest) and np.array_equal(step[9], farthest)
+
+    def test_sample_dofs_matches_per_node_loop(self, monkeypatch):
+        field = ellipsoid_field()
+        fast = sample_dofs(field, n_nodes=60, seed=3)
+        monkeypatch.setattr(meshfree, "_lloyd_step", loop_lloyd_step)
+        ref = sample_dofs(field, n_nodes=60, seed=3)
+        assert np.array_equal(fast.nodes, ref.nodes)
+        assert np.array_equal(fast.owner, ref.owner)
+
+
+class TestNearestNode:
+    def test_tiny_chunks_match_full_argmin_with_ties(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        points = rng.integers(-3, 4, size=(57, 3)).astype(float)
+        nodes = rng.integers(-3, 4, size=(6, 3)).astype(float)
+        nodes[4] = nodes[1]  # an exact duplicate: every point near it ties
+        d2 = cdist(points, nodes, "sqeuclidean")
+        assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum() >= 5
+        monkeypatch.setattr(meshfree, "_CDIST_ENTRIES", 13)  # 2 rows a chunk, the last 1
+        owner, nearest_d2 = meshfree._nearest_node(points, nodes)
+        assert np.array_equal(owner, np.argmin(d2, axis=1))
+        assert np.array_equal(nearest_d2, d2.min(axis=1))
+        assert not (owner == 4).any(), "ties go to the lowest node index"
 
 
 class TestShepardWeights:
@@ -313,6 +388,84 @@ class TestAssembleStiffness:
         for _ in range(10):
             x = rng.standard_normal(K.shape[0])
             assert x @ (K @ x) >= -1e-9 * (x @ x)
+
+
+def element_dofs(nodes):
+    return (3 * nodes[:, :, None] + np.arange(3)).reshape(len(nodes), -1)
+
+
+def dense_scatter(nodes, blocks, n_nodes):
+    """Reference: add every block entry into a dense matrix, then symmetrize."""
+    gdofs = element_dofs(nodes)
+    K = np.zeros((3 * n_nodes, 3 * n_nodes))
+    np.add.at(K, (gdofs[:, :, None], gdofs[:, None, :]), blocks)
+    return (K + K.T) * 0.5
+
+
+def coo_assembly(nodes, blocks, n_nodes):
+    """Reference: the per-entry COO assembly that the node-pair block sum replaced."""
+    gdofs = element_dofs(nodes)
+    w = gdofs.shape[1]
+    rows = np.repeat(gdofs, w, axis=1).ravel()
+    cols = np.tile(gdofs, (1, w)).ravel()
+    K = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(3 * n_nodes,) * 2).tocsr()
+    K = (K + K.T) * 0.5
+    K.sum_duplicates()
+    return K
+
+
+def assert_matches_dense(K, nodes, blocks, n_nodes):
+    dense = dense_scatter(nodes, blocks, n_nodes)
+    assert np.abs(K.toarray() - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def assert_same_pattern(K, ref):
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+
+
+class TestAssembleBlocks:
+    def test_meshfree_stiffness_matches_references(self):
+        field = ellipsoid_field(dims=(8, 7, 6))
+        model = build_model(field, n_nodes=25, k=6, seed=1)
+        shape, young = model.shape, field.masked_young()
+        d = elasticity_matrix(1.0, field.nu)
+        blocks = np.array([
+            b.T @ d @ b * e * field.voxel_volume_mm3
+            for b, e in zip(_strain_displacement(shape.corrected_gradients), young)
+        ])
+        K = model.matrices.K
+        assert_matches_dense(K, shape.indices, blocks, 25)
+        assert_same_pattern(K, coo_assembly(shape.indices, blocks, 25))
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3])
+    def test_hex_grid_matches_references(self, nu):
+        cells = (4, 3, 2)
+        conn = _hex_grid_connectivity(cells)
+        n_nodes = 5 * 4 * 3
+        blocks = np.broadcast_to(_hex_element_stiffness(0.8, 12.0, nu), (len(conn), 24, 24))
+        K = assemble_blocks(conn, blocks, n_nodes)
+        assert_matches_dense(K, conn, blocks, n_nodes)
+        # Identical element blocks cancel exactly to zero in some summation
+        # orders and to roundoff residues in others, so only the entries above
+        # roundoff must share their positions with the COO path's.
+        ref = coo_assembly(conn, blocks, n_nodes)
+        tol = 1e-13 * abs(ref).max()
+        assert np.array_equal(np.abs(K.toarray()) > tol, np.abs(ref.toarray()) > tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.integers(1, 6), m=st.integers(1, 4), spare=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_node_tables_match_references(self, e, m, spare, seed):
+        n_nodes = m + spare
+        rng = np.random.default_rng(seed)
+        nodes = rng.integers(0, n_nodes, size=(e, m))  # repeats within an element too
+        a = rng.standard_normal((e, 3 * m, 3 * m))
+        blocks = a + a.transpose(0, 2, 1)
+        K = assemble_blocks(nodes, blocks, n_nodes)
+        assert K.shape == (3 * n_nodes, 3 * n_nodes)
+        assert_matches_dense(K, nodes, blocks, n_nodes)
+        assert_same_pattern(K, coo_assembly(nodes, blocks, n_nodes))
 
 
 class TestAssembleMass:

@@ -396,6 +396,18 @@ class TestCohortCsv:
         assert back[0].mean_shear_G == 0.7
         assert back[1].young_E == 3.75
 
+    @pytest.mark.parametrize("g, e", [("nan", "2.1"), ("0.7", "nan"), ("-0.1", "2.1"),
+                                      ("0.7", "-2.1"), ("inf", "2.1"), ("0.7", "inf"),
+                                      ("0.7", "abc")])
+    def test_bad_modulus_rejected_naming_the_row(self, tmp_path, g, e):
+        path = tmp_path / "cohort.csv"
+        path.write_text(f"id,G_kPa,E_kPa\nok,0.7,2.1\nbad,{g},{e}\n")
+        with pytest.raises(VolumeFormatError, match=r"line 3, row \['bad'"):
+            load_cohort_csv(path)
+
+    def test_zero_moduli_accepted(self):
+        assert CohortRecord(id="z", mean_shear_G=0.0, young_E=0.0).young_E == 0.0
+
 
 class TestPointInPolygon:
     def test_boundary_counts_inside(self):
