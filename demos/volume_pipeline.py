@@ -1,9 +1,9 @@
-"""Walk the stiffness-volume pipeline: elastogram -> ROI -> cohort statistics.
+"""Walk the stiffness-volume pipeline: elastogram -> tissue mask -> cohort statistics.
 
-Builds a small synthetic elastogram, traces an ROI polygon on one axial
-slice, measures the masked mean shear modulus, converts it to Young's
-modulus, and then summarizes a 120-record synthetic cohort the same way the
-`cohort-stats` subcommand does.
+Builds a small synthetic elastogram whose tissue is its positive voxels,
+measures the masked mean shear modulus the way every cohort case is read,
+converts it to Young's modulus, and then summarizes a 120-record synthetic
+cohort the same way the `cohort-stats` subcommand does.
 
 Run from the repository root:  python3 demos/volume_pipeline.py
 """
@@ -13,10 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from elastosim import (
-    RoiPolygon,
+    RoiMask,
     VoxelVolume,
     cohort_stats,
-    mask_roi,
     mean_shear_modulus,
     shear_to_young,
     stiffness_histogram,
@@ -31,20 +30,20 @@ OUT = Path(__file__).parent / "out"
 def main():
     OUT.mkdir(exist_ok=True)
 
-    # A 20x16x8 elastogram at 1.64 mm: constant 0.7 kPa shear stiffness,
-    # which is exactly the 2.1 kPa atlas Young's modulus at nu = 0.5.
+    # A 20x16x8 elastogram at 1.64 mm: a block of tissue at a constant
+    # 0.7 kPa shear stiffness, which is exactly the 2.1 kPa atlas Young's
+    # modulus at nu = 0.5, inside a zero background.
     dims = (20, 16, 8)
-    data = np.full(dims[0] * dims[1] * dims[2], 0.7, dtype=np.float32)
+    grid = np.zeros(dims[::-1], dtype=np.float32)
+    grid[2:6, 2:14, 2:18] = 0.7
     vol = VoxelVolume(dims=dims, spacing_mm=(1.64, 1.64, 1.64),
-                      kind="elastogram_shear_kPa", data=data)
+                      kind="elastogram_shear_kPa", data=grid)
     header = write_volume(vol, OUT / "demo_elastogram.json")
     print(f"wrote {header} (+ .raw), {vol.n_voxels} voxels")
 
-    # Clinicians outline the organ on an axial slice; a rectangle does here.
-    roi = RoiPolygon(slice_index=4, vertices_mm=np.array(
-        [[3.0, 3.0], [28.0, 3.0], [28.0, 22.0], [3.0, 22.0]]))
-    mask = mask_roi(vol, roi)
-    print(f"ROI on slice {roi.slice_index} selects {mask.n_selected} voxels")
+    # The tissue is every strictly positive voxel, as for a cohort case.
+    mask = RoiMask(dims=vol.dims, flags=vol.data > 0)
+    print(f"tissue mask selects {mask.n_selected} voxels")
 
     g = mean_shear_modulus(vol, mask)
     e = shear_to_young(g, nu=0.5)

@@ -1,7 +1,7 @@
 """Mesh-free soft-tissue deformation simulation driven by per-voxel stiffness maps.
 
-The package covers the full pipeline: voxel stiffness volumes and ROI masking
-(`volume`), mesh-free model construction with Voronoi-sampled DOF nodes and
+The package covers the full pipeline: voxel stiffness volumes and cohort
+statistics (`volume`), mesh-free model construction with Voronoi-sampled DOF nodes and
 Shepard shape functions (`meshfree`), implicit-Euler dynamics with a conjugate
 gradient core (`solver`), a cantilever-beam validation suite against
 closed-form bending theory and a hexahedral FEA baseline (`beam`), and the
@@ -56,12 +56,10 @@ from elastosim.solver import (
 from elastosim.volume import (
     CohortRecord,
     RoiMask,
-    RoiPolygon,
     VolumeFormatError,
     VoxelVolume,
     cohort_stats,
     load_volume,
-    mask_roi,
     mean_shear_modulus,
     shear_to_young,
     stiffness_histogram,
@@ -84,7 +82,6 @@ __all__ = [
     "RetractionConfig",
     "RetractorSpec",
     "RoiMask",
-    "RoiPolygon",
     "SimState",
     "SyntheticCohortSpec",
     "VolumeFormatError",
@@ -102,7 +99,6 @@ __all__ = [
     "fea_baseline",
     "load_model",
     "load_volume",
-    "mask_roi",
     "mean_shear_modulus",
     "prepare_settle",
     "run_cohort_retractions",

@@ -15,7 +15,7 @@ statistics demonstrate the machinery rather than reproduce clinical rates.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +76,29 @@ class RetractionConfig:
     cg_max: int = 200
     voxel_ref_mm: float = 1.64
 
+    def __post_init__(self):
+        """Reject a knob no run can use, naming its field.
+
+        Raises:
+            ValueError: a non-finite number; h, v_tol, cg_tol, diameter or a
+                set liver_mass_kg not > 0; significance_mm < 0; cg_max or
+                max_steps < 1.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # Integers are finite, and may exceed what a float array holds.
+            if not isinstance(value, (int, type(None))) and not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("h", "v_tol", "cg_tol", "diameter", "liver_mass_kg"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if self.significance_mm < 0:
+            raise ValueError(f"significance_mm must be >= 0, got {self.significance_mm}")
+        for name in ("cg_max", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def measured_model(self, case: CohortCase) -> MeshFreeModel:
         """The case's measured-stiffness model."""
         field = young_material_field(
@@ -103,51 +126,24 @@ class RetractionConfig:
 
 @dataclass(frozen=True)
 class RetractorSpec:
-    """Hook retractor contact: where it grabs the surface and where it pulls.
-
-    The application region is either an explicit node set or all nodes
-    within ``radius`` (default ``diameter / 2``) of ``center``.
+    """Hook retractor contact: it grabs every node within ``diameter / 2`` of
+    ``center`` and hoists them straight up (+z).
 
     Attributes:
+        center: contact point on the tissue surface in mm.
         diameter: contact diameter in mm.
-        center: contact point on the tissue surface in mm, or None when
-            ``nodes`` is given.
-        direction: unit hoist direction.
-        nodes: explicit node indices overriding the center/radius mapping.
-        radius: region radius in mm; defaults to half the diameter.
     """
 
+    center: tuple[float, float, float]
     diameter: float = RetractionConfig.diameter
-    center: tuple[float, float, float] | None = None
-    direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    nodes: frozenset[int] | None = None
-    radius: float | None = None
 
     def __post_init__(self):
         if self.diameter <= 0:
             raise ValueError(f"retractor diameter must be > 0, got {self.diameter}")
-        direction = np.asarray(self.direction, dtype=float)
-        if direction.shape != (3,) or abs(np.linalg.norm(direction) - 1.0) > 1e-9:
-            raise ValueError("hoist direction must be a unit 3-vector (within 1e-9)")
-        object.__setattr__(self, "direction", tuple(direction))
-        if self.nodes is not None:
-            nodes = frozenset(int(i) for i in self.nodes)
-            if not nodes:
-                raise ValueError("explicit application region must be nonempty")
-            object.__setattr__(self, "nodes", nodes)
-        elif self.center is None:
-            raise ValueError("retractor needs either a center or explicit nodes")
-        else:
-            center = np.asarray(self.center, dtype=float)
-            if center.shape != (3,):
-                raise ValueError("retractor center must be a 3-vector")
-            object.__setattr__(self, "center", tuple(center))
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError(f"region radius must be > 0, got {self.radius}")
-
-    @property
-    def region_radius(self) -> float:
-        return self.radius if self.radius is not None else self.diameter / 2.0
+        center = np.asarray(self.center, dtype=float)
+        if center.shape != (3,):
+            raise ValueError("retractor center must be a 3-vector")
+        object.__setattr__(self, "center", tuple(center))
 
     def map_region(self, node_positions: np.ndarray) -> np.ndarray:
         """Node indices the retractor grabs, sorted ascending.
@@ -155,16 +151,12 @@ class RetractorSpec:
         Raises:
             ValueError: the region maps to no node.
         """
-        if self.nodes is not None:
-            region = np.array(sorted(self.nodes), dtype=int)
-            if region.max(initial=-1) >= len(node_positions):
-                raise ValueError("application region references nodes beyond the model")
-            return region
+        radius = self.diameter / 2.0
         d = np.linalg.norm(node_positions - np.asarray(self.center), axis=1)
-        region = np.flatnonzero(d <= self.region_radius)
+        region = np.flatnonzero(d <= radius)
         if len(region) == 0:
             raise ValueError(
-                f"no node within {self.region_radius} mm of retractor center "
+                f"no node within {radius} mm of retractor center "
                 f"{self.center}; application region is empty"
             )
         return region
@@ -447,7 +439,7 @@ def retraction_load_case(
     region = retractor.map_region(model.dofs.nodes)
     mass_kg = model.total_mass_kg if liver_mass_kg is None else float(liver_mass_kg)
     total_n = mass_kg * STANDARD_G_M_S2
-    per_node = total_n / len(region) * np.asarray(retractor.direction)
+    per_node = np.array([0.0, 0.0, total_n / len(region)])
     return LoadCase(
         gravity=GRAVITY_MM_S2,
         point_loads=tuple((int(i), per_node.copy()) for i in region),
@@ -529,10 +521,7 @@ def default_landmarks(
 ) -> list[tuple[str, np.ndarray]]:
     """Three probe points: at the tool, deep in the volume, and inferior."""
     nodes = model.dofs.nodes
-    if retractor.nodes is not None:
-        tool = nodes[sorted(retractor.nodes)[0]]
-    else:
-        tool = nodes[np.argmin(np.linalg.norm(nodes - np.asarray(retractor.center), axis=1))]
+    tool = nodes[np.argmin(np.linalg.norm(nodes - np.asarray(retractor.center), axis=1))]
     centroid = nodes[np.argmin(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1))]
     inferior = nodes[np.argmin(nodes[:, 2])]
     return [

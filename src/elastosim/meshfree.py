@@ -331,10 +331,7 @@ def shepard_weights(points: np.ndarray, nodes: np.ndarray, k: int):
         hi = min(lo + chunk, m)
         block = points[lo:hi]
         d2 = cdist(block, nodes, "sqeuclidean")
-        if k < n:
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        else:
-            part = np.broadcast_to(np.arange(n), (hi - lo, n)).copy()
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         d2k = np.take_along_axis(d2, part, axis=1)
         # Sort each support by (distance, node index) for a stable layout.
         order = np.lexsort((part, d2k), axis=1)
@@ -460,15 +457,10 @@ def assemble_stiffness(shape: ShapeMap, field: MaterialField, n_nodes: int) -> s
     v_vox = field.voxel_volume_mm3
     d_unit = elasticity_matrix(1.0, field.nu)  # D is linear in E
 
-    blocks = []
-    chunk = 4096
-    for lo in range(0, shape.n_voxels, chunk):
-        hi = min(lo + chunk, shape.n_voxels)
-        b = _strain_displacement(shape.corrected_gradients[lo:hi])
-        ke = np.einsum("via,ij,vjb->vab", b, d_unit, b, optimize=True)
-        ke *= (young[lo:hi] * v_vox)[:, None, None]
-        blocks.append(ke)
-    return assemble_blocks(shape.indices, np.concatenate(blocks), n_nodes)
+    b = _strain_displacement(shape.corrected_gradients)
+    ke = np.einsum("via,ij,vjb->vab", b, d_unit, b, optimize=True)
+    ke *= (young * v_vox)[:, None, None]
+    return assemble_blocks(shape.indices, ke, n_nodes)
 
 
 def assemble_blocks(nodes: np.ndarray, blocks: np.ndarray, n_nodes: int) -> sp.csr_matrix:

@@ -26,7 +26,7 @@ consistent mm / tonne / second quantities built during assembly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -211,25 +211,6 @@ def _settle_terms(model: MeshFreeModel, loads: LoadCase):
     K_eff = model.matrices.K + sp.diags(spring_diag) if spring_diag.any() else model.matrices.K
     fixed = [3 * i + c for i in sorted(loads.dirichlet) for c in range(3)]
     return f_const, K_eff, fixed
-
-
-def build_system(model: MeshFreeModel, state: SimState, loads: LoadCase, h: float) -> LinearSystem:
-    """Assemble one implicit-Euler step's SPD system for a mesh-free model.
-
-    Support springs are treated implicitly: their stiffness joins K inside A,
-    so arbitrarily stiff supports stay stable.
-
-    Raises:
-        ValueError: h <= 0, dimension mismatch, or out-of-range load indices.
-    """
-    if len(state.q) != model.n_dofs:
-        raise ValueError(
-            f"state has {len(state.q)} DOFs, model has {model.n_dofs}"
-        )
-    f_const, K_eff, fixed = _settle_terms(model, loads)
-    return implicit_system(
-        model.matrices.M, K_eff, model.matrices.C, state.q, state.qdot, f_const, h, fixed
-    )
 
 
 @dataclass(frozen=True)
@@ -431,7 +412,7 @@ def displace_landmarks(
         i, j, k = ijk
         upper = np.array(vol.dims) * spacing
         outside = np.any(pos < -1e-9) or np.any(pos > upper + 1e-9)
-        if outside or not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz) or not grid_flags[k, j, i]:
+        if outside or not grid_flags[k, j, i]:
             raise ValueError(f"landmark {label!r} at {pos.tolist()} is outside the masked volume")
 
     k_support = min(model.shape.k, model.n_nodes)

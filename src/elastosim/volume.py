@@ -1,10 +1,8 @@
-"""Voxel volumes, planar ROI masking, and cohort stiffness statistics.
+"""Voxel volumes, voxel masks, and cohort stiffness statistics.
 
 Volumes are regular 3D scalar grids (elastogram shear stiffness in kPa, or
 anatomical intensity) stored row-major with x fastest.  A volume on disk is a
 JSON header (dims, spacing, kind) next to a raw little-endian float32 file.
-ROI polygons live on a single axial slice; masking tests each voxel center
-against the polygon with the even-odd rule.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ VOLUME_KINDS = ("elastogram_shear_kPa", "anatomical_intensity")
 
 
 class VolumeFormatError(ValueError):
-    """Raised when a volume or polygon file violates the on-disk format."""
+    """Raised when a volume or cohort file violates the on-disk format."""
 
 
 @dataclass(frozen=True)
@@ -92,30 +90,6 @@ def voxel_centers(dims: tuple[int, int, int], spacing_mm: tuple[float, float, fl
 
 
 @dataclass(frozen=True)
-class RoiPolygon:
-    """Simple polygon on one axial slice, vertices in mm.
-
-    Attributes:
-        slice_index: z index of the slice the polygon applies to.
-        vertices_mm: ordered (x, y) vertices, at least 3, no self-intersections.
-    """
-
-    slice_index: int
-    vertices_mm: np.ndarray
-
-    def __post_init__(self):
-        verts = np.asarray(self.vertices_mm, dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-            raise VolumeFormatError(
-                f"polygon needs >= 3 (x, y) vertices, got shape {verts.shape}"
-            )
-        if _polygon_self_intersects(verts):
-            raise VolumeFormatError("polygon edges self-intersect")
-        object.__setattr__(self, "slice_index", int(self.slice_index))
-        object.__setattr__(self, "vertices_mm", verts)
-
-
-@dataclass(frozen=True)
 class RoiMask:
     """Boolean inclusion flag per voxel of a parent volume."""
 
@@ -155,58 +129,6 @@ class CohortRecord:
                             ("Young's modulus", self.young_E)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
-    """True if open segments (p1,p2) and (p3,p4) cross at an interior point."""
-
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0)
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
-def _polygon_self_intersects(verts: np.ndarray) -> bool:
-    n = len(verts)
-    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # Adjacent edges share a vertex; only proper crossings count.
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if _segments_properly_intersect(*edges[i], *edges[j]):
-                return True
-    return False
-
-
-def _point_on_segment(px, py, ax, ay, bx, by) -> bool:
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    if cross != 0.0:
-        return False
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-
-
-def point_in_polygon(x: float, y: float, verts: np.ndarray) -> bool:
-    """Even-odd inclusion test; points exactly on an edge count as inside."""
-    n = len(verts)
-    inside = False
-    for i in range(n):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
-        if _point_on_segment(x, y, ax, ay, bx, by):
-            return True
-        # Half-open vertical rule: edge spans the ray iff exactly one endpoint
-        # is strictly above the query y.
-        if (ay > y) != (by > y):
-            x_cross = ax + (y - ay) * (bx - ax) / (by - ay)
-            if x_cross > x:
-                inside = not inside
-    return inside
 
 
 def load_volume(path: str | Path) -> VoxelVolume:
@@ -275,51 +197,6 @@ def write_volume(volume: VoxelVolume, path: str | Path) -> Path:
     header_path.write_text(json.dumps(header, indent=2) + "\n")
     volume.data.astype("<f4").tofile(raw_path)
     return header_path
-
-
-def load_polygon(path: str | Path) -> RoiPolygon:
-    """Load an ROI polygon from JSON {"slice_index": k, "vertices_mm": [[x, y], ...]}."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"polygon file not found: {path}")
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise VolumeFormatError(f"invalid polygon JSON {path}: {exc}") from exc
-    for key in ("slice_index", "vertices_mm"):
-        if key not in obj:
-            raise VolumeFormatError(f"polygon file missing field {key!r}")
-    return RoiPolygon(slice_index=obj["slice_index"], vertices_mm=np.asarray(obj["vertices_mm"]))
-
-
-def write_polygon(polygon: RoiPolygon, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    obj = {
-        "slice_index": polygon.slice_index,
-        "vertices_mm": polygon.vertices_mm.tolist(),
-    }
-    path.write_text(json.dumps(obj, indent=2) + "\n")
-    return path
-
-
-def mask_roi(volume: VoxelVolume, polygon: RoiPolygon) -> RoiMask:
-    """Rasterize a single-slice polygon into a per-voxel boolean mask.
-
-    A voxel is selected iff its center lies on the polygon's slice and inside
-    the polygon by the even-odd rule (edge points inclusive).
-
-    Raises:
-        VolumeFormatError: slice index outside the volume's z range.
-    """
-    nx, ny, nz = volume.dims
-    k = polygon.slice_index
-    if not 0 <= k < nz:
-        raise VolumeFormatError(f"slice_index {k} outside z range [0, {nz})")
-    flags = np.zeros((nz, ny * nx), dtype=bool)
-    centers = voxel_centers((nx, ny, 1), volume.spacing_mm)
-    flags[k] = [point_in_polygon(x, y, polygon.vertices_mm) for x, y, _ in centers]
-    return RoiMask(dims=volume.dims, flags=flags.ravel())
 
 
 def mean_shear_modulus(volume: VoxelVolume, mask: RoiMask) -> float:

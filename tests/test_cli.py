@@ -320,6 +320,32 @@ class TestCompareCommand:
         assert at_tool[0] != at_tool[1]
 
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--cg-max", "0", "cg_max"),
+        ("--max-steps", "0", "max_steps"),
+        ("--h-ms", "nan", "h"),
+        ("--h-ms", "inf", "h"),
+        ("--cg-tol", "nan", "cg_tol"),
+        ("--cg-tol", "-1", "cg_tol"),
+        ("--v-tol", "-1", "v_tol"),
+        ("--support-k", "nan", "abdomen_k"),
+        ("--alpha", "nan", "alpha"),
+        ("--density", "nan", "density"),
+        ("--mass-kg", "-5", "liver_mass_kg"),
+        ("--significance-mm", "-1", "significance_mm"),
+        ("--significance-mm", "nan", "significance_mm"),
+        ("--diameter", "inf", "diameter"),
+        ("--tool-center", "nan,0,0", "tool_center"),
+    ])
+    def test_bad_knob_is_data_error_naming_the_field(self, capsys, tmp_path, flag, value, field):
+        cohort = tmp_path / "cohort"
+        assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
+        code = cli_main(["compare", "--volume", str(cohort / "case_000.json"),
+                         *FAST_SYNTH[4:], f"{flag}={value}", "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert f"data error: {field} must be" in capsys.readouterr().err
+
+
 class TestCohortRunCommand:
     def test_synthetic_run_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

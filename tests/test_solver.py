@@ -24,7 +24,6 @@ from elastosim.solver import (
     LoadCase,
     NonConvergenceError,
     SimState,
-    build_system,
     cg_solve,
     displace_landmarks,
     external_force,
@@ -94,13 +93,13 @@ class TestImplicitSystem:
 
 
 class TestBuildSystem:
+    """The settle's system matrix A = M + h*C + h^2*K_eff, as the pipeline factors it."""
+
     def test_spd_across_step_sizes(self):
         model = build_model(make_field(dims=(4, 4, 3)), n_nodes=8, k=6, seed=0)
-        state = SimState.rest(model.n_dofs)
         rng = np.random.default_rng(0)
         for h in (1e-3, 1e-2, 1e-1):
-            system = build_system(model, state, LoadCase(), h)
-            A = system.A
+            A = prepare_settle(model, LoadCase(), h).A
             assert abs(A - A.T).max() <= 1e-9 * abs(A).max()
             for _ in range(100):
                 x = rng.standard_normal(A.shape[0])
@@ -110,7 +109,7 @@ class TestBuildSystem:
         model = build_model(make_field(), n_nodes=5, k=4, seed=0)
         loads = LoadCase(point_loads=[(99, np.array([1.0, 0.0, 0.0]))])
         with pytest.raises(ValueError, match="node 99"):
-            build_system(model, SimState.rest(model.n_dofs), loads, h=1e-3)
+            prepare_settle(model, loads, h=1e-3)
 
     def test_spring_stiffness_enters_matrix(self):
         # The support spring must live inside A, not only in the force, so
@@ -118,10 +117,9 @@ class TestBuildSystem:
         model = make_point_model()
         anchor = model.dofs.nodes[0]
         loads = LoadCase(support_springs=[(0, 1e9, anchor)])
-        system = build_system(model, SimState.rest(3), loads, h=0.1)
-        base = build_system(model, SimState.rest(3), LoadCase(), h=0.1)
-        added = (system.A - base.A).toarray()
-        assert np.allclose(np.diag(added), 0.01 * 1e9)
+        stiff = prepare_settle(model, loads, h=0.1).A
+        base = prepare_settle(model, LoadCase(), h=0.1).A
+        assert np.allclose(np.diag((stiff - base).toarray()), 0.01 * 1e9)
 
 
 class TestCgSolve:
@@ -260,7 +258,8 @@ def settle_case(request):
 
 class TestPreparedSettle:
     def test_steps_match_rebuilt_system_with_plain_cg(self, settle_case):
-        # Reference: rebuild A every step and solve it with unpreconditioned CG
+        # Reference: rebuild A and b every step with the raw implicit_system,
+        # independently of Settle.system, and solve with unpreconditioned CG
         # to a tight tolerance.  Velocities shrink by orders of magnitude along
         # a settle, so they are compared against the run's largest velocity.
         model, loads, h, _ = settle_case
@@ -270,7 +269,8 @@ class TestPreparedSettle:
         v_scale = 0.0
         for _ in range(3):
             fast = step(settle, state, N_max=50, tol=1e-13)
-            system = build_system(model, state, loads, h)
+            system = implicit_system(model.matrices.M, settle.K, settle.C, state.q, state.qdot,
+                                     settle.f, h, settle.fixed)
             ref = cg_solve(system, N_max=20 * model.n_dofs, tol=1e-13)
             assert ref.converged
             qdot_ref = state.qdot + ref.x

@@ -1,4 +1,4 @@
-"""Tests for voxel volume IO, ROI masking, and cohort statistics."""
+"""Tests for voxel volume IO, voxel masks, and cohort statistics."""
 
 import json
 
@@ -10,21 +10,16 @@ from hypothesis import strategies as st
 from elastosim.volume import (
     CohortRecord,
     RoiMask,
-    RoiPolygon,
     VolumeFormatError,
     VoxelVolume,
     cohort_stats,
     load_cohort_csv,
-    load_polygon,
     load_volume,
-    mask_roi,
     mean_shear_modulus,
-    point_in_polygon,
     shear_to_young,
     stiffness_histogram,
     voxel_centers,
     write_cohort_csv,
-    write_polygon,
     write_volume,
 )
 
@@ -147,88 +142,6 @@ class TestVolumeIO:
         assert back.spacing_mm == vol.spacing_mm
         assert back.kind == vol.kind
         assert back.data.tobytes() == vol.data.tobytes(), "raw payload changed in round-trip"
-
-    def test_polygon_roundtrip(self, tmp_path):
-        poly = RoiPolygon(slice_index=1, vertices_mm=np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]))
-        back = load_polygon(write_polygon(poly, tmp_path / "roi.json"))
-        assert back.slice_index == 1
-        assert np.array_equal(back.vertices_mm, poly.vertices_mm)
-
-
-class TestRoiPolygon:
-    def test_two_vertices_rejected(self):
-        with pytest.raises(VolumeFormatError, match=">= 3"):
-            RoiPolygon(slice_index=0, vertices_mm=np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-    def test_self_intersection_rejected(self):
-        # Bowtie: edges (0-1) and (2-3) cross.
-        bowtie = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
-        with pytest.raises(VolumeFormatError, match="self-intersect"):
-            RoiPolygon(slice_index=0, vertices_mm=bowtie)
-
-    def test_convex_quad_accepted(self):
-        quad = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
-        assert RoiPolygon(slice_index=0, vertices_mm=quad).vertices_mm.shape == (4, 2)
-
-
-class TestMaskRoi:
-    def test_full_slice_rectangle(self):
-        vol = make_volume(dims=(4, 3, 2), spacing=(1.0, 1.0, 5.0))
-        rect = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]])
-        mask = mask_roi(vol, RoiPolygon(slice_index=1, vertices_mm=rect))
-        flags = mask.flags.reshape(2, 3, 4)
-        assert flags[1].all(), "every voxel center on the covered slice is inside"
-        assert not flags[0].any(), "other slices stay false"
-
-    def test_slice_out_of_range(self):
-        vol = make_volume(dims=(4, 4, 2))
-        rect = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(VolumeFormatError, match="slice_index"):
-            mask_roi(vol, RoiPolygon(slice_index=2, vertices_mm=rect))
-
-    def test_right_triangle_matches_bruteforce_oracle(self):
-        # Independent even-odd oracle: pure-python winding walk per voxel
-        # center, written without reference to the library predicate.
-        vol = make_volume(dims=(10, 10, 1), spacing=(1.0, 1.0, 1.0))
-        tri = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        mask = mask_roi(vol, RoiPolygon(slice_index=0, vertices_mm=tri))
-
-        def oracle_inside(px, py):
-            crossings = 0
-            n = len(tri)
-            for a in range(n):
-                ax, ay = tri[a]
-                bx, by = tri[(a + 1) % n]
-                cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-                on_seg = (
-                    cross == 0.0
-                    and min(ax, bx) <= px <= max(ax, bx)
-                    and min(ay, by) <= py <= max(ay, by)
-                )
-                if on_seg:
-                    return True
-                if (ay > py) != (by > py):
-                    if ax + (py - ay) * (bx - ax) / (by - ay) > px:
-                        crossings += 1
-            return crossings % 2 == 1
-
-        expected = np.array(
-            [oracle_inside((i % 10) + 0.5, (i // 10) + 0.5) for i in range(100)]
-        )
-        got = mask.flags.reshape(10, 10).ravel()
-        assert np.array_equal(got, expected)
-        # 45 strictly interior centers plus the 10 on the hypotenuse
-        # x + y = 10, which the boundary-inclusive rule counts as inside.
-        assert mask.n_selected == 55
-
-    def test_vertex_rotation_gives_identical_mask(self):
-        vol = make_volume(dims=(8, 8, 1), spacing=(1.0, 1.0, 1.0))
-        verts = np.array([[0.7, 0.7], [6.3, 1.1], [5.2, 6.8], [1.3, 5.9]])
-        base = mask_roi(vol, RoiPolygon(slice_index=0, vertices_mm=verts))
-        for shift in range(1, 4):
-            rotated = np.roll(verts, shift, axis=0)
-            rolled = mask_roi(vol, RoiPolygon(slice_index=0, vertices_mm=rotated))
-            assert np.array_equal(base.flags, rolled.flags), f"rotation by {shift} changed mask"
 
 
 class TestMeanShearModulus:
@@ -407,12 +320,3 @@ class TestCohortCsv:
 
     def test_zero_moduli_accepted(self):
         assert CohortRecord(id="z", mean_shear_G=0.0, young_E=0.0).young_E == 0.0
-
-
-class TestPointInPolygon:
-    def test_boundary_counts_inside(self):
-        square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
-        assert point_in_polygon(0.0, 1.0, square), "edge point"
-        assert point_in_polygon(2.0, 2.0, square), "corner point"
-        assert point_in_polygon(1.0, 1.0, square)
-        assert not point_in_polygon(2.1, 1.0, square)
