@@ -11,7 +11,7 @@ mesh-free pipeline under test.  All three centerline curves share a common
 x sampling (element centers plus the x = 0 clamp datum and the x = L tip),
 so pointwise convergence errors are directly comparable.
 
-The comparison runs at Poisson ratio 0 by default: the analytic formula has
+The comparison runs at a fixed Poisson ratio of 0: the analytic formula has
 no Poisson term, and nu = 0 removes Poisson-contraction artifacts from both
 discretizations.
 """
@@ -19,7 +19,7 @@ discretizations.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,9 @@ from elastosim.solver import (
     run_to_steady_state,
 )
 from elastosim.volume import RoiMask, VoxelVolume
+
+_NU = 0.0  # Poisson ratio of both discretizations; bending theory has no Poisson term
+_FEA_CG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,9 @@ class BeamSpec:
     resolution: float = 1.64
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"beam {f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("L", "w", "h_beam", "E", "resolution"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"beam {name} must be > 0, got {getattr(self, name)}")
@@ -184,10 +190,6 @@ def build_beam_phantom(
     n_nodes: int = 300,
     k: int = 8,
     seed: int = 0,
-    nu: float = 0.0,
-    density: float = 1000.0,
-    alpha: float = 0.1,
-    beta: float = 0.01,
 ) -> BeamPhantom:
     """Voxelize the beam, build the mesh-free model, and fix the clamped face.
 
@@ -205,8 +207,8 @@ def build_beam_phantom(
         data=np.full(n_vox, spec.E, dtype=np.float32),
     )
     mask = RoiMask(dims=dims, flags=np.ones(n_vox, dtype=bool))
-    field = MaterialField(volume=vol, mask=mask, nu=nu, density=density)
-    model = build_model(field, n_nodes=n_nodes, k=k, alpha=alpha, beta=beta, seed=seed)
+    field = MaterialField(volume=vol, mask=mask, nu=_NU, density=1000.0)
+    model = build_model(field, n_nodes=n_nodes, k=k, seed=seed)
 
     # Voxel ix index per masked voxel, x fastest: flat % nx.
     voxel_ix = np.arange(n_vox) % cx
@@ -229,25 +231,18 @@ def beam_load_case(phantom: BeamPhantom) -> LoadCase:
     )
 
 
-def simulate_beam(
-    phantom: BeamPhantom,
-    h: float = 10.0,
-    v_tol: float = 1e-7,
-    max_steps: int = 200,
-    cg_tol: float = 1e-8,
-    cg_max: int | None = None,
-) -> DeflectionCurve:
+def simulate_beam(phantom: BeamPhantom) -> DeflectionCurve:
     """Run the mesh-free beam to steady state and sample the centerline.
 
-    Large h drives backward Euler to the static solution in a few steps.
-    The curve holds the x = 0 clamp datum, element-center samples mapped by
-    the shape functions, and the x = L tip.
+    Steps of h = 10 s drive backward Euler to the static solution in a few
+    steps; the solver's default CG cap holds, as its factored preconditioner
+    solves each step in one or two iterations.  The curve holds the x = 0
+    clamp datum, element-center samples mapped by the shape functions, and
+    the x = L tip.
     """
     model = phantom.model
-    loads = beam_load_case(phantom)
-    n_max = 4 * model.n_dofs if cg_max is None else cg_max
     final = run_to_steady_state(
-        model, loads, h=h, max_steps=max_steps, v_tol=v_tol, N_max=n_max, tol=cg_tol
+        model, beam_load_case(phantom), h=10.0, max_steps=200, v_tol=1e-7, tol=1e-8
     )
     _, w_eff, h_eff = phantom.spec.snapped_extents()
     xs = axis_samples(phantom.spec)
@@ -299,9 +294,7 @@ def _hex_grid_connectivity(cells: tuple[int, int, int]) -> np.ndarray:
     return conn
 
 
-def fea_baseline(
-    spec: BeamSpec, nu: float = 0.0, cg_tol: float = 1e-10, cg_max: int | None = None
-) -> DeflectionCurve:
+def fea_baseline(spec: BeamSpec) -> DeflectionCurve:
     """Static trilinear-hex FEA of the cantilever on the voxel-resolution grid.
 
     Clamps the x = 0 node plane, applies the distributed load as consistent
@@ -310,8 +303,7 @@ def fea_baseline(
 
     Raises:
         ValueError: degenerate discretization (via spec.cells()).
-        NonConvergenceError: CG missed cg_tol within cg_max iterations
-            (default 8 per DOF).
+        NonConvergenceError: CG missed _FEA_CG_TOL within 8 iterations per DOF.
     """
     cells = spec.cells()
     cx, cy, cz = cells
@@ -320,7 +312,7 @@ def fea_baseline(
     n_nodes = (cx + 1) * (cy + 1) * (cz + 1)
     n_dofs = 3 * n_nodes
 
-    ke = _hex_element_stiffness(res, spec.E, nu)
+    ke = _hex_element_stiffness(res, spec.E, _NU)
     conn = _hex_grid_connectivity(cells)
     K = assemble_blocks(conn, np.broadcast_to(ke, (len(conn), 24, 24)), n_nodes)
 
@@ -332,12 +324,11 @@ def fea_baseline(
 
     clamped_nodes = np.arange(n_nodes)[np.arange(n_nodes) % (cx + 1) == 0]
     fixed = (3 * clamped_nodes[:, None] + np.arange(3)).ravel()
-    n_max = 8 * n_dofs if cg_max is None else cg_max
-    result = cg_solve(reduce_dirichlet(K, f, fixed), N_max=n_max, tol=cg_tol)
+    result = cg_solve(reduce_dirichlet(K, f, fixed), N_max=8 * n_dofs, tol=_FEA_CG_TOL)
     if not result.converged:
         raise NonConvergenceError(
             f"FEA baseline CG stopped at relative residual {result.residual:.3e} after "
-            f"{result.iterations} iterations (tolerance {cg_tol:.1e})"
+            f"{result.iterations} iterations (tolerance {_FEA_CG_TOL:.1e})"
         )
     u = result.x
 

@@ -40,6 +40,7 @@ from elastosim.volume import (
 GRAVITY_MM_S2 = (0.0, 0.0, -9810.0)
 STANDARD_G_M_S2 = 9.81  # hoist force per kg, in N
 SYNTH_DIMS = (32, 26, 16)  # synthetic volume grid (nx, ny, nz)
+INCLUSION_RADIUS_MM = 9.0  # stiff_inclusion_case's sphere under the tool
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class RetractorSpec:
         center = np.asarray(self.center, dtype=float)
         if center.shape != (3,):
             raise ValueError("retractor center must be a 3-vector")
-        object.__setattr__(self, "center", tuple(center))
+        object.__setattr__(self, "center", tuple(float(c) for c in center))
 
     def map_region(self, node_positions: np.ndarray) -> np.ndarray:
         """Node indices the retractor grabs, sorted ascending.
@@ -253,17 +254,12 @@ def case_from_volume(
 
 
 def ellipsoid_mask(
-    dims: tuple[int, int, int],
-    voxel_mm: float,
-    semi_axes_mm: tuple[float, float, float],
-    center_mm: tuple[float, float, float] | None = None,
+    dims: tuple[int, int, int], voxel_mm: float, semi_axes_mm: tuple[float, float, float]
 ) -> RoiMask:
-    """Mask of voxels whose centers fall inside an axis-aligned ellipsoid."""
-    nx, ny, nz = dims
-    if center_mm is None:
-        center_mm = (nx * voxel_mm / 2.0, ny * voxel_mm / 2.0, nz * voxel_mm / 2.0)
+    """Mask of voxels whose centers fall inside an axis-aligned ellipsoid centered in the grid."""
+    center_mm = np.asarray(dims, dtype=float) * voxel_mm / 2.0
     centers = voxel_centers(dims, (voxel_mm,) * 3)
-    rel = (centers - np.asarray(center_mm)) / np.asarray(semi_axes_mm)
+    rel = (centers - center_mm) / np.asarray(semi_axes_mm)
     flags = (rel**2).sum(axis=1) <= 1.0
     return RoiMask(dims=dims, flags=flags)
 
@@ -347,36 +343,33 @@ def synth_cohort(
     return cases
 
 
-def stiff_inclusion_case(
-    contrast: float,
-    dims: tuple[int, int, int] = SYNTH_DIMS,
-    voxel_mm: float = RetractionConfig.voxel_ref_mm,
-    atlas_e_kpa: float = RetractionConfig.atlas_e_kpa,
-    inclusion_radius_mm: float = 9.0,
-    conversion_nu: float = RetractionConfig.conversion_nu,
-) -> CohortCase:
+def stiff_inclusion_case(contrast: float) -> CohortCase:
     """Atlas-stiffness ellipsoid with a spherical inclusion at contrast x atlas.
 
-    The inclusion sits under the default retractor site (the +x pole), so
-    raising the contrast stiffens exactly the region the tool displaces.
-    contrast = 1 reproduces the constant atlas volume.
+    The volume is a SYNTH_DIMS grid at the default voxel pitch, and the
+    atlas stiffness and shear-to-Young conversion are RetractionConfig's
+    defaults.  The inclusion, of radius INCLUSION_RADIUS_MM, sits under the
+    default retractor site (the +x pole), so raising the contrast stiffens
+    exactly the region the tool displaces.  contrast = 1 reproduces the
+    constant atlas volume.
     """
     if contrast <= 0:
         raise ValueError(f"inclusion contrast must be > 0, got {contrast}")
-    g_atlas = atlas_e_kpa / (2.0 * (1.0 + conversion_nu))
+    dims, voxel_mm = SYNTH_DIMS, RetractionConfig.voxel_ref_mm
+    g_atlas = RetractionConfig.atlas_e_kpa / (2.0 * (1.0 + RetractionConfig.conversion_nu))
     extent = np.array(dims, dtype=float) * voxel_mm
     axes = 0.85 * extent / 2.0
     mask = ellipsoid_mask(dims, voxel_mm, tuple(axes))
     centers = voxel_centers(dims, (voxel_mm,) * 3)
     site = np.array([extent[0] / 2.0 + axes[0], extent[1] / 2.0, extent[2] / 2.0])
-    inside = np.linalg.norm(centers - site, axis=1) <= inclusion_radius_mm
+    inside = np.linalg.norm(centers - site, axis=1) <= INCLUSION_RADIUS_MM
     data = np.zeros(len(centers), dtype=np.float32)
     data[mask.flags] = np.float32(g_atlas)
     data[mask.flags & inside] = np.float32(g_atlas * contrast)
     volume = VoxelVolume(
         dims=dims, spacing_mm=(voxel_mm,) * 3, kind="elastogram_shear_kPa", data=data
     )
-    return case_from_volume(volume, f"inclusion_{contrast:g}x", conversion_nu)
+    return case_from_volume(volume, f"inclusion_{contrast:g}x")
 
 
 def young_material_field(

@@ -39,6 +39,11 @@ _COINCIDENT_D2 = 1e-18
 # this many distances so the block stays about 32 MB, whatever the grid.
 _CDIST_ENTRIES = 4_000_000
 
+# Lloyd relaxation stops once no node moves this far in mm, or after this
+# many iterations.
+_LLOYD_MOVE_TOL_MM = 1e-6
+_LLOYD_MAX_ITERS = 50
+
 _ARCHIVE_MAGIC = b"ESIMMDL1"
 ARCHIVE_VERSION = 2  # version 1 also stored C; it loads, its C ignored
 
@@ -227,20 +232,15 @@ class MeshFreeModel:
         return replace(self, field=field, matrices=mats)
 
 
-def sample_dofs(
-    field: MaterialField,
-    n_nodes: int,
-    seed: int = 0,
-    max_lloyd_iters: int = 50,
-    move_tol_mm: float = 1e-6,
-) -> DofSet:
+def sample_dofs(field: MaterialField, n_nodes: int, seed: int = 0) -> DofSet:
     """Pick DOF nodes by Lloyd-relaxed Voronoi sampling of masked voxel centers.
 
     Seeds are drawn without replacement from the masked voxel centers, then
     iterated: assign each voxel to its nearest node, move each node to the
     centroid of its owned voxels, until the largest node movement drops
-    below move_tol_mm or max_lloyd_iters is reached.  A node that loses all
-    voxels respawns at the voxel center farthest from its nearest node.
+    below _LLOYD_MOVE_TOL_MM or _LLOYD_MAX_ITERS is reached.  A node that
+    loses all voxels respawns at the voxel center farthest from its nearest
+    node.
 
     Raises:
         ValueError: n_nodes < 1 or more nodes than masked voxels.
@@ -255,11 +255,11 @@ def sample_dofs(
     rng = np.random.default_rng(seed)
     nodes = centers[rng.choice(n_vox, size=n_nodes, replace=False)].copy()
 
-    for _ in range(max_lloyd_iters):
+    for _ in range(_LLOYD_MAX_ITERS):
         new_nodes = _lloyd_step(centers, nodes)
         movement = float(np.linalg.norm(new_nodes - nodes, axis=1).max())
         nodes = new_nodes
-        if movement < move_tol_mm:
+        if movement < _LLOYD_MOVE_TOL_MM:
             break
 
     owner, _ = _nearest_node(centers, nodes)
@@ -527,7 +527,6 @@ def build_model(
     alpha: float = 0.1,
     beta: float = 0.01,
     seed: int = 0,
-    max_lloyd_iters: int = 50,
 ) -> MeshFreeModel:
     """Build a complete mesh-free model from a material field.
 
@@ -536,7 +535,7 @@ def build_model(
     """
     if n_nodes < 4:
         raise ValueError(f"a 3D model needs at least 4 nodes, got {n_nodes}")
-    dofs = sample_dofs(field, n_nodes=n_nodes, seed=seed, max_lloyd_iters=max_lloyd_iters)
+    dofs = sample_dofs(field, n_nodes=n_nodes, seed=seed)
     shape = shape_weights(dofs, field, k=min(k, dofs.n_nodes))
     K = assemble_stiffness(shape, field, n_nodes=dofs.n_nodes)
     M = assemble_mass(shape, field, n_nodes=dofs.n_nodes)

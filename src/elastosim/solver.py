@@ -96,14 +96,28 @@ class LoadCase:
     dirichlet: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "gravity", tuple(float(g) for g in self.gravity))
+        """Coerce the entries and reject values no solve can use, naming the node.
+
+        Raises:
+            ValueError: a non-finite gravity, point force or spring anchor, or
+                a spring stiffness that is not finite and >= 0.
+        """
+        gravity = tuple(float(g) for g in self.gravity)
+        if not np.isfinite(gravity).all():
+            raise ValueError(f"gravity must be finite, got {gravity}")
         loads = tuple((int(i), np.asarray(f, dtype=float)) for i, f in self.point_loads)
+        for i, f in loads:
+            if not np.isfinite(f).all():
+                raise ValueError(f"point force on node {i} must be finite, got {f.tolist()}")
         springs = tuple(
             (int(i), float(k), np.asarray(a, dtype=float)) for i, k, a in self.support_springs
         )
-        for i, k, _ in springs:
-            if k < 0:
-                raise ValueError(f"spring stiffness must be >= 0, got {k} on node {i}")
+        for i, k, anchor in springs:
+            if not (np.isfinite(k) and k >= 0):
+                raise ValueError(f"spring stiffness must be finite and >= 0, got {k} on node {i}")
+            if not np.isfinite(anchor).all():
+                raise ValueError(f"spring anchor of node {i} must be finite, got {anchor.tolist()}")
+        object.__setattr__(self, "gravity", gravity)
         object.__setattr__(self, "point_loads", loads)
         object.__setattr__(self, "support_springs", springs)
         object.__setattr__(self, "dirichlet", frozenset(int(i) for i in self.dirichlet))
@@ -275,16 +289,15 @@ def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
 
 def cg_solve(
     system: LinearSystem,
-    x0: np.ndarray | None = None,
     N_max: int = 200,
     tol: float = 1e-6,
     preconditioner=None,
 ) -> CgResult:
     """Conjugate gradient on an SPD system, optionally preconditioned.
 
-    Starts from x0 (zeros by default) with p_0 = z_0 = P(r_0) and iterates
-    the standard alpha / residual / beta recurrences until the relative
-    residual ||r|| / ||b|| drops to tol or N_max iterations are spent.  The
+    Starts from x = 0 with p_0 = z_0 = P(b) and iterates the standard
+    alpha / residual / beta recurrences until the relative residual
+    ||r|| / ||b|| drops to tol or N_max iterations are spent.  The
     preconditioner P is a callable applying an SPD approximation of A^-1 to
     a vector; without one, z = r and this is plain CG.  A zero b
     short-circuits to the exact solution x = 0.
@@ -298,8 +311,8 @@ def cg_solve(
     if norm_b == 0.0:
         return CgResult(x=np.zeros(n), iterations=0, residual=0.0, converged=True)
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r = b - A @ x
+    x = np.zeros(n)
+    r = np.array(b, dtype=np.float64)  # the residual b - A x at x = 0
     z = r if preconditioner is None else preconditioner(r)
     p = z.copy()
     rr = float(r @ r)
@@ -358,9 +371,8 @@ def run_to_steady_state(
     v_tol: float = 1e-4,
     N_max: int = 200,
     tol: float = 1e-6,
-    state: SimState | None = None,
 ) -> SimState:
-    """Step until the velocity infinity-norm stays below v_tol for 3 steps.
+    """Step from rest until the velocity infinity-norm stays below v_tol for 3 steps.
 
     The system matrix is assembled and factored once, then shared by every
     step.
@@ -370,9 +382,9 @@ def run_to_steady_state(
             velocity infinity-norm.
     """
     settle = prepare_settle(model, loads, h)
-    current = SimState.rest(model.n_dofs) if state is None else state
+    current = SimState.rest(model.n_dofs)
     quiet = 0
-    v_inf = float(np.abs(current.qdot).max()) if len(current.qdot) else 0.0
+    v_inf = 0.0
     for _ in range(max_steps):
         current = step(settle, current, N_max=N_max, tol=tol)
         v_inf = float(np.abs(current.qdot).max())

@@ -68,11 +68,6 @@ class VoxelVolume:
         nx, ny, nz = self.dims
         return nx * ny * nz
 
-    def grid(self) -> np.ndarray:
-        """Data reshaped to (nz, ny, nx) so grid[k, j, i] indexes voxel (i, j, k)."""
-        nx, ny, nz = self.dims
-        return self.data.reshape(nz, ny, nx)
-
     def voxel_centers(self) -> np.ndarray:
         """Physical centers of all voxels, shape (n_voxels, 3), x fastest, in mm."""
         return voxel_centers(self.dims, self.spacing_mm)

@@ -1,0 +1,153 @@
+"""Every optional parameter of the public API is set by some caller.
+
+A default that no caller overrides is a constant with a second name: it
+doubles the configurations a reader must consider and never gets a second
+value.  This test lists every parameter with a default of every public
+function and method in `src/elastosim/`, then looks for a call in `src/`,
+`perfbench/` or `demos/` that passes it, by keyword or by position.  Tests
+do not count as callers.
+
+A call that only forwards an optional parameter of its enclosing function
+(``g(x=x)``) sets it only if that parameter is set in turn.  Calls are
+matched by the called name alone, so a same-named function elsewhere can
+keep a parameter alive; that errs toward passing, never toward a false
+failure.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "elastosim"
+CALLER_DIRS = ("perfbench", "demos")  # plus the package itself
+
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _optional_params(node, bound: bool) -> list[tuple[int | None, str]]:
+    """(call position or None, name) of each parameter with a default.
+
+    Positions count from the first argument a call writes, so a method's
+    self or cls is skipped; keyword-only parameters have no position.
+    """
+    args = node.args
+    positional = args.posonlyargs + args.args
+    offset = 1 if bound else 0
+    first_default = len(positional) - len(args.defaults)
+    out = [(i - offset, positional[i].arg) for i in range(first_default, len(positional))]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _public_defs(tree: ast.Module, module: str):
+    """(qualified name, def node, bound) of each public function and method."""
+    for node in tree.body:
+        if isinstance(node, FUNCTION) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, FUNCTION) and not item.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield f"{module}.{node.name}.{item.name}", item, not static
+
+
+def _arguments(tree: ast.Module, owners: dict, optional: dict):
+    """(called name, slot, forwarded parameter) of every call argument in a tree.
+
+    The slot is a position, a keyword, ``"*"`` for a ``*args`` splat or
+    ``"**"`` for a ``**kwargs`` splat; a splat fills every slot of its kind.
+    The forwarded parameter is (qualified name, parameter) when the argument
+    is a bare optional parameter of the enclosing public function, else None.
+    """
+    out = []
+
+    def visit(node, owner):
+        owner = owners.get(id(node), owner)
+        name = None
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name is not None:
+            own = {p for _, p in optional.get(owner, ())}
+
+            def forwarded(expr):
+                return (owner, expr.id) if isinstance(expr, ast.Name) and expr.id in own else None
+
+            for i, arg in enumerate(node.args):
+                out.append((name, "*", None) if isinstance(arg, ast.Starred)
+                           else (name, i, forwarded(arg)))
+            for kw in node.keywords:
+                out.append((name, "**", None) if kw.arg is None
+                           else (name, kw.arg, forwarded(kw.value)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def orphaned_options(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Optional parameters of the package that no call sets, as ``module.name(param=...)``.
+
+    Args:
+        package: module name -> source of each package module; its calls count too.
+        callers: sources of the other calling files.
+    """
+    trees = {module: ast.parse(src) for module, src in package.items()}
+    optional, owners = {}, {}
+    for module, tree in trees.items():
+        for qualname, node, bound in _public_defs(tree, module):
+            owners[id(node)] = qualname
+            if params := _optional_params(node, bound):
+                optional[qualname] = params
+    passed = []
+    for tree in list(trees.values()) + [ast.parse(src) for src in callers]:
+        passed += _arguments(tree, owners, optional)
+
+    live = set()
+    changed = True
+    while changed:  # forwarding chains resolve one link per sweep
+        changed = False
+        for qualname, params in optional.items():
+            name = qualname.rsplit(".", 1)[-1]
+            for position, param in params:
+                if (qualname, param) in live:
+                    continue
+                if any(called == name
+                       and (slot in (param, "*", "**") or (position is not None and slot == position))
+                       and (source is None or source in live)
+                       for called, slot, source in passed):
+                    live.add((qualname, param))
+                    changed = True
+    return [f"{q}({p}=...)" for q, params in optional.items() for _, p in params
+            if (q, p) not in live]
+
+
+def test_scanner_follows_positions_methods_and_forwarding():
+    package = {"m": (
+        "def f(a, b=1, c=2):\n"
+        "    return g(c=c)\n"
+        "def g(c=3, d=4, *, e=5):\n"
+        "    return h(**{})\n"
+        "def h(z=0):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def m(self, x=1, y=2):\n"
+        "        pass\n"
+        "    def _private(self, w=0):\n"
+        "        pass\n"
+    )}
+    callers = ["f(0, 5)\nK().m(2)\ng(e=1)\n"]
+    assert orphaned_options(package, callers) == [
+        "m.f(c=...)", "m.g(c=...)", "m.g(d=...)", "m.K.m(y=...)",
+    ]
+
+
+def test_every_optional_parameter_has_a_caller_that_sets_it():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text() for top in CALLER_DIRS for p in sorted((ROOT / top).rglob("*.py"))]
+    orphans = orphaned_options(package, callers)
+    assert not orphans, (
+        "optional parameters that no call in src/, perfbench/ or demos/ sets; "
+        "fold each into a constant or pass it from a caller:\n  " + "\n  ".join(orphans)
+    )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elastosim.beam
 from elastosim.beam import (
     BeamSpec,
     DeflectionCurve,
@@ -21,7 +22,7 @@ from elastosim.beam import (
     write_beam_convergence_csv,
 )
 from elastosim.meshfree import elasticity_matrix
-from elastosim.solver import NonConvergenceError
+from elastosim.solver import NonConvergenceError, cg_solve
 
 # Resolution 1.25 divides the benchmark box 50 x 10 x 10 exactly, so snapped
 # extents equal the nominal ones and hand-derived values apply unchanged.
@@ -54,6 +55,12 @@ class TestBeamSpec:
             BeamSpec(L=0.0)
         with pytest.raises(ValueError, match="must be > 0"):
             BeamSpec(E=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["L", "w", "h_beam", "E", "q_load", "resolution"])
+    def test_rejects_non_finite_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"beam {field} must be finite"):
+            BeamSpec(**{field: value})
 
     def test_rejects_negative_load(self):
         with pytest.raises(ValueError, match="q_load"):
@@ -277,9 +284,13 @@ class TestFeaBaseline:
         assert theory_tip == pytest.approx(0.3, rel=1e-9)
         assert abs(curve.tip_deflection - theory_tip) <= 0.03 * theory_tip
 
-    def test_capped_cg_raises(self):
+    def test_capped_cg_raises(self, monkeypatch):
+        def capped(system, **kwargs):
+            return cg_solve(system, **{**kwargs, "N_max": 3})
+
+        monkeypatch.setattr(elastosim.beam, "cg_solve", capped)
         with pytest.raises(NonConvergenceError, match="FEA baseline"):
-            fea_baseline(EXACT, cg_max=3)
+            fea_baseline(EXACT)
 
     def test_monotone_deflection(self):
         curve = fea_baseline(EXACT)
@@ -302,8 +313,8 @@ class TestSimulateBeam:
         spec2 = BeamSpec(q_load=2e-4, resolution=1.64)
         ph1 = build_beam_phantom(spec1, n_nodes=300, k=6, seed=0)
         ph2 = build_beam_phantom(spec2, n_nodes=300, k=6, seed=0)
-        c1 = simulate_beam(ph1, v_tol=1e-9)
-        c2 = simulate_beam(ph2, v_tol=1e-9)
+        c1 = simulate_beam(ph1)
+        c2 = simulate_beam(ph2)
         np.testing.assert_allclose(c2.w, 2.0 * c1.w, rtol=1e-8, atol=1e-12)
 
     def test_curves_share_x_grid_with_theory_and_fea(self):

@@ -53,6 +53,12 @@ class TestExitCodes:
         code = cli_main(["validate-beam", "--resolution", "1.3", "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_beam_resolution_names_the_field(self, capsys, tmp_path, value):
+        code = cli_main(["validate-beam", "--resolution", value, "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "data error: beam resolution must be finite" in capsys.readouterr().err
+
     def test_nan_voxel_is_data_error(self, capsys, tmp_path):
         cohort = tmp_path / "cohort"
         assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
@@ -344,6 +350,14 @@ class TestCompareCommand:
                          *FAST_SYNTH[4:], f"{flag}={value}", "--out", str(tmp_path)])
         assert code == EXIT_DATA
         assert f"data error: {field} must be" in capsys.readouterr().err
+
+    def test_far_tool_center_prints_plain_floats(self, capsys, tmp_path):
+        cohort = tmp_path / "cohort"
+        assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
+        code = cli_main(["compare", "--volume", str(cohort / "case_000.json"),
+                         *FAST_SYNTH[4:], "--tool-center", "500,0,0", "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "retractor center (500.0, 0.0, 0.0)" in capsys.readouterr().err
 
 
 class TestCohortRunCommand:

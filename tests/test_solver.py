@@ -92,6 +92,37 @@ class TestImplicitSystem:
         assert sys1.b[1] != 0.0
 
 
+class TestLoadCase:
+    """Unusable loads fail at construction, naming the node, not in a late solve."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_point_force_names_the_node(self, value):
+        with pytest.raises(ValueError, match="point force on node 3 must be finite"):
+            LoadCase(point_loads=[(0, [0.0, 0.0, 1.0]), (3, [value, 0.0, 0.0])])
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_gravity_rejected(self, value):
+        with pytest.raises(ValueError, match="gravity must be finite"):
+            LoadCase(gravity=(0.0, 0.0, value))
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -1.0])
+    def test_unusable_spring_stiffness_names_the_node(self, k):
+        with pytest.raises(ValueError, match=f"spring stiffness must be finite and >= 0, got {k} on node 2"):
+            LoadCase(support_springs=[(2, k, np.zeros(3))])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_spring_anchor_names_the_node(self, value):
+        with pytest.raises(ValueError, match="spring anchor of node 4 must be finite"):
+            LoadCase(support_springs=[(4, 1.0, [0.0, value, 0.0])])
+
+    def test_finite_loads_pass_and_coerce(self):
+        loads = LoadCase(gravity=(0, 0, -9810), point_loads=[(1, [0, 0, 2])],
+                         support_springs=[(0, 0.0, [1, 2, 3])])
+        assert loads.gravity == (0.0, 0.0, -9810.0)
+        assert loads.point_loads[0][1].dtype == np.float64
+        assert loads.support_springs[0][2].tolist() == [1.0, 2.0, 3.0]
+
+
 class TestBuildSystem:
     """The settle's system matrix A = M + h*C + h^2*K_eff, as the pipeline factors it."""
 
