@@ -11,11 +11,18 @@ gradient solves it; iterations are capped (default 200) to bound per-step
 cost.  Positions then update as q += h * qdot_new.
 
 For a fixed model, load case and h the matrix is the same on every step of a
-settle, so `prepare_settle` assembles it once and factors it with a sparse
-LU; each step then only forms its right-hand side and runs CG preconditioned
-by that factor, which converges in one or two iterations.  Convergence is
-still judged on the unpreconditioned residual, so the tolerance and the
-iteration cap keep their meaning.
+settle, so `prepare_settle` assembles it once and factors it with a
+`BandedCholesky`; each step then only forms its right-hand side and runs CG
+preconditioned by that factor, which converges in one or two iterations.
+Convergence is still judged on the unpreconditioned residual, so the
+tolerance and the iteration cap keep their meaning.
+
+`BandedCholesky` is the one factor behind every SPD solve, the settle's and
+the FEA baseline's: it renumbers the rows by reverse Cuthill-McKee (Cuthill
+& McKee, 1969), unless the matrix's own numbering gives a narrower band,
+and runs LAPACK's band Cholesky on the upper band (George & Liu, Computer
+Solution of Large Sparse Positive Definite Systems, 1981).  Both kinds of
+matrix are SPD and, once ordered, nearly banded.
 
 Dirichlet constraints are applied by reducing constrained rows and columns
 to identity, which keeps the system SPD and its size fixed.  The core
@@ -31,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from elastosim.meshfree import MeshFreeModel, shepard_weights
 
@@ -46,7 +54,8 @@ class NonConvergenceError(RuntimeError):
 
 
 class IndefiniteSystemError(RuntimeError):
-    """Raised when CG detects a non-SPD system (p^T A p <= 0)."""
+    """Raised when CG detects a non-SPD system (p^T A p <= 0), or a Cholesky
+    factorization finds a singular or indefinite matrix."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,16 @@ class SimState:
         return cls(q=np.zeros(n_dofs), qdot=np.zeros(n_dofs), t=0.0)
 
 
+def _finite_3_vector(value, what: str) -> np.ndarray:
+    """`value` as a float 3-vector, or a ValueError that names `what`."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{what} must be a 3-vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} must be finite, got {v.tolist()}")
+    return v
+
+
 @dataclass(frozen=True)
 class LoadCase:
     """External loading: gravity, point forces, support springs, fixed nodes.
@@ -99,25 +118,22 @@ class LoadCase:
         """Coerce the entries and reject values no solve can use, naming the node.
 
         Raises:
-            ValueError: a non-finite gravity, point force or spring anchor, or
-                a spring stiffness that is not finite and >= 0.
+            ValueError: a gravity, point force or spring anchor that is not a
+                finite 3-vector, or a spring stiffness that is not finite and >= 0.
         """
-        gravity = tuple(float(g) for g in self.gravity)
-        if not np.isfinite(gravity).all():
-            raise ValueError(f"gravity must be finite, got {gravity}")
-        loads = tuple((int(i), np.asarray(f, dtype=float)) for i, f in self.point_loads)
-        for i, f in loads:
-            if not np.isfinite(f).all():
-                raise ValueError(f"point force on node {i} must be finite, got {f.tolist()}")
-        springs = tuple(
-            (int(i), float(k), np.asarray(a, dtype=float)) for i, k, a in self.support_springs
+        gravity = _finite_3_vector(self.gravity, "gravity")
+        loads = tuple(
+            (int(i), _finite_3_vector(f, f"point force on node {int(i)}"))
+            for i, f in self.point_loads
         )
-        for i, k, anchor in springs:
+        springs = tuple(
+            (int(i), float(k), _finite_3_vector(a, f"spring anchor of node {int(i)}"))
+            for i, k, a in self.support_springs
+        )
+        for i, k, _ in springs:
             if not (np.isfinite(k) and k >= 0):
                 raise ValueError(f"spring stiffness must be finite and >= 0, got {k} on node {i}")
-            if not np.isfinite(anchor).all():
-                raise ValueError(f"spring anchor of node {i} must be finite, got {anchor.tolist()}")
-        object.__setattr__(self, "gravity", gravity)
+        object.__setattr__(self, "gravity", tuple(gravity.tolist()))
         object.__setattr__(self, "point_loads", loads)
         object.__setattr__(self, "support_springs", springs)
         object.__setattr__(self, "dirichlet", frozenset(int(i) for i in self.dirichlet))
@@ -137,6 +153,73 @@ class LinearSystem:
 
     A: sp.csr_matrix
     b: np.ndarray
+
+
+@dataclass(frozen=True)
+class BandedCholesky:
+    """Cholesky factor of a sparse SPD matrix, held as a band in a reordered numbering.
+
+    Row r of the factor is row `perm[r]` of the matrix.  `band` is the upper
+    band of the factor in LAPACK's layout: `band[w + r - s, s]` holds entry
+    (r, s) for r <= s <= r + w, where w = `bandwidth`.
+
+    Attributes:
+        perm: the ordering, a permutation of the matrix's rows.
+        band: (w + 1, n) Fortran-ordered factor band.
+    """
+
+    perm: np.ndarray
+    band: np.ndarray
+
+    @property
+    def bandwidth(self) -> int:
+        return self.band.shape[0] - 1
+
+    @classmethod
+    def of(cls, A: sp.spmatrix) -> "BandedCholesky":
+        """Factor A in reverse Cuthill-McKee order, or in its own numbering if
+        that gives a band no wider.
+
+        Only the upper triangle of the ordered matrix is read, so A must be
+        symmetric.
+
+        Raises:
+            IndefiniteSystemError: A is singular or not positive definite.
+        """
+        A = sp.csr_array(A)
+        A.sum_duplicates()
+        n = A.shape[0]
+        rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+        cols = A.indices
+        perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+        rank = np.empty_like(perm)
+        rank[perm] = np.arange(n, dtype=perm.dtype)
+        r, c = rank[rows], rank[cols]
+        # A symmetric pattern has as wide a band above the diagonal as below it.
+        if (c - r).max(initial=0) >= (cols - rows).max(initial=0):
+            perm, r, c = np.arange(n), rows, cols
+        del rows, cols, rank
+        upper = r <= c
+        r, c, data = r[upper], c[upper], A.data[upper]
+        w = int((c - r).max(initial=0))
+        # LAPACK reads a Fortran-ordered band in place; a C-ordered one it would copy.
+        band = np.zeros((w + 1, n), order="F")
+        band[w + r - c, c] = data
+        try:
+            band = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+        except LinAlgError as exc:
+            raise IndefiniteSystemError(
+                f"system matrix is singular or not positive definite: {exc}"
+            ) from exc
+        return cls(perm=perm, band=band)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with A x = b, by the two triangular band solves in the factor's numbering."""
+        y = cho_solve_banded((self.band, False), b[self.perm], overwrite_b=True,
+                             check_finite=False)
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
 
 
 @dataclass(frozen=True)
@@ -232,8 +315,9 @@ class Settle:
     """The parts of the implicit-Euler system that stay fixed over a settle.
 
     For a fixed model, load case and h, A = M + h*C + h^2*K_eff is the same
-    on every step; only b depends on the state.  `factor` is a sparse LU of
-    the Dirichlet-reduced A, used as an exact CG preconditioner.
+    on every step; only b depends on the state.  `factor` is the banded
+    Cholesky factor of the Dirichlet-reduced A, used as an exact CG
+    preconditioner.
 
     Attributes:
         h: step size in s.
@@ -242,7 +326,7 @@ class Settle:
         f: constant external force (N).
         fixed: constrained DOF indices.
         A: Dirichlet-reduced system matrix.
-        factor: `splu` factor of A.
+        factor: `BandedCholesky` of A.
     """
 
     h: float
@@ -251,7 +335,7 @@ class Settle:
     f: np.ndarray
     fixed: np.ndarray
     A: sp.csr_matrix
-    factor: SuperLU
+    factor: BandedCholesky
 
     def system(self, state: SimState) -> LinearSystem:
         """This step's system: the shared A with b = h*(F - h*K_eff*qdot), fixed DOFs zeroed.
@@ -273,18 +357,14 @@ def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
 
     Raises:
         ValueError: h <= 0 or out-of-range load indices.
-        IndefiniteSystemError: the system matrix is singular.
+        IndefiniteSystemError: the system matrix is singular or not positive definite.
     """
     f_const, K_eff, fixed = _settle_terms(model, loads)
     # A does not depend on the state; the rest state only fills a b that is dropped.
     rest = np.zeros(model.n_dofs)
     A = implicit_system(model.matrices.M, K_eff, model.matrices.C, rest, rest, f_const, h, fixed).A
-    try:
-        factor = splu(A.tocsc(), permc_spec="COLAMD", diag_pivot_thresh=0.0)
-    except RuntimeError as exc:
-        raise IndefiniteSystemError(f"implicit-Euler system matrix is singular: {exc}") from exc
     return Settle(h=h, K=K_eff, C=model.matrices.C, f=f_const,
-                  fixed=np.asarray(fixed, dtype=np.int64), A=A, factor=factor)
+                  fixed=np.asarray(fixed, dtype=np.int64), A=A, factor=BandedCholesky.of(A))
 
 
 def cg_solve(

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 import elastosim.beam
 from elastosim.beam import (
     BeamSpec,
     DeflectionCurve,
+    _fea_system,
     _hex_element_stiffness,
     axis_samples,
     beam_load_case,
@@ -22,11 +24,13 @@ from elastosim.beam import (
     write_beam_convergence_csv,
 )
 from elastosim.meshfree import elasticity_matrix
-from elastosim.solver import NonConvergenceError, cg_solve
+from elastosim.solver import BandedCholesky, NonConvergenceError, cg_solve
 
 # Resolution 1.25 divides the benchmark box 50 x 10 x 10 exactly, so snapped
 # extents equal the nominal ones and hand-derived values apply unchanged.
 EXACT = BeamSpec(L=50.0, w=10.0, h_beam=10.0, E=12.0, q_load=1e-4, resolution=1.25)
+# A small beam for the FEA's solver checks: 16 x 4 x 4 cells, 1275 DOFs.
+SMALL = BeamSpec(L=20.0, w=5.0, h_beam=5.0, E=12.0, q_load=1e-4, resolution=1.25)
 
 
 class TestSecondMoment:
@@ -286,7 +290,7 @@ class TestFeaBaseline:
 
     def test_capped_cg_raises(self, monkeypatch):
         def capped(system, **kwargs):
-            return cg_solve(system, **{**kwargs, "N_max": 3})
+            return cg_solve(system, **{**kwargs, "N_max": 3, "preconditioner": None})
 
         monkeypatch.setattr(elastosim.beam, "cg_solve", capped)
         with pytest.raises(NonConvergenceError, match="FEA baseline"):
@@ -295,6 +299,40 @@ class TestFeaBaseline:
     def test_monotone_deflection(self):
         curve = fea_baseline(EXACT)
         assert np.all(np.diff(curve.w) >= -1e-12)
+
+    def test_factored_solve_matches_plain_cg(self, monkeypatch):
+        pcg_iterations = []
+
+        def counted(system, **kwargs):
+            result = cg_solve(system, **kwargs)
+            pcg_iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(elastosim.beam, "cg_solve", counted)
+        fast = fea_baseline(SMALL)
+        assert pcg_iterations and max(pcg_iterations) <= 3
+
+        def plain(system, **kwargs):
+            return cg_solve(system, N_max=20 * len(system.b), tol=1e-13)
+
+        monkeypatch.setattr(elastosim.beam, "cg_solve", plain)
+        reference = fea_baseline(SMALL)
+        np.testing.assert_allclose(fast.w, reference.w, rtol=1e-9, atol=0.0)
+
+    def test_banded_factor_matches_direct_solve(self):
+        system = _fea_system(SMALL)
+        x = BandedCholesky.of(system.A).solve(system.b)
+        x_ref = spsolve(system.A.tocsc(), system.b)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_slender_axis_slowest_numbering_sets_the_band(self):
+        # Numbering x slowest keeps each node within one y-z plane of its
+        # neighbours.  With x fastest, reverse Cuthill-McKee would pick a band
+        # 185 DOFs wide here, and 509 instead of 275 on the 0.625 mm slender beam.
+        _, cy, cz = SMALL.cells()
+        factor = BandedCholesky.of(_fea_system(SMALL).A)
+        assert factor.bandwidth == 3 * ((cy + 1) * (cz + 1) + (cz + 1) + 1) + 2 == 95
+        assert np.array_equal(factor.perm, np.arange(len(factor.perm)))
 
 
 class TestSimulateBeam:

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import make_field, make_point_model
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu, spsolve
 
 from elastosim.beam import BeamSpec, beam_load_case, build_beam_phantom
@@ -18,6 +21,7 @@ from elastosim.experiment import (
 )
 from elastosim.meshfree import SystemMatrices, build_model
 from elastosim.solver import (
+    BandedCholesky,
     CgResult,
     IndefiniteSystemError,
     LinearSystem,
@@ -29,6 +33,7 @@ from elastosim.solver import (
     external_force,
     implicit_system,
     prepare_settle,
+    reduce_dirichlet,
     run_to_steady_state,
     step,
     write_landmarks_csv,
@@ -121,6 +126,21 @@ class TestLoadCase:
         assert loads.gravity == (0.0, 0.0, -9810.0)
         assert loads.point_loads[0][1].dtype == np.float64
         assert loads.support_springs[0][2].tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("gravity", [(0.0, 0.0), (0.0, 0.0, -9810.0, 0.0), [[0.0, 0.0, 1.0]]])
+    def test_gravity_must_be_a_3_vector(self, gravity):
+        with pytest.raises(ValueError, match="gravity must be a 3-vector"):
+            LoadCase(gravity=gravity)
+
+    @pytest.mark.parametrize("force", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], 2.0])
+    def test_point_force_must_be_a_3_vector_naming_the_node(self, force):
+        with pytest.raises(ValueError, match="point force on node 3 must be a 3-vector"):
+            LoadCase(point_loads=[(0, [0.0, 0.0, 1.0]), (3, force)])
+
+    @pytest.mark.parametrize("anchor", [[1.0, 2.0], np.zeros((3, 1))])
+    def test_spring_anchor_must_be_a_3_vector_naming_the_node(self, anchor):
+        with pytest.raises(ValueError, match="spring anchor of node 4 must be a 3-vector"):
+            LoadCase(support_springs=[(4, 1.0, anchor)])
 
 
 class TestBuildSystem:
@@ -261,6 +281,69 @@ class TestPreconditionedCg:
         assert not res.converged
         assert res.iterations == 5
         assert res.residual > 1e-15
+
+
+def sparse_spd(n, density, fixed, seed):
+    """Random sparse SPD matrix, diagonally dominant, with identity rows and columns at `fixed`."""
+    rng = np.random.default_rng(seed)
+    s = sp.random(n, n, density=density, random_state=rng, format="csr")
+    a = s + s.T
+    a = a + sp.diags(abs(a).sum(axis=1).A1 + rng.uniform(0.1, 10.0, n))
+    return reduce_dirichlet(a.tocsr(), np.ones(n), fixed).A
+
+
+class TestBandedCholesky:
+    """The settle's and the FEA's factor, checked against the general sparse direct solve."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), density=st.floats(0.0, 0.3), fixed_frac=st.floats(0.0, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, density=0.0, fixed_frac=0.0, seed=0)
+    def test_random_sparse_spd_matches_dense_solve(self, n, density, fixed_frac, seed):
+        rng = np.random.default_rng(seed)
+        fixed = rng.choice(n, size=int(fixed_frac * n), replace=False)
+        A = sparse_spd(n, density, fixed, seed)
+        b = rng.standard_normal(n)
+        x = BandedCholesky.of(A).solve(b)
+        x_ref = np.linalg.solve(A.toarray(), b)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        assert np.array_equal(x[fixed], b[fixed]), "an identity row passes its b entry through"
+
+    def test_settle_matrix_matches_spsolve(self, retraction_case):
+        model, loads, h, _ = retraction_case
+        A = prepare_settle(model, loads, h).A
+        b = np.random.default_rng(2).standard_normal(A.shape[0])
+        x = BandedCholesky.of(A).solve(b)
+        x_ref = spsolve(A.tocsc(), b)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize("case", ["retraction_case", "smoke_beam_case"])
+    def test_mesh_free_settle_is_ordered_by_rcm(self, case, request):
+        model, loads, h, _ = request.getfixturevalue(case)
+        settle = prepare_settle(model, loads, h)
+        A = settle.A.tocoo()
+        assert settle.factor.bandwidth < np.abs(A.row - A.col).max()
+        assert np.array_equal(settle.factor.perm,
+                              reverse_cuthill_mckee(settle.A, symmetric_mode=True))
+
+    def test_keeps_a_narrower_own_numbering(self):
+        # A tridiagonal matrix is already as narrow as a band gets.
+        n = 12
+        A = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+        factor = BandedCholesky.of(A)
+        assert factor.bandwidth == 1
+        assert np.array_equal(factor.perm, np.arange(n))
+
+    @pytest.mark.parametrize("a", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 2.0]]],
+                             ids=["rank-deficient", "zero-pivot"])
+    def test_singular_matrix_is_a_solver_error(self, a):
+        with pytest.raises(IndefiniteSystemError, match="singular"):
+            BandedCholesky.of(sp.csr_matrix(a))
+
+    def test_indefinite_matrix_is_a_solver_error(self):
+        A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 2.0]]))
+        with pytest.raises(IndefiniteSystemError, match="not positive definite"):
+            BandedCholesky.of(A)
 
 
 @pytest.fixture(scope="module")
