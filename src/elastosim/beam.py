@@ -18,7 +18,6 @@ discretizations.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -43,7 +42,7 @@ from elastosim.solver import (
     reduce_dirichlet,
     run_to_steady_state,
 )
-from elastosim.volume import RoiMask, VoxelVolume
+from elastosim.volume import RoiMask, VoxelVolume, _write_csv
 
 _NU = 0.0  # Poisson ratio of both discretizations; bending theory has no Poisson term
 _FEA_CG_TOL = 1e-10
@@ -392,22 +391,9 @@ def write_beam_convergence_csv(
     for other in (fea, meshfree):
         if not np.allclose(other.x, theory.x, atol=1e-9):
             raise ValueError("curves must share the x grid to be tabulated together")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["x_mm", "w_theory_mm", "w_fea_mm", "w_meshfree_mm", "err_fea_mm", "err_meshfree_mm"]
-        )
-        for i in range(len(theory.x)):
-            writer.writerow(
-                [
-                    repr(float(theory.x[i])),
-                    repr(float(theory.w[i])),
-                    repr(float(fea.w[i])),
-                    repr(float(meshfree.w[i])),
-                    repr(abs(float(fea.w[i] - theory.w[i]))),
-                    repr(abs(float(meshfree.w[i] - theory.w[i]))),
-                ]
-            )
-    return path
+    return _write_csv(
+        path,
+        ["x_mm", "w_theory_mm", "w_fea_mm", "w_meshfree_mm", "err_fea_mm", "err_meshfree_mm"],
+        zip(theory.x, theory.w, fea.w, meshfree.w,
+            np.abs(fea.w - theory.w), np.abs(meshfree.w - theory.w)),
+    )

@@ -18,7 +18,6 @@ non-convergence. All outputs are deterministic for a fixed ``--seed``.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -56,6 +55,7 @@ from elastosim.solver import (
 )
 from elastosim.volume import (
     VolumeFormatError,
+    _write_csv,
     cohort_stats,
     load_cohort_csv,
     load_volume,
@@ -183,22 +183,14 @@ def cmd_cohort_stats(args) -> int:
     edges, counts = stiffness_histogram(records, bin_width=args.bin_width)
     frac_plus1, frac_double = cohort_stats(records, atlas_E=args.atlas_e_kpa)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    hist_path = out / "cohort_hist.csv"
-    with open(hist_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([repr(float(lo)), repr(float(hi)), int(count)])
-
+    hist_path = _write_csv(out / "cohort_hist.csv", ["bin_lo", "bin_hi", "count"],
+                           zip(edges[:-1], edges[1:], counts.tolist()))
     median_e = float(np.median([r.young_E for r in records]))
-    stats_path = out / "cohort_stats.csv"
-    with open(stats_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "median_E_kPa",
-                         "frac_E_above_atlas_plus_1kPa", "frac_E_above_double_atlas"])
-        writer.writerow([len(records), repr(median_e), repr(frac_plus1), repr(frac_double)])
+    stats_path = _write_csv(
+        out / "cohort_stats.csv",
+        ["n", "median_E_kPa", "frac_E_above_atlas_plus_1kPa", "frac_E_above_double_atlas"],
+        [(len(records), median_e, frac_plus1, frac_double)],
+    )
 
     print(f"{len(records)} records -> {hist_path}, {stats_path}")
     print(f"median E {median_e:.3f} kPa; {frac_plus1:.1%} above atlas+1 kPa; "

@@ -32,6 +32,7 @@ from elastosim.volume import (
     CohortRecord,
     RoiMask,
     VoxelVolume,
+    _write_csv,
     mean_shear_modulus,
     shear_to_young,
     voxel_centers,
@@ -356,7 +357,7 @@ def stiff_inclusion_case(contrast: float) -> CohortCase:
     if contrast <= 0:
         raise ValueError(f"inclusion contrast must be > 0, got {contrast}")
     dims, voxel_mm = SYNTH_DIMS, RetractionConfig.voxel_ref_mm
-    g_atlas = RetractionConfig.atlas_e_kpa / (2.0 * (1.0 + RetractionConfig.conversion_nu))
+    g_atlas = RetractionConfig.atlas_e_kpa / shear_to_young(1.0, RetractionConfig.conversion_nu)
     extent = np.array(dims, dtype=float) * voxel_mm
     axes = 0.85 * extent / 2.0
     mask = ellipsoid_mask(dims, voxel_mm, tuple(axes))
@@ -387,7 +388,7 @@ def young_material_field(
     """
     if volume.kind != "elastogram_shear_kPa":
         raise ValueError(f"expected an elastogram volume, got kind={volume.kind!r}")
-    factor = 2.0 * (1.0 + conversion_nu)
+    factor = shear_to_young(1.0, conversion_nu)
     young = VoxelVolume(
         dims=volume.dims,
         spacing_mm=volume.spacing_mm,
@@ -578,17 +579,12 @@ def run_cohort_retractions(
 
 def write_comparison_csv(reports, path: str | Path) -> Path:
     """Write per-case comparison rows: case,mean_volume_diff_mm,at_tool_diff_mm,significant."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case", "mean_volume_diff_mm", "at_tool_diff_mm", "significant"])
-        for r in reports:
-            writer.writerow(
-                [r.case_id, repr(r.mean_volume_diff), repr(r.at_tool_diff),
-                 "true" if r.significant else "false"]
-            )
-    return path
+    return _write_csv(
+        path,
+        ["case", "mean_volume_diff_mm", "at_tool_diff_mm", "significant"],
+        ((r.case_id, r.mean_volume_diff, r.at_tool_diff, "true" if r.significant else "false")
+         for r in reports),
+    )
 
 
 def load_comparison_csv(path: str | Path) -> list[dict]:

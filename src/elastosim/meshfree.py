@@ -72,8 +72,8 @@ class MaterialField:
             )
         if not 0.0 <= self.nu < 0.5:
             raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
-        if self.density <= 0:
-            raise ValueError(f"density must be > 0, got {self.density}")
+        if not 0.0 < self.density < math.inf:
+            raise ValueError(f"density must be finite and > 0, got {self.density}")
         if self.mask.n_selected == 0:
             raise ValueError("mask selects no voxels")
         masked_E = self.volume.data[self.mask.flags]
@@ -262,8 +262,8 @@ def sample_dofs(field: MaterialField, n_nodes: int, seed: int = 0) -> DofSet:
         if movement < _LLOYD_MOVE_TOL_MM:
             break
 
-    owner, _ = _nearest_node(centers, nodes)
-    return DofSet(nodes=nodes, owner=owner)
+    owner, _ = _nearest_nodes(centers, nodes, 1)
+    return DofSet(nodes=nodes, owner=owner[:, 0])
 
 
 def _lloyd_step(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -272,7 +272,8 @@ def _lloyd_step(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     A node nearest to no point respawns at the point farthest from its
     nearest node.
     """
-    owner, nearest_d2 = _nearest_node(points, nodes)
+    idx, d2 = _nearest_nodes(points, nodes, 1)
+    owner, nearest_d2 = idx[:, 0], d2[:, 0]
     counts = np.bincount(owner, minlength=len(nodes))
     sums = np.stack(
         [np.bincount(owner, weights=points[:, c], minlength=len(nodes)) for c in range(3)], axis=1
@@ -284,21 +285,28 @@ def _lloyd_step(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return new_nodes
 
 
-def _nearest_node(points: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest node of each point and its squared distance, in row chunks.
+def _nearest_nodes(points: np.ndarray, nodes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest nodes of each point and their squared distances, in row chunks.
 
-    Ties resolve to the lowest node index.  Returns (owner, nearest_d2),
-    each of shape (m,).
+    Each row is ordered by (distance, node index).  For k = 1 ties resolve
+    to the lowest node index; for k > 1, which of several nodes tied at the
+    k-th distance enter a row is np.argpartition's choice.  Returns
+    (indices, d2), each of shape (m, k).
     """
-    owner = np.empty(len(points), dtype=np.int64)
-    nearest_d2 = np.empty(len(points))
+    indices = np.empty((len(points), k), dtype=np.int64)
+    nearest_d2 = np.empty((len(points), k))
     chunk = max(1, _CDIST_ENTRIES // max(len(nodes), 1))
     for lo in range(0, len(points), chunk):
         d2 = cdist(points[lo : lo + chunk], nodes, "sqeuclidean")
-        best = np.argmin(d2, axis=1)  # ties resolve to the lowest node index
-        owner[lo : lo + len(best)] = best
-        nearest_d2[lo : lo + len(best)] = d2[np.arange(len(best)), best]
-    return owner, nearest_d2
+        if k == 1:
+            idx = np.argmin(d2, axis=1)[:, None]  # ties resolve to the lowest node index
+        else:
+            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            order = np.lexsort((part, np.take_along_axis(d2, part, axis=1)), axis=1)
+            idx = np.take_along_axis(part, order, axis=1)
+        indices[lo : lo + len(d2)] = idx
+        nearest_d2[lo : lo + len(d2)] = np.take_along_axis(d2, idx, axis=1)
+    return indices, nearest_d2
 
 
 def shepard_weights(points: np.ndarray, nodes: np.ndarray, k: int):
@@ -318,49 +326,29 @@ def shepard_weights(points: np.ndarray, nodes: np.ndarray, k: int):
     """
     points = np.asarray(points, dtype=np.float64)
     nodes = np.asarray(nodes, dtype=np.float64)
-    m, n = len(points), len(nodes)
-    if not 1 <= k <= n:
-        raise ValueError(f"support size k={k} must lie in [1, {n}]")
+    if not 1 <= k <= len(nodes):
+        raise ValueError(f"support size k={k} must lie in [1, {len(nodes)}]")
 
-    indices = np.empty((m, k), dtype=np.int64)
-    weights = np.empty((m, k), dtype=np.float64)
-    gradients = np.empty((m, k, 3), dtype=np.float64)
+    idx, d2k = _nearest_nodes(points, nodes, k)
+    diff = points[:, None, :] - nodes[idx]  # (m, k, 3)
+    coincident = d2k[:, 0] <= _COINCIDENT_D2
 
-    chunk = max(1, _CDIST_ENTRIES // max(n, 1))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        block = points[lo:hi]
-        d2 = cdist(block, nodes, "sqeuclidean")
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        d2k = np.take_along_axis(d2, part, axis=1)
-        # Sort each support by (distance, node index) for a stable layout.
-        order = np.lexsort((part, d2k), axis=1)
-        idx = np.take_along_axis(part, order, axis=1)
-        d2k = np.take_along_axis(d2k, order, axis=1)
+    with np.errstate(divide="ignore"):
+        s = 1.0 / d2k  # (m, k)
+    s[coincident] = 0.0
+    S = s.sum(axis=1)
+    S[coincident] = 1.0
+    w = s / S[:, None]
 
-        diff = block[:, None, :] - nodes[idx]  # (b, k, 3)
-        coincident = d2k[:, 0] <= _COINCIDENT_D2
+    # grad s_i = -2 (x - x_i) / d_i^4; grad w_i = (grad s_i - w_i grad S)/S
+    gs = -2.0 * diff * (s * s)[:, :, None]
+    gS = gs.sum(axis=1)
+    gw = (gs - w[:, :, None] * gS[:, None, :]) / S[:, None, None]
 
-        with np.errstate(divide="ignore"):
-            s = 1.0 / d2k  # (b, k)
-        s[coincident] = 0.0
-        S = s.sum(axis=1)
-        S[coincident] = 1.0
-        w = s / S[:, None]
-
-        # grad s_i = -2 (x - x_i) / d_i^4; grad w_i = (grad s_i - w_i grad S)/S
-        gs = -2.0 * diff * (s * s)[:, :, None]
-        gS = gs.sum(axis=1)
-        gw = (gs - w[:, :, None] * gS[:, None, :]) / S[:, None, None]
-
-        w[coincident] = 0.0
-        w[coincident, 0] = 1.0
-        gw[coincident] = 0.0
-
-        indices[lo:hi] = idx
-        weights[lo:hi] = w
-        gradients[lo:hi] = gw
-    return indices, weights, gradients
+    w[coincident] = 0.0
+    w[coincident, 0] = 1.0
+    gw[coincident] = 0.0
+    return idx, w, gw
 
 
 def correct_gradients(gradients: np.ndarray, node_positions: np.ndarray) -> np.ndarray:
@@ -488,9 +476,11 @@ def assemble_blocks(nodes: np.ndarray, blocks: np.ndarray, n_nodes: int) -> sp.c
             weights = parts[:, :, a, :, b].ravel()
             data[:, a, b] = np.bincount(inv, weights=weights, minlength=len(pairs))
     indptr = np.searchsorted(pairs, np.arange(n_nodes + 1) * n_nodes)
+    # Average each block with its mirror pair's transpose: (K + K^T) / 2 by blocks.
+    mirror = np.searchsorted(pairs, pairs % n_nodes * n_nodes + pairs // n_nodes)
+    data = (data + data[mirror].transpose(0, 2, 1)) * 0.5
     K = sp.bsr_matrix((data, pairs % n_nodes, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
-    K = (K + K.T) * 0.5
-    K.sum_duplicates()
+    K.eliminate_zeros()
     return K
 
 
@@ -666,8 +656,9 @@ def load_model(path: str | Path) -> MeshFreeModel:
     Raises:
         FileNotFoundError: archive missing.
         VolumeFormatError: bad magic, a truncated or malformed header, a
-            missing array, or an array whose bytes or shape disagree with the
-            manifest or the model's DOF count.
+            missing array, an array whose bytes or shape disagree with the
+            manifest, the mask, shape_k or the model's DOF count, or a
+            shape_k, alpha, beta or seed of the wrong type or range.
     """
     path = Path(path)
     if not path.exists():
@@ -686,19 +677,29 @@ def load_model(path: str | Path) -> MeshFreeModel:
         mask = RoiMask(dims=volume.dims, flags=arrays["mask_flags"])
         field = MaterialField(volume=volume, mask=mask, nu=header["nu"], density=header["density"])
         dofs = DofSet(nodes=arrays["nodes"], owner=arrays["owner"])
+        m, k, n_dofs = mask.n_selected, header["shape_k"], 3 * dofs.n_nodes
+        if type(k) is not int:
+            raise VolumeFormatError(f"shape_k must be an integer, got {k!r}")
+        for name, want in (("owner", (m,)), ("shape_indices", (m, k)), ("shape_weights", (m, k)),
+                           ("shape_gradients", (m, k, 3)), ("shape_corrected", (m, k, 3)),
+                           ("M", (n_dofs,)), ("q0", (n_dofs,))):
+            if arrays[name].shape != want:
+                raise VolumeFormatError(
+                    f"array {name!r} has shape {arrays[name].shape}; {m} masked voxels, "
+                    f"shape_k={k} and {n_dofs} DOFs need {want}"
+                )
+        for name in ("alpha", "beta"):
+            if type(header[name]) not in (int, float) or not 0 <= header[name] < math.inf:
+                raise VolumeFormatError(f"{name} must be a finite number >= 0, got {header[name]!r}")
+        if type(header["seed"]) is not int:
+            raise VolumeFormatError(f"seed must be an integer, got {header['seed']!r}")
         shape = ShapeMap(
             indices=arrays["shape_indices"].astype(np.int64),
             weights=arrays["shape_weights"],
             gradients=arrays["shape_gradients"],
             corrected_gradients=arrays["shape_corrected"],
-            k=header["shape_k"],
+            k=k,
         )
-        n_dofs = 3 * dofs.n_nodes
-        for name in ("M", "q0"):
-            if arrays[name].shape != (n_dofs,):
-                raise VolumeFormatError(
-                    f"array {name!r} has shape {arrays[name].shape}, {n_dofs} DOFs need ({n_dofs},)"
-                )
         K = sp.csr_matrix(
             (arrays["K_data"], arrays["K_indices"], arrays["K_indptr"]), shape=(n_dofs, n_dofs)
         )

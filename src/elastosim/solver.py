@@ -32,7 +32,6 @@ consistent mm / tonne / second quantities built during assembly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +41,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from elastosim.meshfree import MeshFreeModel, shepard_weights
+from elastosim.volume import _write_csv
 
 
 class NonConvergenceError(RuntimeError):
@@ -391,12 +391,13 @@ def cg_solve(
     if norm_b == 0.0:
         return CgResult(x=np.zeros(n), iterations=0, residual=0.0, converged=True)
 
+    precondition = (lambda v: v) if preconditioner is None else preconditioner
     x = np.zeros(n)
     r = np.array(b, dtype=np.float64)  # the residual b - A x at x = 0
-    z = r if preconditioner is None else preconditioner(r)
+    z = precondition(r)
     p = z.copy()
     rr = float(r @ r)
-    rz = rr if preconditioner is None else float(r @ z)
+    rz = float(r @ z)
     residual = np.sqrt(rr) / norm_b
     if residual <= tol:
         return CgResult(x=x, iterations=0, residual=residual, converged=True)
@@ -415,8 +416,8 @@ def cg_solve(
         residual = np.sqrt(rr) / norm_b
         if residual <= tol:
             return CgResult(x=x, iterations=n_iter, residual=residual, converged=True)
-        z = r if preconditioner is None else preconditioner(r)
-        rz_next = rr if preconditioner is None else float(r @ z)
+        z = precondition(r)
+        rz_next = float(r @ z)
         beta = rz_next / rz
         p = z + beta * p
         rz = rz_next
@@ -516,11 +517,5 @@ def displace_landmarks(
 
 def write_landmarks_csv(landmarks: list[tuple[str, np.ndarray]], path: str | Path) -> Path:
     """Write landmark positions as CSV `label,x_mm,y_mm,z_mm`."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "x_mm", "y_mm", "z_mm"])
-        for label, pos in landmarks:
-            writer.writerow([label, repr(float(pos[0])), repr(float(pos[1])), repr(float(pos[2]))])
-    return path
+    return _write_csv(path, ["label", "x_mm", "y_mm", "z_mm"],
+                      ((label, *pos) for label, pos in landmarks))

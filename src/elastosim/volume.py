@@ -263,16 +263,28 @@ def cohort_stats(records: list[CohortRecord], atlas_E: float = 2.1) -> tuple[flo
     return over_plus1 / n, over_double / n
 
 
-def write_cohort_csv(records: list[CohortRecord], path: str | Path) -> Path:
-    """Write a cohort as CSV `id,G_kPa,E_kPa` with a header row."""
+def _write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Write a header row and `rows` as CSV, creating the parent directory.
+
+    A float or numpy floating value is written as repr(float(v)), the
+    shortest text that reads back to the same double, so equal values give
+    equal bytes on every run; other values are written unchanged.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "G_kPa", "E_kPa"])
-        for r in records:
-            writer.writerow([r.id, repr(float(r.mean_shear_G)), repr(float(r.young_E))])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                             for v in row])
     return path
+
+
+def write_cohort_csv(records: list[CohortRecord], path: str | Path) -> Path:
+    """Write a cohort as CSV `id,G_kPa,E_kPa` with a header row."""
+    return _write_csv(path, ["id", "G_kPa", "E_kPa"],
+                      ((r.id, r.mean_shear_G, r.young_E) for r in records))
 
 
 def load_cohort_csv(path: str | Path) -> list[CohortRecord]:

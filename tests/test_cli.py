@@ -237,6 +237,17 @@ def _shape_short_of_dofs(header, payload):
     return payload
 
 
+def _weights_as_three_columns(header, payload):
+    item = _entry(header, "shape_weights")
+    item["shape"] = [item["shape"][0] * item["shape"][1] // 3, 3]
+    return payload
+
+
+def _gradients_transposed(header, payload):
+    _entry(header, "shape_gradients")["shape"][1:] = [3, 6]
+    return payload
+
+
 def _column_index_past_dofs(header, payload):
     offset = _entry(header, "K_indices")["offset"]
     n_dofs = _entry(header, "M")["shape"][0]
@@ -267,6 +278,8 @@ class TestCorruptModelArchive:
         (_offset_past_payload, "'q0'"),
         (_shape_overfills_bytes, "'M'"),
         (_shape_short_of_dofs, "'M'"),
+        (_weights_as_three_columns, "'shape_weights'"),
+        (_gradients_transposed, "'shape_gradients'"),
         (_column_index_past_dofs, "indices must be"),
     ])
     def test_bad_manifest_is_data_error(self, capsys, tmp_path, archive, corrupt, named):
@@ -274,6 +287,24 @@ class TestCorruptModelArchive:
         payload = corrupt(header, payload)
         assert self.retract(tmp_path, join_archive(header, payload)) == EXIT_DATA
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("shape_k", "abc", "shape_k"),
+        ("shape_k", 2.5, "shape_k"),
+        ("shape_k", 6.0, "shape_k"),  # equal to the arrays' 6, but not an integer
+        ("shape_k", 2, "shape_k=2"),
+        ("shape_k", 40, "shape_k=40"),  # in range for 40 nodes, but the arrays hold k = 6
+        ("alpha", float("nan"), "alpha"),
+        ("beta", float("inf"), "beta"),
+        ("density", float("nan"), "density"),
+        ("seed", "x", "seed"),
+    ])
+    def test_bad_header_scalar_is_data_error(self, capsys, tmp_path, archive, field, value, named):
+        header, payload = split_archive(archive)
+        header[field] = value
+        assert self.retract(tmp_path, join_archive(header, payload)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad.esm" in err and named in err
 
     @pytest.mark.parametrize("name", ["K_data", "M", "nodes"])
     def test_nan_array_is_data_error(self, capsys, tmp_path, archive, name):

@@ -6,6 +6,7 @@ KeyError or numpy error escapes from a malformed file.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -126,6 +127,23 @@ class TestLoadModel:
             item[data.draw(st.sampled_from(["name", "dtype", "shape", "offset", "nbytes"]))] = value
         (tmp_path / "m.esm").write_bytes(join_archive(header, payload))
         expect_documented(load_model, tmp_path / "m.esm")
+
+    @FUZZ
+    @given(key=st.sampled_from(["shape_k", "alpha", "beta", "density", "seed"]),
+           value=json_values | st.integers(-2, 6) | st.floats(-1.0, 10.0))
+    def test_header_scalar_loads_only_when_valid(self, tmp_path, archive, key, value):
+        header, payload = split_archive(archive)
+        header[key] = value
+        (tmp_path / "m.esm").write_bytes(join_archive(header, payload))
+        try:
+            model = load_model(tmp_path / "m.esm")
+        except DOCUMENTED:
+            return
+        assert type(model.shape.k) is int and model.shape.k == model.shape.indices.shape[1]
+        assert model.shape.weights.shape == model.shape.indices.shape
+        assert type(model.seed) is int
+        assert all(math.isfinite(v) and v >= 0 for v in (model.alpha, model.beta))
+        assert math.isfinite(model.field.density) and model.field.density > 0
 
     @FUZZ
     @given(data=st.data())

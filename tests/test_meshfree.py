@@ -63,6 +63,11 @@ class TestMaterialField:
         field = MaterialField(volume=vol, mask=mask)
         assert field.masked_young().tolist() == [1.0]
 
+    @pytest.mark.parametrize("density", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_density_not_finite_and_positive(self, density):
+        with pytest.raises(ValueError, match="density must be finite and > 0"):
+            make_field(density=density)
+
     def test_rejects_nu_half(self):
         with pytest.raises(ValueError, match="Poisson"):
             make_field(nu=0.5)
@@ -187,10 +192,41 @@ class TestNearestNode:
         d2 = cdist(points, nodes, "sqeuclidean")
         assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum() >= 5
         monkeypatch.setattr(meshfree, "_CDIST_ENTRIES", 13)  # 2 rows a chunk, the last 1
-        owner, nearest_d2 = meshfree._nearest_node(points, nodes)
+        idx, nearest_d2 = meshfree._nearest_nodes(points, nodes, 1)
+        assert idx.shape == nearest_d2.shape == (57, 1)
+        owner, nearest_d2 = idx[:, 0], nearest_d2[:, 0]
         assert np.array_equal(owner, np.argmin(d2, axis=1))
         assert np.array_equal(nearest_d2, d2.min(axis=1))
         assert not (owner == 4).any(), "ties go to the lowest node index"
+
+    def test_k_nearest_in_tiny_chunks_sorted_by_distance_then_index(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        points = rng.integers(-3, 4, size=(41, 3)).astype(float)
+        nodes = rng.integers(-3, 4, size=(40, 3)).astype(float)  # integer grid: many ties
+        d2 = cdist(points, nodes, "sqeuclidean")
+        monkeypatch.setattr(meshfree, "_CDIST_ENTRIES", 80)  # 2 rows a chunk, the last 1
+        idx, nearest_d2 = meshfree._nearest_nodes(points, nodes, 3)
+        ref = np.array([np.lexsort((np.arange(len(nodes)), row))[:3] for row in d2])
+        assert np.array_equal(nearest_d2, np.take_along_axis(d2, ref, axis=1))
+        assert np.array_equal(np.take_along_axis(d2, idx, axis=1), nearest_d2)
+        # Where nodes tie at the third distance, argpartition picks which
+        # enter; every other row is the lexsort's exactly.
+        straddles = (d2 <= nearest_d2[:, 2:]).sum(axis=1) > 3
+        assert 0 < straddles.sum() < len(points) - 5
+        assert np.array_equal(idx[~straddles], ref[~straddles])
+        tied = np.diff(nearest_d2, axis=1) == 0
+        assert tied.any(), "ties within a row check the index order"
+        assert (np.diff(idx, axis=1)[tied] > 0).all()
+
+    def test_shepard_weights_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        points = rng.uniform(0.0, 10.0, size=(33, 3))
+        nodes = rng.uniform(0.0, 10.0, size=(7, 3))
+        whole = shepard_weights(points, nodes, k=4)
+        monkeypatch.setattr(meshfree, "_CDIST_ENTRIES", 13)
+        chunked = shepard_weights(points, nodes, k=4)
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a, b)
 
 
 class TestShepardWeights:
@@ -465,6 +501,20 @@ class TestAssembleBlocks:
         K = assemble_blocks(nodes, blocks, n_nodes)
         assert K.shape == (3 * n_nodes, 3 * n_nodes)
         assert_matches_dense(K, nodes, blocks, n_nodes)
+        assert_same_pattern(K, coo_assembly(nodes, blocks, n_nodes))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.integers(1, 6), m=st.integers(1, 4), spare=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_non_symmetric_blocks_average_with_their_mirror(self, e, m, spare, seed):
+        n_nodes = m + spare
+        rng = np.random.default_rng(seed)
+        nodes = rng.integers(0, n_nodes, size=(e, m))
+        blocks = rng.standard_normal((e, 3 * m, 3 * m))
+        K = assemble_blocks(nodes, blocks, n_nodes)
+        assert_matches_dense(K, nodes, blocks, n_nodes)  # 0.5 (D + D^T) of the dense scatter
+        assert (K != K.T).nnz == 0
         assert_same_pattern(K, coo_assembly(nodes, blocks, n_nodes))
 
 

@@ -12,6 +12,7 @@ from elastosim.volume import (
     RoiMask,
     VolumeFormatError,
     VoxelVolume,
+    _write_csv,
     cohort_stats,
     load_cohort_csv,
     load_volume,
@@ -320,3 +321,14 @@ class TestCohortCsv:
 
     def test_zero_moduli_accepted(self):
         assert CohortRecord(id="z", mean_shear_G=0.0, young_E=0.0).young_E == 0.0
+
+
+class TestWriteCsv:
+    def test_floats_as_repr_others_unchanged(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "t.csv"
+        values = [0.1 + 0.2, np.float64(1 / 3), np.float32(0.1)]
+        assert _write_csv(path, ["a", "b", "c", "n", "s"], [(*values, 7, "x y")]) == path
+        text = path.read_bytes().decode()
+        assert text == "a,b,c,n,s\r\n" + ",".join(
+            [repr(float(v)) for v in values] + ["7", "x y"]) + "\r\n"
+        assert "0.30000000000000004,0.3333333333333333,0.10000000149011612," in text
