@@ -35,17 +35,16 @@ from elastosim.meshfree import (
 from elastosim.solver import (
     BandedCholesky,
     LinearSystem,
-    LoadCase,
     NonConvergenceError,
+    SimState,
     cg_solve,
     displace_landmarks,
     reduce_dirichlet,
-    run_to_steady_state,
 )
 from elastosim.volume import RoiMask, VoxelVolume, _write_csv
 
 _NU = 0.0  # Poisson ratio of both discretizations; bending theory has no Poisson term
-_FEA_CG_TOL = 1e-10
+_STATIC_CG_TOL = 1e-10  # CG tolerance of the FEA's and the mesh-free beam's static solves
 
 
 @dataclass(frozen=True)
@@ -192,11 +191,11 @@ def build_beam_phantom(
     k: int = 8,
     seed: int = 0,
 ) -> BeamPhantom:
-    """Voxelize the beam, build the mesh-free model, and fix the clamped face.
+    """Voxelize the beam, build the mesh-free model, and find the clamped face.
 
-    Nodes whose Voronoi cells own any x = 0 voxel become the Dirichlet set;
-    the distributed load is realized later as equal point loads on the
-    remaining nodes totaling q_load * L.
+    Nodes whose Voronoi cells own any x = 0 voxel are clamped;
+    `_meshfree_system` holds them at zero and spreads the distributed load
+    over the remaining nodes.
     """
     cx, cy, cz = spec.cells()
     dims = (cx, cy, cz)
@@ -219,36 +218,54 @@ def build_beam_phantom(
     return BeamPhantom(model=model, fixed_nodes=fixed, spec=spec)
 
 
-def beam_load_case(phantom: BeamPhantom) -> LoadCase:
-    """Equal -z point loads on free nodes totaling q_load * L; clamp fixed nodes."""
-    spec = phantom.spec
-    L = phantom.spec.snapped_extents()[0]
-    free = [i for i in range(phantom.model.n_nodes) if i not in phantom.fixed_nodes]
-    total = spec.q_load * L
-    per_node = total / len(free)
-    return LoadCase(
-        point_loads=[(i, np.array([0.0, 0.0, -per_node])) for i in free],
-        dirichlet=phantom.fixed_nodes,
-    )
+def _meshfree_system(phantom: BeamPhantom) -> LinearSystem:
+    """The mesh-free beam's K u = f with the clamped nodes held at zero.
+
+    The distributed load enters as equal -z point loads on the free nodes,
+    totaling q_load * L.
+    """
+    model = phantom.model
+    clamped_nodes = np.fromiter(phantom.fixed_nodes, dtype=np.int64)
+    n_free = model.n_nodes - len(clamped_nodes)
+    f = np.zeros(model.n_dofs)  # reduce_dirichlet zeroes the clamped nodes' share
+    f[2::3] = -phantom.spec.q_load * phantom.spec.snapped_extents()[0] / n_free
+    fixed = (3 * clamped_nodes[:, None] + np.arange(3)).ravel()
+    return reduce_dirichlet(model.matrices.K, f, fixed)
+
+
+def _clamped_solve(system: LinearSystem, name: str) -> np.ndarray:
+    """x with A x = b of a clamped static system, by CG preconditioned with A's
+    `BandedCholesky` factor, the factor a settle uses; it takes one or two iterations.
+
+    Raises:
+        NonConvergenceError: CG missed _STATIC_CG_TOL within cg_solve's
+            default cap; the message starts with `name`.
+    """
+    result = cg_solve(system, tol=_STATIC_CG_TOL, preconditioner=BandedCholesky.of(system.A).solve)
+    if not result.converged:
+        raise NonConvergenceError(
+            f"{name} CG stopped at relative residual {result.residual:.3e} after "
+            f"{result.iterations} iterations (tolerance {_STATIC_CG_TOL:.1e})"
+        )
+    return result.x
 
 
 def simulate_beam(phantom: BeamPhantom) -> DeflectionCurve:
-    """Run the mesh-free beam to steady state and sample the centerline.
+    """Static mesh-free solve of the cantilever, sampled on the centerline.
 
-    Steps of h = 10 s drive backward Euler to the static solution in a few
-    steps; the solver's default CG cap holds, as its factored preconditioner
-    solves each step in one or two iterations.  The curve holds the x = 0
-    clamp datum, element-center samples mapped by the shape functions, and
-    the x = L tip.
+    Solves the clamped K u = f of `_meshfree_system` as `fea_baseline`
+    solves the FEA's.  The curve holds the x = 0 clamp datum, element-center
+    samples mapped by the shape functions, and the x = L tip.
+
+    Raises:
+        NonConvergenceError: the solve missed its tolerance.
     """
     model = phantom.model
-    final = run_to_steady_state(
-        model, beam_load_case(phantom), h=10.0, max_steps=200, v_tol=1e-7, tol=1e-8
-    )
+    q = _clamped_solve(_meshfree_system(phantom), "mesh-free beam")
     _, w_eff, h_eff = phantom.spec.snapped_extents()
     xs = axis_samples(phantom.spec)
     marks = [(f"x{j}", np.array([x, w_eff / 2.0, h_eff / 2.0])) for j, x in enumerate(xs[1:], 1)]
-    moved = displace_landmarks(model, final, marks)
+    moved = displace_landmarks(model, SimState(q=q, qdot=np.zeros_like(q)), marks)
     deflection = np.array([-(pos[2] - h_eff / 2.0) for _, pos in moved])
     return DeflectionCurve(x=xs, w=np.concatenate([[0.0], deflection]))
 
@@ -327,28 +344,19 @@ def _fea_system(spec: BeamSpec) -> LinearSystem:
 def fea_baseline(spec: BeamSpec) -> DeflectionCurve:
     """Static trilinear-hex FEA of the cantilever on the voxel-resolution grid.
 
-    Solves the clamped K u = f of `_fea_system` with conjugate gradient,
-    preconditioned by the `BandedCholesky` factor of the reduced K (the same
-    factor a settle uses, so CG takes one or two iterations), and samples
-    the centerline deflection on the shared x grid.
+    Solves the clamped K u = f of `_fea_system` with `_clamped_solve` and
+    samples the centerline deflection on the shared x grid.
 
     Raises:
         ValueError: degenerate discretization (via spec.cells()).
-        NonConvergenceError: CG missed _FEA_CG_TOL within cg_solve's default cap.
+        NonConvergenceError: the solve missed its tolerance.
     """
     cells = spec.cells()
     cx, cy, cz = cells
     res = spec.resolution
     _, w_eff, h_eff = spec.snapped_extents()
-    system = _fea_system(spec)
-    result = cg_solve(system, tol=_FEA_CG_TOL, preconditioner=BandedCholesky.of(system.A).solve)
-    if not result.converged:
-        raise NonConvergenceError(
-            f"FEA baseline CG stopped at relative residual {result.residual:.3e} after "
-            f"{result.iterations} iterations (tolerance {_FEA_CG_TOL:.1e})"
-        )
-
-    uz = result.x[2::3].reshape(cx + 1, cy + 1, cz + 1)
+    u = _clamped_solve(_fea_system(spec), "FEA baseline")
+    uz = u[2::3].reshape(cx + 1, cy + 1, cz + 1)
     xs = axis_samples(spec)
     deflection = [0.0]
     for x in xs[1:]:

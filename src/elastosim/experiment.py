@@ -386,8 +386,6 @@ def young_material_field(
     nu = 0.5 (the imaging-side assumption); the simulation itself then runs
     at a numerically safe sim_nu < 0.5.
     """
-    if volume.kind != "elastogram_shear_kPa":
-        raise ValueError(f"expected an elastogram volume, got kind={volume.kind!r}")
     factor = shear_to_young(1.0, conversion_nu)
     young = VoxelVolume(
         dims=volume.dims,

@@ -45,7 +45,7 @@ _LLOYD_MOVE_TOL_MM = 1e-6
 _LLOYD_MAX_ITERS = 50
 
 _ARCHIVE_MAGIC = b"ESIMMDL1"
-ARCHIVE_VERSION = 2  # version 1 also stored C; it loads, its C ignored
+ARCHIVE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -304,8 +304,10 @@ def _nearest_nodes(points: np.ndarray, nodes: np.ndarray, k: int) -> tuple[np.nd
             part = np.argpartition(d2, k - 1, axis=1)[:, :k]
             order = np.lexsort((part, np.take_along_axis(d2, part, axis=1)), axis=1)
             idx = np.take_along_axis(part, order, axis=1)
+            del part  # a view that keeps the whole (chunk, n) index block alive
         indices[lo : lo + len(d2)] = idx
         nearest_d2[lo : lo + len(d2)] = np.take_along_axis(d2, idx, axis=1)
+        del d2  # free this block before the next chunk's cdist allocates one
     return indices, nearest_d2
 
 
@@ -642,16 +644,13 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise VolumeFormatError(f"array {name!r} holds a NaN or inf")
     except (KeyError, TypeError, ValueError) as exc:
         raise VolumeFormatError(f"{path}: malformed archive header: {exc}") from exc
-    if header.get("version") not in (1, ARCHIVE_VERSION):
+    if header.get("version") != ARCHIVE_VERSION:
         raise VolumeFormatError(f"{path}: unsupported archive version {header.get('version')!r}")
     return header, arrays
 
 
 def load_model(path: str | Path) -> MeshFreeModel:
-    """Load a model archive written by save_model.
-
-    C is rebuilt as alpha*M + beta*K; a version-1 archive's stored C is
-    ignored.
+    """Load a model archive written by save_model; C is rebuilt as alpha*M + beta*K.
 
     Raises:
         FileNotFoundError: archive missing.

@@ -24,15 +24,16 @@ and runs LAPACK's band Cholesky on the upper band (George & Liu, Computer
 Solution of Large Sparse Positive Definite Systems, 1981).  Both kinds of
 matrix are SPD and, once ordered, nearly banded.
 
-Dirichlet constraints are applied by reducing constrained rows and columns
-to identity, which keeps the system SPD and its size fixed.  The core
-assembly is unit-agnostic raw arithmetic; the model layer feeds it the
-consistent mm / tonne / second quantities built during assembly.
+A settle has no fixed DOFs: support springs hold the tissue.  The
+cantilever's static solves clamp DOFs with `reduce_dirichlet`, which reduces
+their rows and columns to identity and so keeps K SPD and its size fixed.
+The core assembly is unit-agnostic raw arithmetic; the model layer feeds it
+the consistent mm / tonne / second quantities built during assembly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -99,20 +100,18 @@ def _finite_3_vector(value, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LoadCase:
-    """External loading: gravity, point forces, support springs, fixed nodes.
+    """External loading: gravity, point forces, support springs.
 
     Attributes:
         gravity: acceleration in mm/s^2, applied as M*g per node.
         point_loads: (node index, force N 3-vector) pairs.
         support_springs: (node index, stiffness N/mm, anchor position mm)
             entries; each pulls its node toward the anchor.
-        dirichlet: node indices held fixed at their rest position.
     """
 
     gravity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     point_loads: tuple = ()
     support_springs: tuple = ()
-    dirichlet: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         """Coerce the entries and reject values no solve can use, naming the node.
@@ -136,12 +135,10 @@ class LoadCase:
         object.__setattr__(self, "gravity", tuple(gravity.tolist()))
         object.__setattr__(self, "point_loads", loads)
         object.__setattr__(self, "support_springs", springs)
-        object.__setattr__(self, "dirichlet", frozenset(int(i) for i in self.dirichlet))
 
     def validate_against(self, n_nodes: int):
         indices = [i for i, _ in self.point_loads]
         indices += [i for i, _, _ in self.support_springs]
-        indices += list(self.dirichlet)
         for i in indices:
             if not 0 <= i < n_nodes:
                 raise ValueError(f"load references node {i}, model has {n_nodes} nodes")
@@ -149,7 +146,7 @@ class LoadCase:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """One implicit-Euler step's SPD system A x = b."""
+    """An SPD system A x = b: one implicit-Euler step's, or a clamped static one."""
 
     A: sp.csr_matrix
     b: np.ndarray
@@ -240,13 +237,11 @@ def implicit_system(
     qdot: np.ndarray,
     f_ext: np.ndarray,
     h: float,
-    fixed_dofs=(),
 ) -> LinearSystem:
     """Raw backward-Euler assembly: A = M + h*C + h^2*K, b = h*(F - h*K*qdot).
 
-    F is the total current force f_ext - K q - C qdot.  Fixed DOFs get their
-    row and column reduced to identity and their b entry zeroed.  All
-    quantities must share one consistent unit system.
+    F is the total current force f_ext - K q - C qdot.  All quantities must
+    share one consistent unit system.
 
     Raises:
         ValueError: h <= 0 or mismatched dimensions.
@@ -261,22 +256,21 @@ def implicit_system(
     A = (sp.diags(M) + h * C + (h * h) * K).tocsr()
     force = f_ext - K @ q - C @ qdot
     b = h * (force - h * (K @ qdot))
-    return reduce_dirichlet(A, b, fixed_dofs)
+    A.sum_duplicates()
+    return LinearSystem(A=A, b=b)
 
 
-def reduce_dirichlet(A: sp.csr_matrix, b: np.ndarray, fixed) -> LinearSystem:
+def reduce_dirichlet(A: sp.csr_matrix, b: np.ndarray, fixed: np.ndarray) -> LinearSystem:
     """Hold the fixed DOFs at zero: their rows and columns of A become identity, their b zero.
 
     The reduced system stays SPD and keeps its size.
     """
-    if len(fixed):
-        keep = np.ones(len(b))
-        keep[np.fromiter(fixed, dtype=np.int64)] = 0.0
-        P = sp.diags(keep)
-        A = (P @ A @ P + sp.diags(1.0 - keep)).tocsr()
-        b = b * keep
+    keep = np.ones(len(b))
+    keep[fixed] = 0.0
+    P = sp.diags(keep)
+    A = (P @ A @ P + sp.diags(1.0 - keep)).tocsr()
     A.sum_duplicates()
-    return LinearSystem(A=A, b=b)
+    return LinearSystem(A=A, b=b * keep)
 
 
 def _spring_terms(model: MeshFreeModel, loads: LoadCase):
@@ -302,12 +296,11 @@ def external_force(model: MeshFreeModel, loads: LoadCase) -> np.ndarray:
 
 
 def _settle_terms(model: MeshFreeModel, loads: LoadCase):
-    """Constant force, K with springs folded in, and fixed DOFs of one load case."""
+    """Constant force and K with springs folded in, of one load case."""
     f_const = external_force(model, loads)
     spring_diag, _ = _spring_terms(model, loads)
     K_eff = model.matrices.K + sp.diags(spring_diag) if spring_diag.any() else model.matrices.K
-    fixed = [3 * i + c for i in sorted(loads.dirichlet) for c in range(3)]
-    return f_const, K_eff, fixed
+    return f_const, K_eff
 
 
 @dataclass(frozen=True)
@@ -316,16 +309,14 @@ class Settle:
 
     For a fixed model, load case and h, A = M + h*C + h^2*K_eff is the same
     on every step; only b depends on the state.  `factor` is the banded
-    Cholesky factor of the Dirichlet-reduced A, used as an exact CG
-    preconditioner.
+    Cholesky factor of A, used as an exact CG preconditioner.
 
     Attributes:
         h: step size in s.
         K: stiffness with support springs folded in (K_eff).
         C: damping matrix.
         f: constant external force (N).
-        fixed: constrained DOF indices.
-        A: Dirichlet-reduced system matrix.
+        A: system matrix.
         factor: `BandedCholesky` of A.
     """
 
@@ -333,12 +324,11 @@ class Settle:
     K: sp.spmatrix
     C: sp.spmatrix
     f: np.ndarray
-    fixed: np.ndarray
     A: sp.csr_matrix
     factor: BandedCholesky
 
     def system(self, state: SimState) -> LinearSystem:
-        """This step's system: the shared A with b = h*(F - h*K_eff*qdot), fixed DOFs zeroed.
+        """This step's system: the shared A with b = h*(F - h*K_eff*qdot).
 
         Raises:
             ValueError: the state's length differs from the settle's DOFs.
@@ -348,7 +338,6 @@ class Settle:
         K, h = self.K, self.h
         force = self.f - K @ state.q - self.C @ state.qdot
         b = h * (force - h * (K @ state.qdot))
-        b[self.fixed] = 0.0
         return LinearSystem(A=self.A, b=b)
 
 
@@ -359,12 +348,11 @@ def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
         ValueError: h <= 0 or out-of-range load indices.
         IndefiniteSystemError: the system matrix is singular or not positive definite.
     """
-    f_const, K_eff, fixed = _settle_terms(model, loads)
+    f_const, K_eff = _settle_terms(model, loads)
     # A does not depend on the state; the rest state only fills a b that is dropped.
     rest = np.zeros(model.n_dofs)
-    A = implicit_system(model.matrices.M, K_eff, model.matrices.C, rest, rest, f_const, h, fixed).A
-    return Settle(h=h, K=K_eff, C=model.matrices.C, f=f_const,
-                  fixed=np.asarray(fixed, dtype=np.int64), A=A, factor=BandedCholesky.of(A))
+    A = implicit_system(model.matrices.M, K_eff, model.matrices.C, rest, rest, f_const, h).A
+    return Settle(h=h, K=K_eff, C=model.matrices.C, f=f_const, A=A, factor=BandedCholesky.of(A))
 
 
 def cg_solve(
@@ -439,8 +427,6 @@ def step(settle: Settle, state: SimState, N_max: int = 200, tol: float = 1e-6) -
                       preconditioner=settle.factor.solve)
     qdot_new = state.qdot + result.x
     q_new = state.q + settle.h * qdot_new
-    q_new[settle.fixed] = state.q[settle.fixed]
-    qdot_new[settle.fixed] = 0.0
     return SimState(q=q_new, qdot=qdot_new, t=state.t + settle.h)
 
 

@@ -1,8 +1,8 @@
 """Voxel volumes, voxel masks, and cohort stiffness statistics.
 
-Volumes are regular 3D scalar grids (elastogram shear stiffness in kPa, or
-anatomical intensity) stored row-major with x fastest.  A volume on disk is a
-JSON header (dims, spacing, kind) next to a raw little-endian float32 file.
+Volumes are regular 3D grids of elastogram shear stiffness in kPa, stored
+row-major with x fastest.  A volume on disk is a JSON header (dims, spacing,
+kind) next to a raw little-endian float32 file.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-VOLUME_KINDS = ("elastogram_shear_kPa", "anatomical_intensity")
-
 
 class VolumeFormatError(ValueError):
     """Raised when a volume or cohort file violates the on-disk format."""
@@ -30,7 +28,7 @@ class VoxelVolume:
     Attributes:
         dims: grid size (nx, ny, nz).
         spacing_mm: voxel pitch per axis in mm.
-        kind: "elastogram_shear_kPa" or "anatomical_intensity".
+        kind: "elastogram_shear_kPa", the only kind.
         data: flat float32 array of nx*ny*nz scalars, x fastest.
     """
 
@@ -46,7 +44,7 @@ class VoxelVolume:
             raise VolumeFormatError(f"dims must be 3 positive integers, got {self.dims}")
         if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
             raise VolumeFormatError(f"spacing must be 3 positive lengths, got {self.spacing_mm}")
-        if self.kind not in VOLUME_KINDS:
+        if self.kind != "elastogram_shear_kPa":
             raise VolumeFormatError(f"unknown volume kind {self.kind!r}")
         # float32 matches the raw file format, so round-trips are bit-exact.
         data = np.ascontiguousarray(self.data, dtype=np.float32).ravel()
@@ -57,7 +55,7 @@ class VoxelVolume:
             )
         if not np.isfinite(data).all():
             raise VolumeFormatError("voxel values must be finite (no NaN or inf)")
-        if self.kind == "elastogram_shear_kPa" and data.size and float(data.min()) < 0.0:
+        if data.size and float(data.min()) < 0.0:
             raise VolumeFormatError("elastogram voxel values must be >= 0")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing_mm", spacing)
@@ -198,10 +196,8 @@ def mean_shear_modulus(volume: VoxelVolume, mask: RoiMask) -> float:
     """Arithmetic mean of masked-in elastogram voxels, in kPa.
 
     Raises:
-        ValueError: volume is not an elastogram, dims mismatch, or empty mask.
+        ValueError: dims mismatch, or empty mask.
     """
-    if volume.kind != "elastogram_shear_kPa":
-        raise ValueError(f"mean shear modulus needs an elastogram, got kind {volume.kind!r}")
     if mask.dims != volume.dims:
         raise ValueError(f"mask dims {mask.dims} do not match volume dims {volume.dims}")
     if mask.n_selected == 0:

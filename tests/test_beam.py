@@ -12,8 +12,8 @@ from elastosim.beam import (
     DeflectionCurve,
     _fea_system,
     _hex_element_stiffness,
+    _meshfree_system,
     axis_samples,
-    beam_load_case,
     build_beam_phantom,
     convergence_error,
     euler_bernoulli_deflection,
@@ -24,13 +24,25 @@ from elastosim.beam import (
     write_beam_convergence_csv,
 )
 from elastosim.meshfree import elasticity_matrix
-from elastosim.solver import BandedCholesky, NonConvergenceError, cg_solve
+from elastosim.solver import (
+    BandedCholesky,
+    NonConvergenceError,
+    SimState,
+    cg_solve,
+    displace_landmarks,
+)
 
 # Resolution 1.25 divides the benchmark box 50 x 10 x 10 exactly, so snapped
 # extents equal the nominal ones and hand-derived values apply unchanged.
 EXACT = BeamSpec(L=50.0, w=10.0, h_beam=10.0, E=12.0, q_load=1e-4, resolution=1.25)
 # A small beam for the FEA's solver checks: 16 x 4 x 4 cells, 1275 DOFs.
 SMALL = BeamSpec(L=20.0, w=5.0, h_beam=5.0, E=12.0, q_load=1e-4, resolution=1.25)
+# The slender cantilever at 1.25 mm voxels, for the mesh-free solver checks.
+SLENDER_SMOKE = BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=1.25)
+
+
+def clamped_dofs(phantom):
+    return np.array([3 * i + c for i in sorted(phantom.fixed_nodes) for c in range(3)])
 
 
 class TestSecondMoment:
@@ -209,16 +221,18 @@ class TestConvergenceError:
 class TestBeamPhantom:
     def test_total_load_partition(self):
         ph = build_beam_phantom(EXACT, n_nodes=60, k=6, seed=0)
-        loads = beam_load_case(ph)
-        total = sum(f[2] for _, f in loads.point_loads)
-        assert total == pytest.approx(-EXACT.q_load * 50.0, rel=1e-12)
+        b = _meshfree_system(ph).b.reshape(-1, 3)
+        assert b[:, 2].sum() == pytest.approx(-EXACT.q_load * 50.0, rel=1e-12)
+        assert not b[:, :2].any()
 
     def test_loads_avoid_clamped_nodes(self):
         ph = build_beam_phantom(EXACT, n_nodes=60, k=6, seed=0)
-        loads = beam_load_case(ph)
-        loaded = {i for i, _ in loads.point_loads}
-        assert loaded.isdisjoint(ph.fixed_nodes)
-        assert loads.dirichlet == ph.fixed_nodes
+        system = _meshfree_system(ph)
+        fixed = clamped_dofs(ph)
+        assert not system.b[fixed].any()
+        A = system.A.toarray()
+        assert np.array_equal(A[fixed], np.eye(len(A))[fixed])
+        assert np.array_equal(A[:, fixed], np.eye(len(A))[:, fixed])
 
     def test_clamp_set_is_proper_subset(self):
         ph = build_beam_phantom(EXACT, n_nodes=60, k=6, seed=0)
@@ -335,7 +349,40 @@ class TestFeaBaseline:
         assert np.array_equal(factor.perm, np.arange(len(factor.perm)))
 
 
+@pytest.fixture(scope="module")
+def smoke_beam():
+    """The slender cantilever at 1.25 mm voxels with 150 nodes."""
+    return build_beam_phantom(SLENDER_SMOKE, n_nodes=150, k=6, seed=0)
+
+
 class TestSimulateBeam:
+    def test_matches_direct_solve_on_free_dofs(self, smoke_beam):
+        model = smoke_beam.model
+        free_nodes = [i for i in range(model.n_nodes) if i not in smoke_beam.fixed_nodes]
+        free = np.setdiff1d(np.arange(model.n_dofs), clamped_dofs(smoke_beam))
+        f = np.zeros(model.n_dofs)
+        f[[3 * i + 2 for i in free_nodes]] = -SLENDER_SMOKE.q_load * 50.0 / len(free_nodes)
+        q = np.zeros(model.n_dofs)
+        K = model.matrices.K.tocsr()
+        q[free] = spsolve(K[free][:, free].tocsc(), f[free])
+
+        xs = axis_samples(SLENDER_SMOKE)
+        marks = [(str(j), np.array([x, 5.0, 1.25])) for j, x in enumerate(xs[1:])]
+        moved = displace_landmarks(model, SimState(q=q, qdot=np.zeros_like(q)), marks)
+        want = np.array([0.0] + [1.25 - pos[2] for _, pos in moved])
+        got = simulate_beam(smoke_beam).w
+        # K's condition number is about 1e8 here: spsolve's own q is 2e-10
+        # (relative) from an extended-precision refinement, the CG's 7e-11.
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_capped_cg_raises(self, monkeypatch, smoke_beam):
+        def capped(system, **kwargs):
+            return cg_solve(system, **{**kwargs, "N_max": 3, "preconditioner": None})
+
+        monkeypatch.setattr(elastosim.beam, "cg_solve", capped)
+        with pytest.raises(NonConvergenceError, match="mesh-free beam"):
+            simulate_beam(smoke_beam)
+
     def test_clamp_datum_and_monotone_curve(self):
         spec = BeamSpec(resolution=1.64)
         ph = build_beam_phantom(spec, n_nodes=500, k=6, seed=0)

@@ -11,7 +11,6 @@ from conftest import join_archive, split_archive
 
 from elastosim.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, cli_main
 from elastosim.experiment import load_comparison_csv
-from elastosim.meshfree import load_model
 from elastosim.volume import VoxelVolume, load_cohort_csv, write_volume
 
 FAST_SYNTH = ["--dims", "10,9,8", "--voxel-mm", "2.0", "--nodes", "40", "--k", "6"]
@@ -200,21 +199,6 @@ def _patch_value(raw, name, value):
     return join_archive(header, payload[:offset] + struct.pack("<d", value) + payload[offset + 8:])
 
 
-def _as_version_1(raw, tmp_path):
-    """The same model in the version-1 layout, which also stored C."""
-    path = tmp_path / "v2.esm"
-    path.write_bytes(raw)
-    C = load_model(path).matrices.C.tocsr()
-    header, payload = split_archive(raw)
-    for name, arr in (("C_data", C.data), ("C_indices", C.indices.astype(np.int64)),
-                      ("C_indptr", C.indptr.astype(np.int64))):
-        header["arrays"].append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
-                                 "offset": len(payload), "nbytes": arr.nbytes})
-        payload += arr.tobytes()
-    header["version"] = 1
-    return join_archive(header, payload)
-
-
 def _drop_k_data(header, payload):
     header["arrays"] = [item for item in header["arrays"] if item["name"] != "K_data"]
     return payload
@@ -311,25 +295,12 @@ class TestCorruptModelArchive:
         assert self.retract(tmp_path, _patch_value(archive, name, np.nan)) == EXIT_DATA
         assert f"array {name!r} holds a NaN or inf" in capsys.readouterr().err
 
-    def test_inf_in_version_1_damping_is_data_error(self, capsys, tmp_path, archive):
-        raw = _patch_value(_as_version_1(archive, tmp_path), "C_data", np.inf)
-        assert self.retract(tmp_path, raw) == EXIT_DATA
-        assert "'C_data' holds a NaN or inf" in capsys.readouterr().err
-
-    def test_unknown_version_is_data_error(self, capsys, tmp_path, archive):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_unknown_version_is_data_error(self, capsys, tmp_path, archive, version):
         header, payload = split_archive(archive)
-        header["version"] = 3
+        header["version"] = version
         assert self.retract(tmp_path, join_archive(header, payload)) == EXIT_DATA
-        assert "version 3" in capsys.readouterr().err
-
-    def test_version_1_archive_retracts_alike(self, capsys, tmp_path, archive):
-        v2, v1 = tmp_path / "v2", tmp_path / "v1"
-        v2.mkdir()
-        v1.mkdir()
-        assert self.retract(v2, archive) == EXIT_OK
-        assert self.retract(v1, _as_version_1(archive, tmp_path)) == EXIT_OK
-        for name in ("landmarks_rest.csv", "landmarks.csv"):
-            assert (v1 / name).read_bytes() == (v2 / name).read_bytes()
+        assert f"version {version}" in capsys.readouterr().err
 
 
 class TestCompareCommand:

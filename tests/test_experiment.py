@@ -220,13 +220,6 @@ class TestYoungMaterialField:
         assert field.nu == 0.45
         assert field.density == 1060.0
 
-    def test_rejects_non_elastogram(self):
-        case = tiny_case()
-        wrong = VoxelVolume(dims=case.volume.dims, spacing_mm=case.volume.spacing_mm,
-                            kind="anatomical_intensity", data=case.volume.data)
-        with pytest.raises(ValueError, match="elastogram"):
-            young_material_field(wrong, case.mask)
-
 
 class TestRetractionLoadCase:
     def test_hoist_totals_liver_weight(self):

@@ -1,5 +1,7 @@
 """Tests for DOF sampling, Shepard shape functions, and matrix assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -217,6 +219,24 @@ class TestNearestNode:
         tied = np.diff(nearest_d2, axis=1) == 0
         assert tied.any(), "ties within a row check the index order"
         assert (np.diff(idx, axis=1)[tied] > 0).all()
+
+    @pytest.mark.parametrize("k, blocks", [(1, 1.5), (6, 2.5)])
+    def test_each_chunk_frees_its_blocks_before_the_next(self, monkeypatch, k, blocks):
+        # One distance block is 500 rows x 2000 nodes of float64, 8 MB.  Holding
+        # the last chunk's distance block (and, for k > 1, its argpartition
+        # index block) into the next chunk's cdist costs one more block.
+        rng = np.random.default_rng(3)
+        points = rng.uniform(0.0, 100.0, size=(20_000, 3))
+        nodes = rng.uniform(0.0, 100.0, size=(2_000, 3))
+        monkeypatch.setattr(meshfree, "_CDIST_ENTRIES", 1_000_000)
+        block = 8 * 1_000_000
+        tracemalloc.start()
+        try:
+            meshfree._nearest_nodes(points, nodes, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < blocks * block, f"peak {peak / block:.2f} blocks"
 
     def test_shepard_weights_do_not_depend_on_the_chunk_size(self, monkeypatch):
         rng = np.random.default_rng(2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastosim.cli import EXIT_DATA, cli_main
 from elastosim.volume import (
     CohortRecord,
     RoiMask,
@@ -49,14 +50,13 @@ class TestVoxelVolume:
                 data=np.array([1.0, -0.5]),
             )
 
-    @pytest.mark.parametrize("kind", ["elastogram_shear_kPa", "anatomical_intensity"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite(self, kind, bad):
+    def test_rejects_non_finite(self, bad):
         with pytest.raises(VolumeFormatError, match="finite"):
             VoxelVolume(
                 dims=(2, 1, 1),
                 spacing_mm=(1.0, 1.0, 1.0),
-                kind=kind,
+                kind="elastogram_shear_kPa",
                 data=np.array([1.0, bad]),
             )
 
@@ -68,15 +68,6 @@ class TestVoxelVolume:
         data.tofile(raw)
         with pytest.raises(VolumeFormatError, match="finite"):
             load_volume(header)
-
-    def test_anatomical_allows_negative(self):
-        vol = VoxelVolume(
-            dims=(2, 1, 1),
-            spacing_mm=(1.0, 1.0, 1.0),
-            kind="anatomical_intensity",
-            data=np.array([1.0, -0.5]),
-        )
-        assert vol.data.dtype == np.float32
 
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(VolumeFormatError, match="spacing"):
@@ -122,10 +113,21 @@ class TestVolumeIO:
             load_volume(tmp_path / "bad.json")
 
     def test_missing_raw_raises(self, tmp_path):
-        header = {"dims": [1, 1, 1], "spacing_mm": [1.0, 1.0, 1.0], "kind": "anatomical_intensity"}
+        header = {"dims": [1, 1, 1], "spacing_mm": [1.0, 1.0, 1.0], "kind": "elastogram_shear_kPa"}
         (tmp_path / "orphan.json").write_text(json.dumps(header))
         with pytest.raises(FileNotFoundError):
             load_volume(tmp_path / "orphan.json")
+
+    def test_anatomical_volume_is_data_error(self, capsys, tmp_path):
+        # Elastograms are the only kind; an anatomical scan fails as it loads.
+        header = {"dims": [2, 1, 1], "spacing_mm": [1.0, 1.0, 1.0], "kind": "anatomical_intensity"}
+        (tmp_path / "scan.json").write_text(json.dumps(header))
+        np.array([1.0, -0.5], dtype="<f4").tofile(tmp_path / "scan.raw")
+        with pytest.raises(VolumeFormatError, match="kind 'anatomical_intensity'"):
+            load_volume(tmp_path / "scan.json")
+        code = cli_main(["cohort-stats", "--volumes", str(tmp_path), "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "kind 'anatomical_intensity'" in capsys.readouterr().err
 
     def test_roundtrip_bit_exact_randomized(self, tmp_path):
         # Oracle: the on-disk format is f32, so a volume built from f32 noise
@@ -180,12 +182,6 @@ class TestMeanShearModulus:
                 count += 1
         expected = total / count
         assert abs(got - expected) <= 1e-12 * abs(expected)
-
-    def test_rejects_anatomical(self):
-        vol = make_volume(kind="anatomical_intensity")
-        mask = RoiMask(dims=vol.dims, flags=np.ones(vol.n_voxels, dtype=bool))
-        with pytest.raises(ValueError, match="elastogram"):
-            mean_shear_modulus(vol, mask)
 
     def test_rejects_empty_mask(self):
         vol = make_volume()
