@@ -45,7 +45,7 @@ def main():
           f"max velocity {np.abs(state.qdot).max():.1e} mm/s")
 
     marks = default_landmarks(model, retractor)
-    for (label, rest), (_, moved) in zip(marks, displace_landmarks(model, state, marks)):
+    for (label, rest), (_, moved) in zip(marks, displace_landmarks(model, state.q, marks)):
         shift = np.linalg.norm(moved - rest)
         print(f"  {label:9s} moved {shift:6.2f} mm  "
               f"{np.round(rest, 1)} -> {np.round(moved, 1)}")

@@ -225,7 +225,7 @@ def cmd_retract(args) -> int:
     retractor = config.retractor(model.field)
     state = config.settle(model, retractor)
     marks = default_landmarks(model, retractor)
-    moved = displace_landmarks(model, state, marks)
+    moved = displace_landmarks(model, state.q, marks)
     out = Path(args.out)
     rest_path = write_landmarks_csv(marks, out / "landmarks_rest.csv")
     moved_path = write_landmarks_csv(moved, out / "landmarks.csv")

@@ -174,15 +174,13 @@ class ComparisonReport:
         mean_volume_diff: mean node displacement difference over all nodes, mm.
         at_tool_diff: max node displacement difference over the application
             region, mm.
-        significant: True iff at_tool_diff exceeds the clinical threshold.
-        threshold_mm: the significance threshold used.
+        threshold_mm: the clinical significance threshold.
     """
 
     case_id: str
     per_landmark: tuple
     mean_volume_diff: float
     at_tool_diff: float
-    significant: bool
     threshold_mm: float = RetractionConfig.significance_mm
 
     def __post_init__(self):
@@ -191,9 +189,12 @@ class ComparisonReport:
             raise ValueError("landmark differences must be >= 0")
         if self.mean_volume_diff < 0 or self.at_tool_diff < 0:
             raise ValueError("displacement differences must be >= 0")
-        if self.significant != (self.at_tool_diff > self.threshold_mm):
-            raise ValueError("significant flag must equal at_tool_diff > threshold")
         object.__setattr__(self, "per_landmark", marks)
+
+    @property
+    def significant(self) -> bool:
+        """True iff at_tool_diff exceeds the threshold."""
+        return bool(self.at_tool_diff > self.threshold_mm)
 
 
 @dataclass(frozen=True)
@@ -467,10 +468,9 @@ def simulate_retraction(
 
 
 def compare_placements(
-    model_measured: MeshFreeModel,
-    state_measured: SimState,
-    model_atlas: MeshFreeModel,
-    state_atlas: SimState,
+    model: MeshFreeModel,
+    q_measured: np.ndarray,
+    q_atlas: np.ndarray,
     landmarks: list[tuple[str, np.ndarray]],
     retractor: RetractorSpec,
     significance_mm: float = RetractionConfig.significance_mm,
@@ -478,32 +478,27 @@ def compare_placements(
 ) -> ComparisonReport:
     """Quantify how far atlas-stiffness guidance lands from the measured run.
 
-    Both models must share the DOF layout (the atlas twin is built from the
-    measured model's geometry), so displacement fields subtract nodewise.
+    The atlas twin shares the measured model's nodes and shape functions, so
+    both runs are displacement vectors of `model` and their difference
+    dq = q_measured - q_atlas is one field: the node differences, the tool
+    region and the landmark differences are all read from it.
 
     Raises:
-        ValueError: models with different node layouts.
+        ValueError: a vector not of the model's length, an empty tool
+            region, or a landmark outside the mask.
     """
-    if not np.array_equal(model_measured.dofs.nodes, model_atlas.dofs.nodes):
-        raise ValueError("runs must share the node layout to be comparable")
-    dq = state_measured.q.reshape(-1, 3) - state_atlas.q.reshape(-1, 3)
-    node_diff = np.linalg.norm(dq, axis=1)
-    region = retractor.map_region(model_measured.dofs.nodes)
-
-    per_landmark = []
-    if landmarks:
-        moved_m = displace_landmarks(model_measured, state_measured, landmarks)
-        moved_a = displace_landmarks(model_atlas, state_atlas, landmarks)
-        for (label, _), (_, pm), (_, pa) in zip(landmarks, moved_m, moved_a):
-            per_landmark.append((label, float(np.linalg.norm(pm - pa))))
-
-    at_tool = float(node_diff[region].max())
+    dq = q_measured - q_atlas
+    node_diff = np.linalg.norm(dq.reshape(-1, 3), axis=1)
+    region = retractor.map_region(model.dofs.nodes)
+    per_landmark = tuple(
+        (label, float(np.linalg.norm(pos - rest)))
+        for (label, rest), (_, pos) in zip(landmarks, displace_landmarks(model, dq, landmarks))
+    )
     return ComparisonReport(
         case_id=case_id,
-        per_landmark=tuple(per_landmark),
+        per_landmark=per_landmark,
         mean_volume_diff=float(node_diff.mean()),
-        at_tool_diff=at_tool,
-        significant=bool(at_tool > significance_mm),
+        at_tool_diff=float(node_diff[region].max()),
         threshold_mm=significance_mm,
     )
 
@@ -538,9 +533,8 @@ def compare_case(case: CohortCase, config: RetractionConfig) -> ComparisonReport
     retractor = config.retractor(model.field)
     return compare_placements(
         model,
-        config.settle(model, retractor),
-        atlas,
-        config.settle(atlas, retractor),
+        config.settle(model, retractor).q,
+        config.settle(atlas, retractor).q,
         default_landmarks(model, retractor),
         retractor,
         significance_mm=config.significance_mm,

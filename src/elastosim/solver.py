@@ -7,15 +7,16 @@ Each step solves the backward-Euler velocity update
 where K_eff folds any support-spring stiffness into K, and F is the total
 current force: gravity, point loads, spring constants, and the internal
 force -K q - C qdot.  The system matrix is SPD for h > 0, so conjugate
-gradient solves it; iterations are capped (default 200) to bound per-step
-cost.  Positions then update as q += h * qdot_new.
+gradient solves it; iterations are capped to bound per-step cost, and a
+step whose solve hits the cap raises.  Positions then update as
+q += h * qdot_new.
 
 For a fixed model, load case and h the matrix is the same on every step of a
 settle, so `prepare_settle` assembles it once and factors it with a
 `BandedCholesky`; each step then only forms its right-hand side and runs CG
 preconditioned by that factor, which converges in one or two iterations.
-Convergence is still judged on the unpreconditioned residual, so the
-tolerance and the iteration cap keep their meaning.
+Convergence is still judged on the true, unpreconditioned residual
+b - A x, so the tolerance and the iteration cap keep their meaning.
 
 `BandedCholesky` is the one factor behind every SPD solve, the settle's and
 the FEA baseline's: it renumbers the rows by reverse Cuthill-McKee (Cuthill
@@ -370,6 +371,13 @@ def cg_solve(
     a vector; without one, z = r and this is plain CG.  A zero b
     short-circuits to the exact solution x = 0.
 
+    The recurrence residual drifts from the true b - A x in floating point,
+    so when it meets tol the true residual is recomputed: the solve converges
+    only if that one meets tol too, and otherwise restarts the directions
+    from it (residual replacement; van der Vorst & Ye, SIAM J. Sci. Comput.
+    22 (2000) 835-852).  The reported residual is always a true one, capped
+    solves included.
+
     Raises:
         IndefiniteSystemError: a search direction gives p^T A p <= 0.
     """
@@ -384,11 +392,9 @@ def cg_solve(
     r = np.array(b, dtype=np.float64)  # the residual b - A x at x = 0
     z = precondition(r)
     p = z.copy()
-    rr = float(r @ r)
     rz = float(r @ z)
-    residual = np.sqrt(rr) / norm_b
-    if residual <= tol:
-        return CgResult(x=x, iterations=0, residual=residual, converged=True)
+    if tol >= 1.0:  # the relative residual at x = 0 is 1
+        return CgResult(x=x, iterations=0, residual=1.0, converged=True)
 
     for n_iter in range(1, N_max + 1):
         Ap = A @ p
@@ -400,31 +406,41 @@ def cg_solve(
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        rr = float(r @ r)
-        residual = np.sqrt(rr) / norm_b
-        if residual <= tol:
-            return CgResult(x=x, iterations=n_iter, residual=residual, converged=True)
+        residual = float(np.linalg.norm(r)) / norm_b
+        replaced = residual <= tol
+        if replaced:
+            r = b - A @ x
+            residual = float(np.linalg.norm(r)) / norm_b
+            if residual <= tol:
+                return CgResult(x=x, iterations=n_iter, residual=residual, converged=True)
         z = precondition(r)
         rz_next = float(r @ z)
-        beta = rz_next / rz
-        p = z + beta * p
+        # Past a replacement the old direction is not conjugate to the new
+        # residual; keeping it let plain CG diverge on the FEA beam.
+        p = z.copy() if replaced else z + (rz_next / rz) * p
         rz = rz_next
 
+    residual = float(np.linalg.norm(b - A @ x)) / norm_b
     return CgResult(x=x, iterations=N_max, residual=residual, converged=False)
 
 
-def step(settle: Settle, state: SimState, N_max: int = 200, tol: float = 1e-6) -> SimState:
+def step(settle: Settle, state: SimState, N_max: int, tol: float) -> SimState:
     """Advance one backward-Euler step of `settle.h`: solve for dqdot, then integrate q.
 
     `settle` is `prepare_settle(model, loads, h)`, shared by every step of a
-    settle.  The CG iteration cap bounds per-step cost; a capped
-    (unconverged) solve still advances the state with its best iterate.
+    settle.  The CG iteration cap N_max bounds per-step cost.
 
     Raises:
         ValueError: the state's length differs from the settle's DOFs.
+        NonConvergenceError: CG hit N_max before the true residual met tol.
     """
     result = cg_solve(settle.system(state), N_max=N_max, tol=tol,
                       preconditioner=settle.factor.solve)
+    if not result.converged:
+        raise NonConvergenceError(
+            f"step at t={state.t:.3g} s: CG stopped at relative residual "
+            f"{result.residual:.3e} after the cap of {N_max} iterations (tolerance {tol:.1e})"
+        )
     qdot_new = state.qdot + result.x
     q_new = state.q + settle.h * qdot_new
     return SimState(q=q_new, qdot=qdot_new, t=state.t + settle.h)
@@ -433,20 +449,20 @@ def step(settle: Settle, state: SimState, N_max: int = 200, tol: float = 1e-6) -
 def run_to_steady_state(
     model: MeshFreeModel,
     loads: LoadCase,
-    h: float = 1e-3,
-    max_steps: int = 10000,
-    v_tol: float = 1e-4,
-    N_max: int = 200,
-    tol: float = 1e-6,
+    h: float,
+    max_steps: int,
+    v_tol: float,
+    N_max: int,
+    tol: float,
 ) -> SimState:
     """Step from rest until the velocity infinity-norm stays below v_tol for 3 steps.
 
     The system matrix is assembled and factored once, then shared by every
-    step.
+    step.  Each step's CG runs to tol within N_max iterations.
 
     Raises:
-        NonConvergenceError: max_steps reached first; carries the last
-            velocity infinity-norm.
+        NonConvergenceError: max_steps reached first, carrying the last
+            velocity infinity-norm; or a step's CG hit its cap.
     """
     settle = prepare_settle(model, loads, h)
     current = SimState.rest(model.n_dofs)
@@ -465,9 +481,9 @@ def run_to_steady_state(
 
 
 def displace_landmarks(
-    model: MeshFreeModel, state: SimState, landmarks: list[tuple[str, np.ndarray]]
+    model: MeshFreeModel, q: np.ndarray, landmarks: list[tuple[str, np.ndarray]]
 ) -> list[tuple[str, np.ndarray]]:
-    """Map nodal displacements to landmark positions via the shape functions.
+    """Map a nodal displacement vector to landmark positions via the shape functions.
 
     Each landmark at rest position x moves by sum_i w_i(x) q_i with the same
     Shepard construction used for assembly, evaluated at x.
@@ -476,8 +492,11 @@ def displace_landmarks(
         (label, current position mm) per landmark.
 
     Raises:
-        ValueError: a landmark lies outside the masked volume.
+        ValueError: q does not hold 3 entries per model node, or a landmark
+            lies outside the masked volume.
     """
+    if len(q) != model.n_dofs:
+        raise ValueError(f"displacement vector has {len(q)} entries, model has {model.n_dofs} DOFs")
     vol, mask = model.field.volume, model.field.mask
     nx, ny, nz = vol.dims
     spacing = np.asarray(vol.spacing_mm)
@@ -496,7 +515,7 @@ def displace_landmarks(
 
     k_support = min(model.shape.k, model.n_nodes)
     idx, w, _ = shepard_weights(positions, model.dofs.nodes, k=k_support)
-    q_nodes = state.q.reshape(-1, 3)
+    q_nodes = np.asarray(q, dtype=np.float64).reshape(-1, 3)
     moved = positions + np.einsum("lk,lkc->lc", w, q_nodes[idx])
     return [(label, moved[row]) for row, (label, _) in enumerate(landmarks)]
 

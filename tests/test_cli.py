@@ -187,6 +187,18 @@ class TestModelAndRetract:
         assert code == EXIT_SOLVER
         assert "solver error" in capsys.readouterr().err
 
+    def test_capped_cg_is_exit_3(self, capsys, tmp_path):
+        cohort = tmp_path / "cohort"
+        assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
+        model_path = tmp_path / "model.esm"
+        assert cli_main(["build-model", "--volume", str(cohort / "case_000.json"),
+                         "--nodes", "40", "--k", "6", "--out", str(model_path)]) == EXIT_OK
+        code = cli_main(["retract", "--model", str(model_path), "--cg-max", "1",
+                         "--cg-tol", "1e-30", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "solver error" in err and "after the cap of 1 iterations" in err
+
 
 def _entry(header, name):
     return next(item for item in header["arrays"] if item["name"] == name)

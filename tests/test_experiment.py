@@ -31,7 +31,7 @@ from elastosim.experiment import (
     young_material_field,
 )
 from elastosim.meshfree import build_model
-from elastosim.solver import LoadCase, SimState, run_to_steady_state
+from elastosim.solver import LoadCase, displace_landmarks, run_to_steady_state, step
 from elastosim.volume import CohortRecord, RoiMask, VoxelVolume, mean_shear_modulus, shear_to_young
 
 
@@ -106,23 +106,25 @@ class TestRetractorSpec:
 
 
 class TestComparisonReport:
-    def test_flag_must_match_threshold(self):
-        with pytest.raises(ValueError, match="significant flag"):
-            ComparisonReport(case_id="c", per_landmark=(), mean_volume_diff=0.1,
-                             at_tool_diff=6.0, significant=False)
-
     def test_rejects_negative_differences(self):
         with pytest.raises(ValueError, match=">= 0"):
             ComparisonReport(case_id="c", per_landmark=(), mean_volume_diff=-0.1,
-                             at_tool_diff=0.0, significant=False)
+                             at_tool_diff=0.0)
         with pytest.raises(ValueError, match=">= 0"):
             ComparisonReport(case_id="c", per_landmark=(("a", -1.0),),
-                             mean_volume_diff=0.0, at_tool_diff=0.0, significant=False)
+                             mean_volume_diff=0.0, at_tool_diff=0.0)
 
     def test_boundary_is_not_significant(self):
         rep = ComparisonReport(case_id="c", per_landmark=(), mean_volume_diff=0.0,
-                               at_tool_diff=5.0, significant=False)
+                               at_tool_diff=5.0)
         assert not rep.significant
+
+    def test_significance_follows_the_threshold(self):
+        rep = ComparisonReport(case_id="c", per_landmark=(), mean_volume_diff=0.0,
+                               at_tool_diff=5.5)
+        assert rep.significant
+        assert not ComparisonReport(case_id="c", per_landmark=(), mean_volume_diff=0.0,
+                                    at_tool_diff=5.5, threshold_mm=6.0).significant
 
 
 class TestSyntheticCohortSpec:
@@ -322,14 +324,20 @@ class TestRetractionConfig:
         defaults = inspect.signature(simulate_retraction).parameters
         for name in ("liver_mass_kg", "abdomen_k", "h", "v_tol", "max_steps", "cg_max", "cg_tol"):
             assert defaults[name].default == getattr(config, name), name
+        # The settle below simulate_retraction has no defaults of its own.
+        for fn, names in ((run_to_steady_state, ("h", "max_steps", "v_tol", "N_max", "tol")),
+                          (step, ("N_max", "tol"))):
+            params = inspect.signature(fn).parameters
+            for name in names:
+                assert params[name].default is inspect.Parameter.empty, (fn.__name__, name)
 
 
 class TestComparePlacements:
     def test_identical_runs_report_zero(self):
         model = small_model()
-        state = SimState.rest(model.n_dofs)
+        q = np.zeros(model.n_dofs)
         retr = retractor_on(model, 1, n=2)
-        rep = compare_placements(model, state, model, state, [], retr, case_id="same")
+        rep = compare_placements(model, q, q, [], retr, case_id="same")
         assert rep.mean_volume_diff == 0.0
         assert rep.at_tool_diff == 0.0
         assert not rep.significant
@@ -341,11 +349,7 @@ class TestComparePlacements:
         qb = np.zeros(model.n_dofs)
         qb[3 * 2 + 2] = 6.0  # node 2, z component
         retr = retractor_on(model, 2, n=2)
-        rep = compare_placements(
-            model, SimState(q=qa, qdot=np.zeros_like(qa), t=0.0),
-            model, SimState(q=qb, qdot=np.zeros_like(qb), t=0.0),
-            [], retr,
-        )
+        rep = compare_placements(model, qa, qb, [], retr)
         assert rep.at_tool_diff == pytest.approx(6.0)
         assert rep.significant
         assert rep.mean_volume_diff == pytest.approx(6.0 / model.n_nodes)
@@ -356,22 +360,9 @@ class TestComparePlacements:
         qb = np.zeros(model.n_dofs)
         qb[3 * 5 + 0] = 2.0  # node 5 is not in the region
         retr = retractor_on(model, 0)
-        rep = compare_placements(
-            model, SimState(q=qa, qdot=np.zeros_like(qa), t=0.0),
-            model, SimState(q=qb, qdot=np.zeros_like(qb), t=0.0),
-            [], retr,
-        )
+        rep = compare_placements(model, qa, qb, [], retr)
         assert rep.at_tool_diff == 0.0
         assert rep.mean_volume_diff > 0.0
-
-    def test_rejects_mismatched_layouts(self):
-        a = small_model(seed=0)
-        b = small_model(seed=1)
-        state_a = SimState.rest(a.n_dofs)
-        state_b = SimState.rest(b.n_dofs)
-        with pytest.raises(ValueError, match="share the node layout"):
-            compare_placements(a, state_a, b, state_b, [],
-                               retractor_on(a, 0))
 
     def test_landmark_differences_reported(self):
         case = tiny_case()
@@ -381,14 +372,33 @@ class TestComparePlacements:
         marks = default_landmarks(model, retr)
         qb = np.zeros(model.n_dofs)
         qb[0::3] = 1.0  # rigid +x shift of every node
-        rep = compare_placements(
-            model, SimState.rest(model.n_dofs),
-            model, SimState(q=qb, qdot=np.zeros_like(qb), t=0.0),
-            marks, retr,
-        )
+        rep = compare_placements(model, np.zeros(model.n_dofs), qb, marks, retr)
         assert [label for label, _ in rep.per_landmark] == ["tool", "interior", "inferior"]
         for _, d in rep.per_landmark:
             assert d == pytest.approx(1.0, rel=1e-9)
+
+    def test_one_evaluation_matches_two(self):
+        # The landmark differences read from dq once equal the distance
+        # between each run's own mapped landmarks.
+        config = RetractionConfig(n_nodes=40, k=6)
+        model = config.measured_model(synth_cohort(
+            SyntheticCohortSpec(n=1, seed=5, heterogeneity=0.35), dims=(10, 9, 8), voxel_mm=2.0
+        )[0])
+        atlas = model.with_constant_young(config.atlas_e_kpa)
+        retr = config.retractor(model.field)
+        qm, qa = config.settle(model, retr).q, config.settle(atlas, retr).q
+        marks = default_landmarks(model, retr)
+        rep = compare_placements(model, qm, qa, marks, retr)
+        two = [np.linalg.norm(pm - pa) for (_, pm), (_, pa) in
+               zip(displace_landmarks(model, qm, marks), displace_landmarks(atlas, qa, marks))]
+        assert min(two) > 0.01
+        np.testing.assert_allclose([d for _, d in rep.per_landmark], two, rtol=0, atol=1e-12)
+
+    def test_rejects_runs_of_another_model(self):
+        model = small_model()
+        q = np.zeros(model.n_dofs + 3)
+        with pytest.raises(ValueError, match="DOFs"):
+            compare_placements(model, q, q, [], retractor_on(model, 0))
 
 
 class TestInclusionOrdering:
@@ -446,6 +456,12 @@ class TestCohortRun:
         with pytest.raises(ValueError, match="all 1 cohort cases failed"):
             run_cohort_retractions([bad], RetractionConfig(n_nodes=40, k=6))
 
+    def test_capped_settle_is_skipped_with_its_reason(self):
+        config = RetractionConfig(n_nodes=40, k=6, cg_max=1, cg_tol=1e-30)
+        with pytest.raises(ValueError, match=r"all 1 cohort cases failed; first: step at t=0 s: "
+                                             r"CG stopped .* after the cap of 1 iterations"):
+            run_cohort_retractions([tiny_case()], config)
+
     def test_empty_cohort_raises(self):
         with pytest.raises(ValueError, match="empty"):
             run_cohort_retractions([], RetractionConfig())
@@ -455,9 +471,9 @@ class TestComparisonCsv:
     def reports(self):
         return [
             ComparisonReport(case_id="case_000", per_landmark=(("tool", 1.0),),
-                             mean_volume_diff=0.25, at_tool_diff=1.5, significant=False),
+                             mean_volume_diff=0.25, at_tool_diff=1.5),
             ComparisonReport(case_id="case_001", per_landmark=(),
-                             mean_volume_diff=2.0, at_tool_diff=6.25, significant=True),
+                             mean_volume_diff=2.0, at_tool_diff=6.25),
         ]
 
     def test_layout_and_roundtrip(self, tmp_path):

@@ -166,7 +166,7 @@ def cohort_csv(tmp_path_factory):
 @pytest.fixture(scope="module")
 def comparison_csv(tmp_path_factory):
     reports = [ComparisonReport(case_id=f"case_{i}", per_landmark=(), mean_volume_diff=0.5,
-                                at_tool_diff=2.0 + 3 * i, significant=2.0 + 3 * i > 5.0)
+                                at_tool_diff=2.0 + 3 * i)
                for i in range(3)]
     return write_comparison_csv(reports, tmp_path_factory.mktemp("csv") / "r.csv").read_bytes()
 

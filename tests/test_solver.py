@@ -39,6 +39,10 @@ from elastosim.solver import (
 )
 
 
+# The settle's CG knobs, RetractionConfig's cg_max and cg_tol.
+CG = dict(N_max=200, tol=1e-6)
+
+
 def scalar_system(M, K, C, q, qdot, f, h):
     """1-DOF implicit-Euler system from plain scalars."""
     return implicit_system(
@@ -207,6 +211,19 @@ class TestCgSolve:
         assert not res.converged
         assert res.iterations == 5
         assert res.residual > 1e-15
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+    def test_converges_only_on_a_true_residual(self, tol):
+        # At condition number 1e6 the recurrence residual of plain CG falls
+        # to 2e-13 while b - A x stalls near 5e-11.
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        a = (q * np.logspace(0, 6, 60)) @ q.T
+        system = LinearSystem(A=sp.csr_matrix((a + a.T) / 2), b=rng.standard_normal(60))
+        res = cg_solve(system, N_max=600, tol=tol)
+        true = np.linalg.norm(system.b - system.A @ res.x) / np.linalg.norm(system.b)
+        assert res.residual == pytest.approx(true, rel=1e-9)
+        assert res.converged == (true <= tol)
 
     def test_zero_rhs_short_circuits(self):
         A = sp.eye(4, format="csr")
@@ -397,12 +414,18 @@ class TestPreparedSettle:
         model, loads, h, _ = retraction_case
         settle = prepare_settle(model, loads, h)
         state = SimState.rest(model.n_dofs)
-        first = step(settle, state)
-        second = step(settle, first)
-        fresh = step(prepare_settle(model, loads, h), first)
+        first = step(settle, state, **CG)
+        second = step(settle, first, **CG)
+        fresh = step(prepare_settle(model, loads, h), first, **CG)
         assert np.array_equal(second.q, fresh.q) and np.array_equal(second.qdot, fresh.qdot)
         with pytest.raises(ValueError, match="DOFs"):
-            step(settle, SimState.rest(3))
+            step(settle, SimState.rest(3), **CG)
+
+    def test_capped_step_is_a_solver_error(self, retraction_case):
+        model, loads, h, _ = retraction_case
+        settle = prepare_settle(model, loads, h)
+        with pytest.raises(NonConvergenceError, match=r"residual .* cap of 1 iterations"):
+            step(settle, SimState.rest(model.n_dofs), N_max=1, tol=1e-30)
 
     def test_singular_system_is_a_solver_error(self):
         # A massless, stiffness-free model gives A = 0, which has no LU factor.
@@ -416,7 +439,7 @@ class TestStep:
     def test_rest_stays_at_rest(self):
         model = build_model(make_field(), n_nodes=5, k=4, seed=0)
         s0 = SimState.rest(model.n_dofs)
-        s1 = step(prepare_settle(model, LoadCase(), h=1e-3), s0)
+        s1 = step(prepare_settle(model, LoadCase(), h=1e-3), s0, **CG)
         assert np.all(s1.q == 0.0)
         assert np.all(s1.qdot == 0.0)
         assert s1.t == pytest.approx(1e-3)
@@ -426,7 +449,7 @@ class TestStep:
         model = make_point_model()
         g = (0.0, 0.0, -9810.0)
         h = 1e-3
-        s1 = step(prepare_settle(model, LoadCase(gravity=g), h), SimState.rest(3))
+        s1 = step(prepare_settle(model, LoadCase(gravity=g), h), SimState.rest(3), **CG)
         assert np.allclose(s1.qdot, [0.0, 0.0, -9810.0 * h], rtol=1e-12)
         assert np.allclose(s1.q, [0.0, 0.0, -9810.0 * h * h], rtol=1e-12)
 
@@ -434,7 +457,7 @@ class TestStep:
 class TestRunToSteadyState:
     def test_zero_loads_converges_immediately(self):
         model = build_model(make_field(), n_nodes=5, k=4, seed=0)
-        final = run_to_steady_state(model, LoadCase(), h=1e-3, max_steps=10)
+        final = run_to_steady_state(model, LoadCase(), h=1e-3, max_steps=10, v_tol=1e-4, **CG)
         assert np.all(final.q == 0.0)
 
     def test_spring_reaches_static_equilibrium(self):
@@ -455,7 +478,7 @@ class TestRunToSteadyState:
         model = make_point_model()
         loads = LoadCase(gravity=(0.0, 0.0, -9810.0))
         with pytest.raises(NonConvergenceError) as err:
-            run_to_steady_state(model, loads, h=1e-3, max_steps=50)
+            run_to_steady_state(model, loads, h=1e-3, max_steps=50, v_tol=1e-4, **CG)
         assert err.value.last_velocity_inf > 0.0
 
     def test_rigid_support_limit(self):
@@ -466,7 +489,8 @@ class TestRunToSteadyState:
             gravity=(0.0, 0.0, -9810.0),
             support_springs=[(0, 1e9, anchor)],
         )
-        final = run_to_steady_state(model, loads, h=0.1, max_steps=100, v_tol=1e-9, tol=1e-14)
+        final = run_to_steady_state(model, loads, h=0.1, max_steps=100, v_tol=1e-9, N_max=200,
+                                    tol=1e-14)
         assert np.abs(final.q).max() < 1e-6
 
 
@@ -533,19 +557,17 @@ class TestDisplaceLandmarks:
         model = build_model(make_field(dims=(4, 4, 4)), n_nodes=6, k=4, seed=0)
         rng = np.random.default_rng(2)
         q = rng.standard_normal(model.n_dofs) * 0.1
-        state = SimState(q=q, qdot=np.zeros(model.n_dofs), t=0.0)
         j = 3
         rest = model.dofs.nodes[j]
-        [(label, moved)] = displace_landmarks(model, state, [("lm", rest)])
+        [(label, moved)] = displace_landmarks(model, q, [("lm", rest)])
         assert label == "lm"
         assert np.allclose(moved, rest + q[3 * j : 3 * j + 3], atol=1e-12)
 
     def test_rigid_translation_carries_landmarks(self):
         model = build_model(make_field(dims=(4, 4, 4)), n_nodes=6, k=4, seed=0)
         d = np.array([0.3, -0.2, 0.5])
-        state = SimState(q=np.tile(d, model.n_nodes), qdot=np.zeros(model.n_dofs), t=0.0)
         marks = [("a", np.array([1.5, 1.5, 1.5])), ("b", np.array([2.5, 3.1, 2.2]))]
-        moved = displace_landmarks(model, state, marks)
+        moved = displace_landmarks(model, np.tile(d, model.n_nodes), marks)
         for (_, rest), (_, now) in zip(marks, moved):
             assert np.allclose(now, np.asarray(rest) + d, atol=1e-9)
 
@@ -571,15 +593,20 @@ class TestDisplaceLandmarks:
             q0=np.zeros(6), alpha=0.0, beta=0.0, seed=0,
         )
         q = np.array([1.0, 0.0, 0.0, 3.0, 0.0, 0.0])
-        state = SimState(q=q, qdot=np.zeros(6), t=0.0)
         midpoint = dofs.nodes.mean(axis=0)
-        [(_, moved)] = displace_landmarks(model, state, [("mid", midpoint)])
+        [(_, moved)] = displace_landmarks(model, q, [("mid", midpoint)])
         assert np.allclose(moved - midpoint, [2.0, 0.0, 0.0], atol=1e-12)
 
     def test_outside_mask_rejected(self):
         model = build_model(make_field(dims=(4, 4, 4)), n_nodes=6, k=4, seed=0)
         with pytest.raises(ValueError, match="outside the masked volume"):
-            displace_landmarks(model, SimState.rest(model.n_dofs), [("bad", [99.0, 1.0, 1.0])])
+            displace_landmarks(model, np.zeros(model.n_dofs), [("bad", [99.0, 1.0, 1.0])])
+
+    @pytest.mark.parametrize("extra", [-3, 3, 1])
+    def test_wrong_length_rejected(self, extra):
+        model = build_model(make_field(dims=(4, 4, 4)), n_nodes=6, k=4, seed=0)
+        with pytest.raises(ValueError, match="model has 18 DOFs"):
+            displace_landmarks(model, np.zeros(model.n_dofs + extra), [("a", [1.5, 1.5, 1.5])])
 
 
 class TestCsvExports:
