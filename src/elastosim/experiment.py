@@ -487,6 +487,9 @@ def compare_placements(
         ValueError: a vector not of the model's length, an empty tool
             region, or a landmark outside the mask.
     """
+    for name, q in (("q_measured", q_measured), ("q_atlas", q_atlas)):
+        if len(q) != model.n_dofs:
+            raise ValueError(f"{name} has {len(q)} entries, model has {model.n_dofs} DOFs")
     dq = q_measured - q_atlas
     node_diff = np.linalg.norm(dq.reshape(-1, 3), axis=1)
     region = retractor.map_region(model.dofs.nodes)
@@ -552,20 +555,27 @@ def run_cohort_retractions(
     scans drop out of a clinical cohort.
 
     Raises:
-        ValueError: empty cohort, or every case failed.
+        ValueError: empty cohort, or every case failed and at least one
+            on its data.
+        NonConvergenceError: every case failed in the solver.
     """
     if not cases:
         raise ValueError("cohort is empty")
     config = RetractionConfig() if config is None else config
     reports = []
     skipped = []
+    solver_failures = 0
     for case in cases:
         try:
             reports.append(compare_case(case, config))
         except (ValueError, NonConvergenceError) as exc:
             skipped.append((case.record.id, str(exc)))
+            solver_failures += isinstance(exc, NonConvergenceError)
     if not reports:
-        raise ValueError(f"all {len(cases)} cohort cases failed; first: {skipped[0][1]}")
+        message = f"all {len(cases)} cohort cases failed; first: {skipped[0][1]}"
+        if solver_failures == len(cases):
+            raise NonConvergenceError(message)
+        raise ValueError(message)
     return CohortRunResult(reports=tuple(reports), skipped=tuple(skipped))
 
 

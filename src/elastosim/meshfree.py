@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume
@@ -35,9 +36,17 @@ KG_PER_M3_TO_T_PER_MM3 = 1e-12
 # coincident: the Shepard weight saturates at 1 and its gradient at 0.
 _COINCIDENT_D2 = 1e-18
 
-# Entries per point-to-node distance block: queries run in row chunks of
-# this many distances so the block stays about 32 MB, whatever the grid.
+# Entries per point-to-node distance block: the exact search runs in row
+# chunks of this many distances so the block stays about 32 MB, whatever the
+# grid.
 _CDIST_ENTRIES = 4_000_000
+
+# A k-d tree row is settled when its (k+1)-th nearest node lies farther than
+# its k-th by this relative and absolute (mm) margin.  Tree distances carry
+# rounding errors near 1e-16 relative, so such a row has the same k nearest
+# nodes under cdist's arithmetic; every other row is searched exactly.
+_TREE_GAP_REL = 1e-9
+_TREE_GAP_ABS_MM = 1e-12
 
 # Lloyd relaxation stops once no node moves this far in mm, or after this
 # many iterations.
@@ -286,12 +295,49 @@ def _lloyd_step(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 
 def _nearest_nodes(points: np.ndarray, nodes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest nodes of each point and their squared distances, in row chunks.
+    """The k nearest nodes of each point and their squared distances.
+
+    A k-d tree over the nodes finds each point's k + 1 nearest.  A row whose
+    (k+1)-th node is clearly farther than its k-th (d_k > d_(k-1) *
+    (1 + _TREE_GAP_REL) + _TREE_GAP_ABS_MM) keeps the tree's k nodes, with
+    d^2 recomputed as cdist computes it and, for k > 1, ordered by (d^2,
+    node index).  Rows with a near tie at the k-th distance, and every row
+    when k >= n, go to the exact search `_nearest_nodes_cdist`.  Ties are
+    resolved only there, so every row equals that search's result.
+    Returns (indices, d2), each of shape (m, k).
+    """
+    if k >= len(nodes):
+        return _nearest_nodes_cdist(points, nodes, k)
+    # Free each temporary before the next allocation: left on the heap below
+    # the arrays that outlive the call, they kept about 1.6 MB more resident
+    # through the rest of a slender-beam run.
+    dist, indices = cKDTree(nodes).query(points, k=k + 1)
+    clear = dist[:, k] > dist[:, k - 1] * (1.0 + _TREE_GAP_REL) + _TREE_GAP_ABS_MM
+    del dist
+    indices = indices[:, :k]
+    sq = points[:, None, :] - nodes[indices]
+    sq *= sq
+    nearest_d2 = sq[..., 0] + sq[..., 1] + sq[..., 2]  # cdist's sqeuclidean, term by term
+    del sq
+    if k > 1:
+        order = np.lexsort((indices, nearest_d2), axis=1)
+        indices = np.take_along_axis(indices, order, axis=1)
+        nearest_d2 = np.take_along_axis(nearest_d2, order, axis=1)
+    if not clear.all():
+        indices[~clear], nearest_d2[~clear] = _nearest_nodes_cdist(points[~clear], nodes, k)
+    return indices, nearest_d2
+
+
+def _nearest_nodes_cdist(
+    points: np.ndarray, nodes: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact k-nearest search: dense cdist blocks, in row chunks.
 
     Each row is ordered by (distance, node index).  For k = 1 ties resolve
     to the lowest node index; for k > 1, which of several nodes tied at the
-    k-th distance enter a row is np.argpartition's choice.  Returns
-    (indices, d2), each of shape (m, k).
+    k-th distance enter a row is np.argpartition's choice.  Every row is
+    decided on its own, whatever the chunking.  Returns (indices, d2), each
+    of shape (m, k).
     """
     indices = np.empty((len(points), k), dtype=np.int64)
     nearest_d2 = np.empty((len(points), k))

@@ -421,6 +421,15 @@ class TestCohortRunCommand:
                          "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    def test_every_case_capped_is_solver_error(self, capsys, tmp_path):
+        code = cli_main(["cohort-run", "--synth-n", "2", "--seed", "7", *FAST_SYNTH,
+                         "--cg-max", "1", "--cg-tol", "1e-30", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "solver error: all 2 cohort cases failed" in err
+        assert "after the cap of 1 iterations" in err
+        assert not (tmp_path / "comparison.csv").exists()
+
 
 class TestValidateBeamCommand:
     def test_benchmark_resolution_run(self, capsys, tmp_path):

@@ -31,7 +31,13 @@ from elastosim.experiment import (
     young_material_field,
 )
 from elastosim.meshfree import build_model
-from elastosim.solver import LoadCase, displace_landmarks, run_to_steady_state, step
+from elastosim.solver import (
+    LoadCase,
+    NonConvergenceError,
+    displace_landmarks,
+    run_to_steady_state,
+    step,
+)
 from elastosim.volume import CohortRecord, RoiMask, VoxelVolume, mean_shear_modulus, shear_to_young
 
 
@@ -400,6 +406,16 @@ class TestComparePlacements:
         with pytest.raises(ValueError, match="DOFs"):
             compare_placements(model, q, q, [], retractor_on(model, 0))
 
+    @pytest.mark.parametrize("extra_measured, extra_atlas", [(3, 0), (0, -3), (3, -3)])
+    def test_rejects_runs_of_unequal_length_naming_the_dof_count(self, extra_measured,
+                                                                 extra_atlas):
+        model = small_model()
+        qm = np.zeros(model.n_dofs + extra_measured)
+        qa = np.zeros(model.n_dofs + extra_atlas)
+        name = "q_measured" if extra_measured else "q_atlas"
+        with pytest.raises(ValueError, match=f"{name} has .* entries, model has 72 DOFs"):
+            compare_placements(model, qm, qa, [], retractor_on(model, 0))
+
 
 class TestInclusionOrdering:
     def test_at_tool_exceeds_volume_mean(self):
@@ -458,9 +474,20 @@ class TestCohortRun:
 
     def test_capped_settle_is_skipped_with_its_reason(self):
         config = RetractionConfig(n_nodes=40, k=6, cg_max=1, cg_tol=1e-30)
-        with pytest.raises(ValueError, match=r"all 1 cohort cases failed; first: step at t=0 s: "
-                                             r"CG stopped .* after the cap of 1 iterations"):
+        with pytest.raises(NonConvergenceError,
+                           match=r"all 1 cohort cases failed; first: step at t=0 s: "
+                                 r"CG stopped .* after the cap of 1 iterations"):
             run_cohort_retractions([tiny_case()], config)
+
+    def test_data_and_solver_failures_together_are_a_data_error(self):
+        tiny_mask = np.zeros(10 * 9 * 8, dtype=bool)
+        tiny_mask[:2] = True
+        capped = tiny_case()
+        bad = CohortCase(record=CohortRecord(id="bad", mean_shear_G=0.7, young_E=2.1),
+                         volume=capped.volume, mask=RoiMask(dims=(10, 9, 8), flags=tiny_mask))
+        config = RetractionConfig(n_nodes=40, k=6, cg_max=1, cg_tol=1e-30)
+        with pytest.raises(ValueError, match="all 2 cohort cases failed; first: step at t=0 s"):
+            run_cohort_retractions([capped, bad], config)
 
     def test_empty_cohort_raises(self):
         with pytest.raises(ValueError, match="empty"):

@@ -232,7 +232,7 @@ class TestNearestNode:
         block = 8 * 1_000_000
         tracemalloc.start()
         try:
-            meshfree._nearest_nodes(points, nodes, k)
+            meshfree._nearest_nodes_cdist(points, nodes, k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -247,6 +247,87 @@ class TestNearestNode:
         chunked = shepard_weights(points, nodes, k=4)
         for a, b in zip(whole, chunked):
             assert np.array_equal(a, b)
+
+
+EXACT_SEARCH = meshfree._nearest_nodes_cdist
+
+
+def count_exact_rows(monkeypatch):
+    """Route `_nearest_nodes`' exact path through a counter of the rows it gets."""
+    rows = []
+
+    def counted(points, nodes, k):
+        rows.append(len(points))
+        return EXACT_SEARCH(points, nodes, k)
+
+    monkeypatch.setattr(meshfree, "_nearest_nodes_cdist", counted)
+    return rows
+
+
+def assert_tree_matches_cdist(points, nodes, k):
+    idx, d2 = meshfree._nearest_nodes(points, nodes, k)
+    ref_idx, ref_d2 = EXACT_SEARCH(points, nodes, k)
+    assert idx.dtype == ref_idx.dtype and idx.shape == ref_idx.shape == (len(points), k)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(d2, ref_d2)
+
+
+class TestTreeSearch:
+    """The k-d tree path of `_nearest_nodes` against the exact cdist search."""
+
+    @pytest.mark.parametrize("k", [1, 3, 6, 8])
+    def test_tie_heavy_integer_grid(self, monkeypatch, k):
+        rng = np.random.default_rng(10 + k)
+        points = rng.integers(-4, 5, size=(300, 3)).astype(float)
+        nodes = rng.integers(-4, 5, size=(60, 3)).astype(float)
+        rows = count_exact_rows(monkeypatch)
+        assert_tree_matches_cdist(points, nodes, k)
+        # Both paths ran: near-tied rows went to cdist, the rest the tree settled.
+        assert len(rows) == 1 and 0 < rows[0] < len(points)
+
+    def test_k_equal_to_node_count_is_searched_exactly(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        points = rng.integers(-3, 4, size=(50, 3)).astype(float)
+        nodes = rng.integers(-3, 4, size=(9, 3)).astype(float)
+        rows = count_exact_rows(monkeypatch)
+        assert_tree_matches_cdist(points, nodes, 9)
+        assert rows == [len(points)]
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_duplicate_nodes(self, k):
+        rng = np.random.default_rng(6)
+        points = rng.uniform(0.0, 10.0, size=(400, 3))
+        nodes = rng.uniform(0.0, 10.0, size=(30, 3))
+        nodes[10:20] = nodes[:10]
+        nodes[25] = nodes[3]
+        assert_tree_matches_cdist(points, nodes, k)
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_points_on_nodes(self, k):
+        rng = np.random.default_rng(7)
+        nodes = rng.uniform(-5.0, 5.0, size=(40, 3))
+        points = np.concatenate([nodes, rng.uniform(-5.0, 5.0, size=(100, 3)), nodes[::3]])
+        assert_tree_matches_cdist(points, nodes, k)
+        idx, d2 = meshfree._nearest_nodes(points, nodes, k)
+        assert np.array_equal(idx[:40, 0], np.arange(40)) and (d2[:40, 0] == 0.0).all()
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "beam"])
+    def test_sampling_and_shapes_match_the_cdist_path(self, monkeypatch, name):
+        if name == "ellipsoid":
+            field, n_nodes, k = ellipsoid_field(), 60, 8
+        else:
+            # The slender cantilever at 1.25 mm voxels with 150 nodes: a
+            # regular grid whose Lloyd seeds are voxel centers.
+            field, n_nodes, k = make_field(dims=(40, 8, 2), spacing=(1.25,) * 3), 150, 6
+        dofs = sample_dofs(field, n_nodes=n_nodes, seed=0)
+        shape = shape_weights(dofs, field, k=k)
+        monkeypatch.setattr(meshfree, "_nearest_nodes", EXACT_SEARCH)
+        ref_dofs = sample_dofs(field, n_nodes=n_nodes, seed=0)
+        ref_shape = shape_weights(ref_dofs, field, k=k)
+        assert np.array_equal(dofs.nodes, ref_dofs.nodes)
+        assert np.array_equal(dofs.owner, ref_dofs.owner)
+        for attr in ("indices", "weights", "gradients", "corrected_gradients"):
+            assert np.array_equal(getattr(shape, attr), getattr(ref_shape, attr)), attr
 
 
 class TestShepardWeights:
