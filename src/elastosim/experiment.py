@@ -82,16 +82,16 @@ class RetractionConfig:
         """Reject a knob no run can use, naming its field.
 
         Raises:
-            ValueError: a non-finite number; h, v_tol, cg_tol, diameter or a
-                set liver_mass_kg not > 0; significance_mm < 0; cg_max or
-                max_steps < 1.
+            ValueError: a non-finite number; h, v_tol, cg_tol, diameter,
+                voxel_ref_mm or a set liver_mass_kg not > 0; significance_mm
+                < 0; cg_max or max_steps < 1.
         """
         for f in fields(self):
             value = getattr(self, f.name)
             # Integers are finite, and may exceed what a float array holds.
             if not isinstance(value, (int, type(None))) and not np.isfinite(value).all():
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in ("h", "v_tol", "cg_tol", "diameter", "liver_mass_kg"):
+        for name in ("h", "v_tol", "cg_tol", "diameter", "voxel_ref_mm", "liver_mass_kg"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
@@ -219,6 +219,9 @@ class SyntheticCohortSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"cohort size must be >= 0, got {self.n}")
+        for name in ("median_kpa", "log_sd"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.median_kpa <= 0:
             raise ValueError(f"median stiffness must be > 0, got {self.median_kpa}")
         if self.log_sd < 0:
@@ -319,7 +322,13 @@ def synth_cohort(
     jitters the ellipsoid shape, optionally adds smooth spatial variation,
     and enforces that the masked mean of the stored volume equals G within
     1e-9 relative so the record and the volume never disagree.
+
+    Raises:
+        ValueError: voxel_mm not finite and > 0, or a case's ellipsoid
+            selects no voxel of the grid.
     """
+    if not 0.0 < voxel_mm < np.inf:
+        raise ValueError(f"voxel_mm must be finite and > 0, got {voxel_mm}")
     master = np.random.default_rng(spec.seed)
     # One child stream per case so records and masks do not depend on the
     # heterogeneity setting (patterns draw extra numbers only when enabled).
@@ -331,6 +340,8 @@ def synth_cohort(
         g = spec.median_kpa * np.exp(spec.log_sd * rng.standard_normal())
         axes = rng.uniform(0.72, 0.92, size=3) * extent / 2.0
         mask = ellipsoid_mask(dims, voxel_mm, tuple(axes))
+        if mask.n_selected == 0:
+            raise ValueError(f"case_{i:03d}: the ellipsoid mask selects no voxel of dims {dims}")
         if spec.heterogeneity > 0:
             centers = voxel_centers(dims, (voxel_mm,) * 3)[mask.flags]
             pattern = _smooth_pattern(centers, extent, rng)

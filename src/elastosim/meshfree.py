@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume
 
@@ -36,15 +35,10 @@ KG_PER_M3_TO_T_PER_MM3 = 1e-12
 # coincident: the Shepard weight saturates at 1 and its gradient at 0.
 _COINCIDENT_D2 = 1e-18
 
-# Entries per point-to-node distance block: the exact search runs in row
-# chunks of this many distances so the block stays about 32 MB, whatever the
-# grid.
-_CDIST_ENTRIES = 4_000_000
-
-# A k-d tree row is settled when its (k+1)-th nearest node lies farther than
+# A k-d tree row is settled when its last candidate node lies farther than
 # its k-th by this relative and absolute (mm) margin.  Tree distances carry
-# rounding errors near 1e-16 relative, so such a row has the same k nearest
-# nodes under cdist's arithmetic; every other row is searched exactly.
+# rounding errors near 1e-16 relative, so every node that the recomputed d^2
+# could tie with the k-th is then a candidate.
 _TREE_GAP_REL = 1e-9
 _TREE_GAP_ABS_MM = 1e-12
 
@@ -295,66 +289,52 @@ def _lloyd_step(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 
 def _nearest_nodes(points: np.ndarray, nodes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest nodes of each point and their squared distances.
+    """The k nearest nodes of each point by (d^2, node index), and their d^2.
 
-    A k-d tree over the nodes finds each point's k + 1 nearest.  A row whose
-    (k+1)-th node is clearly farther than its k-th (d_k > d_(k-1) *
-    (1 + _TREE_GAP_REL) + _TREE_GAP_ABS_MM) keeps the tree's k nodes, with
-    d^2 recomputed as cdist computes it and, for k > 1, ordered by (d^2,
-    node index).  Rows with a near tie at the k-th distance, and every row
-    when k >= n, go to the exact search `_nearest_nodes_cdist`.  Ties are
-    resolved only there, so every row equals that search's result.
-    Returns (indices, d2), each of shape (m, k).
+    A k-d tree over the nodes gives each point k + 1 candidates.  A row is
+    settled when its last candidate is clearly farther than its k-th (d_last
+    > d_k * (1 + _TREE_GAP_REL) + _TREE_GAP_ABS_MM), so every node tied at
+    the k-th distance is among its candidates, or when it holds all n nodes.
+    Each other row asks again for twice as many.  Of nodes tied at a
+    distance the lowest index comes first.  Returns (indices, d2), each of
+    shape (m, k).
     """
-    if k >= len(nodes):
-        return _nearest_nodes_cdist(points, nodes, k)
+    tree = cKDTree(nodes)
+    indices, nearest_d2, settled = _ranked_candidates(tree, points, nodes, k, k + 1)
+    rows, width = np.flatnonzero(~settled), 2 * (k + 1)
+    while len(rows):
+        idx, d2, settled = _ranked_candidates(tree, points[rows], nodes, k, width)
+        indices[rows[settled]], nearest_d2[rows[settled]] = idx[settled], d2[settled]
+        rows, width = rows[~settled], 2 * width
+    return indices, nearest_d2
+
+
+def _ranked_candidates(tree: cKDTree, points: np.ndarray, nodes: np.ndarray, k: int, width: int):
+    """The first k of each point's `width` nearest tree nodes by (d^2, node index).
+
+    d^2 is recomputed term by term, dx*dx + dy*dy + dz*dz, so that it does
+    not depend on the tree's arithmetic.  Returns (indices, d2, settled),
+    where only the rows marked settled (see `_nearest_nodes`) are final.
+    """
+    width = min(width, len(nodes))
+    dist, cand = tree.query(points, k=width)
+    # A width-1 query returns flat arrays.
+    dist, cand = dist.reshape(len(points), width), cand.reshape(len(points), width)
+    settled = dist[:, -1] > dist[:, k - 1] * (1.0 + _TREE_GAP_REL) + _TREE_GAP_ABS_MM
+    if width == len(nodes):
+        settled[:] = True
+    else:
+        cand = cand[:, :-1]  # too far to enter a settled row's k nearest
     # Free each temporary before the next allocation: left on the heap below
-    # the arrays that outlive the call, they kept about 1.6 MB more resident
-    # through the rest of a slender-beam run.
-    dist, indices = cKDTree(nodes).query(points, k=k + 1)
-    clear = dist[:, k] > dist[:, k - 1] * (1.0 + _TREE_GAP_REL) + _TREE_GAP_ABS_MM
+    # the arrays that outlive the call, they keep memory resident through the
+    # rest of a run.
     del dist
-    indices = indices[:, :k]
-    sq = points[:, None, :] - nodes[indices]
+    sq = points[:, None, :] - nodes[cand]
     sq *= sq
-    nearest_d2 = sq[..., 0] + sq[..., 1] + sq[..., 2]  # cdist's sqeuclidean, term by term
+    d2 = sq[..., 0] + sq[..., 1] + sq[..., 2]
     del sq
-    if k > 1:
-        order = np.lexsort((indices, nearest_d2), axis=1)
-        indices = np.take_along_axis(indices, order, axis=1)
-        nearest_d2 = np.take_along_axis(nearest_d2, order, axis=1)
-    if not clear.all():
-        indices[~clear], nearest_d2[~clear] = _nearest_nodes_cdist(points[~clear], nodes, k)
-    return indices, nearest_d2
-
-
-def _nearest_nodes_cdist(
-    points: np.ndarray, nodes: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The exact k-nearest search: dense cdist blocks, in row chunks.
-
-    Each row is ordered by (distance, node index).  For k = 1 ties resolve
-    to the lowest node index; for k > 1, which of several nodes tied at the
-    k-th distance enter a row is np.argpartition's choice.  Every row is
-    decided on its own, whatever the chunking.  Returns (indices, d2), each
-    of shape (m, k).
-    """
-    indices = np.empty((len(points), k), dtype=np.int64)
-    nearest_d2 = np.empty((len(points), k))
-    chunk = max(1, _CDIST_ENTRIES // max(len(nodes), 1))
-    for lo in range(0, len(points), chunk):
-        d2 = cdist(points[lo : lo + chunk], nodes, "sqeuclidean")
-        if k == 1:
-            idx = np.argmin(d2, axis=1)[:, None]  # ties resolve to the lowest node index
-        else:
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            order = np.lexsort((part, np.take_along_axis(d2, part, axis=1)), axis=1)
-            idx = np.take_along_axis(part, order, axis=1)
-            del part  # a view that keeps the whole (chunk, n) index block alive
-        indices[lo : lo + len(d2)] = idx
-        nearest_d2[lo : lo + len(d2)] = np.take_along_axis(d2, idx, axis=1)
-        del d2  # free this block before the next chunk's cdist allocates one
-    return indices, nearest_d2
+    order = np.lexsort((cand, d2), axis=1)[:, :k]
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d2, order, axis=1), settled
 
 
 def shepard_weights(points: np.ndarray, nodes: np.ndarray, k: int):

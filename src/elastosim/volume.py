@@ -229,12 +229,12 @@ def stiffness_histogram(
         the number of records.
 
     Raises:
-        ValueError: empty cohort or non-positive bin width.
+        ValueError: empty cohort, or a bin width not finite and > 0.
     """
     if not records:
         raise ValueError("cohort is empty")
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be > 0, got {bin_width}")
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin width must be finite and > 0, got {bin_width}")
     values = np.array([r.young_E for r in records], dtype=float)
     idx = np.floor(values / bin_width).astype(int)
     n_bins = int(idx.max()) + 1
@@ -247,12 +247,12 @@ def cohort_stats(records: list[CohortRecord], atlas_E: float = 2.1) -> tuple[flo
     """Fractions of records stiffer than atlas_E + 1 kPa and than 2 * atlas_E.
 
     Raises:
-        ValueError: empty cohort or non-positive atlas value.
+        ValueError: empty cohort, or an atlas value not finite and > 0.
     """
     if not records:
         raise ValueError("cohort is empty")
-    if atlas_E <= 0:
-        raise ValueError(f"atlas stiffness must be > 0, got {atlas_E}")
+    if not 0.0 < atlas_E < math.inf:
+        raise ValueError(f"atlas stiffness must be finite and > 0, got {atlas_E}")
     n = len(records)
     over_plus1 = sum(1 for r in records if r.young_E > atlas_E + 1.0)
     over_double = sum(1 for r in records if r.young_E > 2.0 * atlas_E)

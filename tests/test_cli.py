@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line harness and its exit-code contract."""
 
+import argparse
 import json
 import struct
 import subprocess
@@ -9,7 +10,16 @@ import numpy as np
 import pytest
 from conftest import join_archive, split_archive
 
-from elastosim.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, cli_main
+from elastosim.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_SOLVER,
+    EXIT_USAGE,
+    _point,
+    _seconds_from_ms,
+    build_parser,
+    cli_main,
+)
 from elastosim.experiment import load_comparison_csv
 from elastosim.volume import VoxelVolume, load_cohort_csv, write_volume
 
@@ -155,6 +165,64 @@ class TestCohortStatsCommand:
                          "--out", str(tmp_path)]) == EXIT_OK
         rows = (tmp_path / "cohort_hist.csv").read_text().splitlines()[1:]
         assert sum(int(r.split(",")[2]) for r in rows) == 4
+
+
+def float_flags(*commands):
+    """(command, flag, text type) of every flag of `commands` that parses floats."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.type)
+            for command in commands for action in sub.choices[command]._actions
+            if action.type in (float, _seconds_from_ms, _point)]
+
+
+class TestNonFiniteFlags:
+    """Every float flag, given nan or inf, is a data error at the boundary.
+
+    Warnings are errors here: a value that slips past the checks shows up as a
+    numpy RuntimeWarning before it turns into a late data error.
+    """
+
+    @pytest.fixture(scope="class")
+    def cohort(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cohort")
+        assert cli_main(synth_args(out, n=1)) == EXIT_OK
+        return out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag, kind", float_flags(
+        "cohort-stats", "synth-cohort", "cohort-run", "build-model"))
+    def test_is_data_error(self, capsys, tmp_path, cohort, command, flag, kind, value):
+        inputs = {
+            "cohort-stats": ["--csv", str(cohort / "cohort.csv")],
+            "synth-cohort": ["--n", "1", "--dims", "10,9,8", "--voxel-mm", "2.0"],
+            "cohort-run": ["--synth-n", "1", "--dims", "10,9,8", "--voxel-mm", "2.0",
+                           "--nodes", "20"],
+            "build-model": ["--volume", str(cohort / "case_000.json"), "--nodes", "20"],
+        }[command]
+        text = f"{value},0,0" if kind is _point else value
+        code = cli_main([command, *inputs, f"{flag}={text}", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, err
+        assert "data error" in err and "Traceback" not in err
+
+    def test_float_flags_cover_the_cohort_knobs(self):
+        flags = {flag for _, flag, _ in float_flags("cohort-stats", "synth-cohort")}
+        assert flags == {"--bin-width", "--atlas-e-kpa", "--median-kpa", "--log-sd",
+                         "--heterogeneity", "--voxel-mm"}
+
+    @pytest.mark.parametrize("args, message", [
+        (["synth-cohort", "--voxel-mm", "0"], "voxel_mm must be finite and > 0, got 0.0"),
+        (["synth-cohort", "--dims", "2,2,2"],
+         "case_000: the ellipsoid mask selects no voxel of dims (2, 2, 2)"),
+        (["cohort-run", "--synth-n", "1", "--voxel-mm", "0"], "voxel_ref_mm must be > 0, got 0.0"),
+    ])
+    def test_degenerate_synthetic_grid_is_data_error(self, capsys, tmp_path, args, message):
+        code = cli_main([*args, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert message in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir()), "nothing is written"
 
 
 class TestModelAndRetract:

@@ -144,10 +144,27 @@ class TestSyntheticCohortSpec:
         with pytest.raises(ValueError, match="heterogeneity"):
             SyntheticCohortSpec(n=1, heterogeneity=1.0)
 
+    @pytest.mark.parametrize("name", ["median_kpa", "log_sd"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_field_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            SyntheticCohortSpec(n=1, **{name: value})
+
 
 class TestSynthCohort:
     def test_empty_cohort(self):
         assert synth_cohort(SyntheticCohortSpec(n=0, seed=3)) == []
+
+    @pytest.mark.parametrize("voxel_mm", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_voxel_pitch_not_finite_and_positive(self, voxel_mm):
+        with pytest.raises(ValueError, match="voxel_mm must be finite and > 0"):
+            synth_cohort(SyntheticCohortSpec(n=0), voxel_mm=voxel_mm)
+
+    def test_empty_mask_names_the_case_and_the_dims(self):
+        # A 2-voxel axis puts every center 0.5 voxel off the middle; at
+        # semi-axes under 0.87 of the half-extent no center is inside.
+        with pytest.raises(ValueError, match=r"case_\d{3}: .* no voxel of dims \(2, 2, 2\)"):
+            synth_cohort(SyntheticCohortSpec(n=20, seed=0), dims=(2, 2, 2))
 
     def test_deterministic_given_seed(self):
         spec = SyntheticCohortSpec(n=4, seed=9, heterogeneity=0.3)
@@ -320,6 +337,11 @@ class TestRetractionConfig:
         field = young_material_field(case.volume, case.mask)
         retr = RetractionConfig(tool_center=(1.0, 2.0, 3.0), diameter=4.0).retractor(field)
         assert retr.center == (1.0, 2.0, 3.0) and retr.diameter == 4.0
+
+    @pytest.mark.parametrize("voxel_ref_mm", [0.0, -2.0])
+    def test_rejects_voxel_pitch_not_positive(self, voxel_ref_mm):
+        with pytest.raises(ValueError, match="voxel_ref_mm must be > 0"):
+            RetractionConfig(voxel_ref_mm=voxel_ref_mm)
 
     def test_integer_knobs_of_any_size_pass_the_finite_check(self):
         assert RetractionConfig(seed=2**70, cg_max=10**30).seed == 2**70

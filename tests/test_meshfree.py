@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from elastosim import meshfree
@@ -185,15 +186,43 @@ class TestLloydStep:
         assert np.array_equal(fast.owner, ref.owner)
 
 
+def nearest_oracle(points, nodes, k):
+    """Brute force: every point-to-node d^2, each row ordered by (d^2, node index)."""
+    d2 = cdist(points, nodes, "sqeuclidean")
+    idx = np.array([np.lexsort((np.arange(len(nodes)), row))[:k] for row in d2])
+    idx = idx.reshape(len(points), k)
+    return idx, np.take_along_axis(d2, idx, axis=1)
+
+
+def assert_matches_oracle(points, nodes, k):
+    idx, d2 = meshfree._nearest_nodes(points, nodes, k)
+    ref_idx, ref_d2 = nearest_oracle(points, nodes, k)
+    assert idx.dtype == ref_idx.dtype and idx.shape == ref_idx.shape == (len(points), k)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(d2, ref_d2)
+
+
+def record_query_widths(monkeypatch):
+    """Record (rows, width) of every k-d tree query `_nearest_nodes` makes."""
+    widths = []
+
+    class Recorded(cKDTree):
+        def query(self, x, k):
+            widths.append((len(x), k))
+            return super().query(x, k)
+
+    monkeypatch.setattr(meshfree, "cKDTree", Recorded)
+    return widths
+
+
 class TestNearestNode:
-    def test_tiny_chunks_match_full_argmin_with_ties(self, monkeypatch):
+    def test_k1_ties_go_to_the_lowest_index(self):
         rng = np.random.default_rng(0)
         points = rng.integers(-3, 4, size=(57, 3)).astype(float)
         nodes = rng.integers(-3, 4, size=(6, 3)).astype(float)
         nodes[4] = nodes[1]  # an exact duplicate: every point near it ties
         d2 = cdist(points, nodes, "sqeuclidean")
         assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum() >= 5
-        monkeypatch.setattr(meshfree, "_CDIST_ENTRIES", 13)  # 2 rows a chunk, the last 1
         idx, nearest_d2 = meshfree._nearest_nodes(points, nodes, 1)
         assert idx.shape == nearest_d2.shape == (57, 1)
         owner, nearest_d2 = idx[:, 0], nearest_d2[:, 0]
@@ -201,97 +230,86 @@ class TestNearestNode:
         assert np.array_equal(nearest_d2, d2.min(axis=1))
         assert not (owner == 4).any(), "ties go to the lowest node index"
 
-    def test_k_nearest_in_tiny_chunks_sorted_by_distance_then_index(self, monkeypatch):
+    def test_k_nearest_sorted_by_distance_then_index(self):
         rng = np.random.default_rng(1)
         points = rng.integers(-3, 4, size=(41, 3)).astype(float)
         nodes = rng.integers(-3, 4, size=(40, 3)).astype(float)  # integer grid: many ties
         d2 = cdist(points, nodes, "sqeuclidean")
-        monkeypatch.setattr(meshfree, "_CDIST_ENTRIES", 80)  # 2 rows a chunk, the last 1
         idx, nearest_d2 = meshfree._nearest_nodes(points, nodes, 3)
         ref = np.array([np.lexsort((np.arange(len(nodes)), row))[:3] for row in d2])
-        assert np.array_equal(nearest_d2, np.take_along_axis(d2, ref, axis=1))
-        assert np.array_equal(np.take_along_axis(d2, idx, axis=1), nearest_d2)
-        # Where nodes tie at the third distance, argpartition picks which
-        # enter; every other row is the lexsort's exactly.
+        # Rows where nodes tie at the third distance keep the lowest indices too.
         straddles = (d2 <= nearest_d2[:, 2:]).sum(axis=1) > 3
         assert 0 < straddles.sum() < len(points) - 5
-        assert np.array_equal(idx[~straddles], ref[~straddles])
+        assert np.array_equal(idx, ref)
+        assert np.array_equal(nearest_d2, np.take_along_axis(d2, ref, axis=1))
         tied = np.diff(nearest_d2, axis=1) == 0
         assert tied.any(), "ties within a row check the index order"
         assert (np.diff(idx, axis=1)[tied] > 0).all()
 
-    @pytest.mark.parametrize("k, blocks", [(1, 1.5), (6, 2.5)])
-    def test_each_chunk_frees_its_blocks_before_the_next(self, monkeypatch, k, blocks):
-        # One distance block is 500 rows x 2000 nodes of float64, 8 MB.  Holding
-        # the last chunk's distance block (and, for k > 1, its argpartition
-        # index block) into the next chunk's cdist costs one more block.
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_tie_heavy_search_holds_no_distance_block(self, k):
+        # Integer-grid points and nodes tie at the k-th distance in many rows.
+        # A dense block of 1 000 rows against all 2 000 nodes is 16 MB.
         rng = np.random.default_rng(3)
-        points = rng.uniform(0.0, 100.0, size=(20_000, 3))
-        nodes = rng.uniform(0.0, 100.0, size=(2_000, 3))
-        monkeypatch.setattr(meshfree, "_CDIST_ENTRIES", 1_000_000)
-        block = 8 * 1_000_000
+        points = rng.integers(0, 40, size=(20_000, 3)).astype(float)
+        nodes = rng.integers(0, 40, size=(2_000, 3)).astype(float)
+        block = 8 * 1_000 * len(nodes)
         tracemalloc.start()
         try:
-            meshfree._nearest_nodes_cdist(points, nodes, k)
+            meshfree._nearest_nodes(points, nodes, k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < blocks * block, f"peak {peak / block:.2f} blocks"
+        assert peak < block, f"peak {peak / block:.2f} blocks"
 
-    def test_shepard_weights_do_not_depend_on_the_chunk_size(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        points = rng.uniform(0.0, 10.0, size=(33, 3))
-        nodes = rng.uniform(0.0, 10.0, size=(7, 3))
-        whole = shepard_weights(points, nodes, k=4)
-        monkeypatch.setattr(meshfree, "_CDIST_ENTRIES", 13)
-        chunked = shepard_weights(points, nodes, k=4)
-        for a, b in zip(whole, chunked):
-            assert np.array_equal(a, b)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=30),
+        nodes=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=14),
+    )
+    @example(points=[(0, 0, 0)], nodes=[(1, 0, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+                                       (-1, 0, 0), (0, 1, 0), (2, 2, 2)])
+    def test_matches_the_oracle_on_integer_grids(self, points, nodes):
+        # Small grids tie and repeat nodes often; every k covers n = k + 1 and k = n.
+        points, nodes = np.array(points, dtype=float), np.array(nodes, dtype=float)
+        for k in range(1, len(nodes) + 1):
+            assert_matches_oracle(points, nodes, k)
 
-
-EXACT_SEARCH = meshfree._nearest_nodes_cdist
-
-
-def count_exact_rows(monkeypatch):
-    """Route `_nearest_nodes`' exact path through a counter of the rows it gets."""
-    rows = []
-
-    def counted(points, nodes, k):
-        rows.append(len(points))
-        return EXACT_SEARCH(points, nodes, k)
-
-    monkeypatch.setattr(meshfree, "_nearest_nodes_cdist", counted)
-    return rows
-
-
-def assert_tree_matches_cdist(points, nodes, k):
-    idx, d2 = meshfree._nearest_nodes(points, nodes, k)
-    ref_idx, ref_d2 = EXACT_SEARCH(points, nodes, k)
-    assert idx.dtype == ref_idx.dtype and idx.shape == ref_idx.shape == (len(points), k)
-    assert np.array_equal(idx, ref_idx)
-    assert np.array_equal(d2, ref_d2)
+    def test_a_wide_tie_widens_until_the_last_candidate_is_clear(self, monkeypatch):
+        # Six nodes tie at distance 1: more than 2(k + 1) of them for k = 2.
+        face = [(1, 0, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (-1, 0, 0), (0, 1, 0)]
+        far = [(5, 5, 5 + i) for i in range(10)]
+        nodes = np.array(far[:4] + face + far[4:], dtype=float)
+        points = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 3.0]])
+        widths = record_query_widths(monkeypatch)
+        idx, d2 = meshfree._nearest_nodes(points, nodes, 2)
+        assert widths == [(2, 3), (1, 6), (1, 12)]
+        assert idx[0].tolist() == [4, 5] and d2[0].tolist() == [1.0, 1.0]
+        assert_matches_oracle(points, nodes, 2)
 
 
 class TestTreeSearch:
-    """The k-d tree path of `_nearest_nodes` against the exact cdist search."""
+    """`_nearest_nodes` against the brute-force (d^2, index) oracle."""
 
     @pytest.mark.parametrize("k", [1, 3, 6, 8])
     def test_tie_heavy_integer_grid(self, monkeypatch, k):
         rng = np.random.default_rng(10 + k)
         points = rng.integers(-4, 5, size=(300, 3)).astype(float)
         nodes = rng.integers(-4, 5, size=(60, 3)).astype(float)
-        rows = count_exact_rows(monkeypatch)
-        assert_tree_matches_cdist(points, nodes, k)
-        # Both paths ran: near-tied rows went to cdist, the rest the tree settled.
-        assert len(rows) == 1 and 0 < rows[0] < len(points)
+        widths = record_query_widths(monkeypatch)
+        assert_matches_oracle(points, nodes, k)
+        # The first query settled most rows; the tied rest asked again, wider.
+        assert widths[0] == (len(points), k + 1)
+        assert 0 < widths[1][0] < len(points) and widths[1][1] == 2 * (k + 1)
 
     def test_k_equal_to_node_count_is_searched_exactly(self, monkeypatch):
         rng = np.random.default_rng(5)
         points = rng.integers(-3, 4, size=(50, 3)).astype(float)
         nodes = rng.integers(-3, 4, size=(9, 3)).astype(float)
-        rows = count_exact_rows(monkeypatch)
-        assert_tree_matches_cdist(points, nodes, 9)
-        assert rows == [len(points)]
+        widths = record_query_widths(monkeypatch)
+        assert_matches_oracle(points, nodes, 9)
+        assert_matches_oracle(points, nodes, 8)  # k + 1 = n: the first query holds every node
+        assert widths == [(len(points), 9), (len(points), 9)]
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_duplicate_nodes(self, k):
@@ -300,14 +318,14 @@ class TestTreeSearch:
         nodes = rng.uniform(0.0, 10.0, size=(30, 3))
         nodes[10:20] = nodes[:10]
         nodes[25] = nodes[3]
-        assert_tree_matches_cdist(points, nodes, k)
+        assert_matches_oracle(points, nodes, k)
 
     @pytest.mark.parametrize("k", [1, 4, 8])
     def test_points_on_nodes(self, k):
         rng = np.random.default_rng(7)
         nodes = rng.uniform(-5.0, 5.0, size=(40, 3))
         points = np.concatenate([nodes, rng.uniform(-5.0, 5.0, size=(100, 3)), nodes[::3]])
-        assert_tree_matches_cdist(points, nodes, k)
+        assert_matches_oracle(points, nodes, k)
         idx, d2 = meshfree._nearest_nodes(points, nodes, k)
         assert np.array_equal(idx[:40, 0], np.arange(40)) and (d2[:40, 0] == 0.0).all()
 
@@ -321,7 +339,7 @@ class TestTreeSearch:
             field, n_nodes, k = make_field(dims=(40, 8, 2), spacing=(1.25,) * 3), 150, 6
         dofs = sample_dofs(field, n_nodes=n_nodes, seed=0)
         shape = shape_weights(dofs, field, k=k)
-        monkeypatch.setattr(meshfree, "_nearest_nodes", EXACT_SEARCH)
+        monkeypatch.setattr(meshfree, "_nearest_nodes", nearest_oracle)
         ref_dofs = sample_dofs(field, n_nodes=n_nodes, seed=0)
         ref_shape = shape_weights(ref_dofs, field, k=k)
         assert np.array_equal(dofs.nodes, ref_dofs.nodes)

@@ -258,6 +258,11 @@ class TestStiffnessHistogram:
         with pytest.raises(ValueError, match="bin width"):
             stiffness_histogram([_rec(1.0)], bin_width=0.0)
 
+    @pytest.mark.parametrize("width", [-1.0, np.nan, np.inf])
+    def test_rejects_width_not_finite_and_positive(self, width):
+        with pytest.raises(ValueError, match="bin width must be finite and > 0"):
+            stiffness_histogram([_rec(1.0)], bin_width=width)
+
 
 class TestCohortStats:
     def test_all_at_atlas(self):
@@ -281,6 +286,11 @@ class TestCohortStats:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
             cohort_stats([], atlas_E=2.1)
+
+    @pytest.mark.parametrize("atlas", [0.0, -2.1, np.nan, np.inf])
+    def test_rejects_atlas_not_finite_and_positive(self, atlas):
+        with pytest.raises(ValueError, match="atlas stiffness must be finite and > 0"):
+            cohort_stats([_rec(2.1)], atlas_E=atlas)
 
     @settings(max_examples=50)
     @given(
