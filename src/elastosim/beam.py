@@ -35,8 +35,7 @@ from elastosim.meshfree import (
 from elastosim.solver import (
     BandedCholesky,
     LinearSystem,
-    NonConvergenceError,
-    cg_solve,
+    _factored_cg,
     displace_landmarks,
     reduce_dirichlet,
 )
@@ -44,6 +43,7 @@ from elastosim.volume import RoiMask, VoxelVolume, _write_csv
 
 _NU = 0.0  # Poisson ratio of both discretizations; bending theory has no Poisson term
 _STATIC_CG_TOL = 1e-8  # true relative residual of both beam models' static solves
+_STATIC_CG_MAX = 200  # iteration cap of both static solves; the factored CG takes one
 
 
 @dataclass(frozen=True)
@@ -232,23 +232,6 @@ def _meshfree_system(phantom: BeamPhantom) -> LinearSystem:
     return reduce_dirichlet(model.matrices.K, f, fixed)
 
 
-def _clamped_solve(system: LinearSystem, name: str) -> np.ndarray:
-    """x with A x = b of a clamped static system, by CG preconditioned with A's
-    `BandedCholesky` factor, the factor a settle uses; it takes one iteration.
-
-    Raises:
-        NonConvergenceError: CG missed _STATIC_CG_TOL within cg_solve's
-            default cap; the message starts with `name`.
-    """
-    result = cg_solve(system, tol=_STATIC_CG_TOL, preconditioner=BandedCholesky.of(system.A).solve)
-    if not result.converged:
-        raise NonConvergenceError(
-            f"{name} CG stopped at relative residual {result.residual:.3e} after "
-            f"{result.iterations} iterations (tolerance {_STATIC_CG_TOL:.1e})"
-        )
-    return result.x
-
-
 def simulate_beam(phantom: BeamPhantom) -> DeflectionCurve:
     """Static mesh-free solve of the cantilever, sampled on the centerline.
 
@@ -260,7 +243,9 @@ def simulate_beam(phantom: BeamPhantom) -> DeflectionCurve:
         NonConvergenceError: the solve missed its tolerance.
     """
     model = phantom.model
-    q = _clamped_solve(_meshfree_system(phantom), "mesh-free beam")
+    system = _meshfree_system(phantom)
+    q = _factored_cg(system, BandedCholesky.of(system.A), _STATIC_CG_MAX, _STATIC_CG_TOL,
+                     "mesh-free beam")
     _, w_eff, h_eff = phantom.spec.snapped_extents()
     xs = axis_samples(phantom.spec)
     marks = [(f"x{j}", np.array([x, w_eff / 2.0, h_eff / 2.0])) for j, x in enumerate(xs[1:], 1)]
@@ -343,8 +328,9 @@ def _fea_system(spec: BeamSpec) -> LinearSystem:
 def fea_baseline(spec: BeamSpec) -> DeflectionCurve:
     """Static trilinear-hex FEA of the cantilever on the voxel-resolution grid.
 
-    Solves the clamped K u = f of `_fea_system` with `_clamped_solve` and
-    samples the centerline deflection on the shared x grid.
+    Solves the clamped K u = f of `_fea_system` by CG preconditioned with its
+    `BandedCholesky` factor, the factor a settle uses; it takes one
+    iteration.  Samples the centerline deflection on the shared x grid.
 
     Raises:
         ValueError: degenerate discretization (via spec.cells()).
@@ -354,7 +340,9 @@ def fea_baseline(spec: BeamSpec) -> DeflectionCurve:
     cx, cy, cz = cells
     res = spec.resolution
     _, w_eff, h_eff = spec.snapped_extents()
-    u = _clamped_solve(_fea_system(spec), "FEA baseline")
+    system = _fea_system(spec)
+    u = _factored_cg(system, BandedCholesky.of(system.A), _STATIC_CG_MAX, _STATIC_CG_TOL,
+                     "FEA baseline")
     uz = u[2::3].reshape(cx + 1, cy + 1, cz + 1)
     xs = axis_samples(spec)
     deflection = [0.0]

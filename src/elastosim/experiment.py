@@ -25,6 +25,7 @@ from elastosim.solver import (
     LoadCase,
     NonConvergenceError,
     SimState,
+    _finite_3_vector,
     displace_landmarks,
     run_to_steady_state,
 )
@@ -140,12 +141,16 @@ class RetractorSpec:
     diameter: float = RetractionConfig.diameter
 
     def __post_init__(self):
-        if self.diameter <= 0:
-            raise ValueError(f"retractor diameter must be > 0, got {self.diameter}")
-        center = np.asarray(self.center, dtype=float)
-        if center.shape != (3,):
-            raise ValueError("retractor center must be a 3-vector")
-        object.__setattr__(self, "center", tuple(float(c) for c in center))
+        """Reject a tool no region can come from, naming the field.
+
+        Raises:
+            ValueError: a diameter not finite and > 0, or a center that is not
+                a finite 3-vector.
+        """
+        if not 0.0 < self.diameter < np.inf:
+            raise ValueError(f"retractor diameter must be finite and > 0, got {self.diameter}")
+        center = _finite_3_vector(self.center, "retractor center")
+        object.__setattr__(self, "center", tuple(center.tolist()))
 
     def map_region(self, node_positions: np.ndarray) -> np.ndarray:
         """Node indices the retractor grabs, sorted ascending.
@@ -184,11 +189,22 @@ class ComparisonReport:
     threshold_mm: float = RetractionConfig.significance_mm
 
     def __post_init__(self):
+        """Reject a threshold or difference a comparison cannot hold, naming it.
+
+        Raises:
+            ValueError: threshold_mm, a landmark difference or a displacement
+                difference that is not finite and >= 0.
+        """
+        if not 0.0 <= self.threshold_mm < np.inf:
+            raise ValueError(f"threshold_mm must be finite and >= 0, got {self.threshold_mm}")
         marks = tuple((str(label), float(d)) for label, d in self.per_landmark)
-        if any(d < 0 for _, d in marks):
-            raise ValueError("landmark differences must be >= 0")
-        if self.mean_volume_diff < 0 or self.at_tool_diff < 0:
-            raise ValueError("displacement differences must be >= 0")
+        for label, d in marks:
+            if not 0.0 <= d < np.inf:
+                raise ValueError(
+                    f"landmark difference of {label!r} must be finite and >= 0, got {d}")
+        for name in ("mean_volume_diff", "at_tool_diff"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "per_landmark", marks)
 
     @property

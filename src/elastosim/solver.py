@@ -1,22 +1,25 @@
 """Implicit-Euler dynamics with a conjugate-gradient core and landmark mapping.
 
-Each step solves the backward-Euler velocity update
+Each step is backward Euler written for the new velocity (Hairer & Wanner,
+Solving Ordinary Differential Equations II, 1996, Sec. IV.3):
 
-    (M + h*C + h^2*K_eff) * dqdot = h * (F(q, qdot) - h * K_eff * qdot)
+    (M + h*C + h^2*K_eff) * qdot_new = M * qdot + h * (f - K_eff * q)
+    q_new = q + h * qdot_new
 
-where K_eff folds any support-spring stiffness into K, and F is the total
-current force: gravity, point loads, spring constants, and the internal
-force -K q - C qdot.  The system matrix is SPD for h > 0, so conjugate
-gradient solves it; iterations are capped to bound per-step cost, and a
-step whose solve hits the cap raises.  Positions then update as
-q += h * qdot_new.
+where K_eff folds any support-spring stiffness into K, and f is the constant
+external force: gravity, point loads and the springs' anchor terms.  The
+damping C enters only the matrix, so a step's right-hand side takes one
+sparse product.  The matrix is SPD for h > 0, so conjugate gradient solves
+it; iterations are capped to bound per-step cost, and a step whose solve
+hits the cap raises.
 
 For a fixed model, load case and h the matrix is the same on every step of a
 settle, so `prepare_settle` assembles it once and factors it with a
 `BandedCholesky`; each step then only forms its right-hand side and runs CG
 preconditioned by that factor, which converges in one or two iterations.
 Convergence is still judged on the true, unpreconditioned residual
-b - A x, so the tolerance and the iteration cap keep their meaning.
+b - A x, so the tolerance and the iteration cap keep their meaning.  The
+cantilever's static solves go through the same factored CG.
 
 `BandedCholesky` is the one factor behind every SPD solve, the settle's and
 the FEA baseline's: it renumbers the rows by reverse Cuthill-McKee (Cuthill
@@ -159,7 +162,7 @@ class BandedCholesky:
 
     Row r of the factor is row `perm[r]` of the matrix.  `band` is the upper
     band of the factor in LAPACK's layout: `band[w + r - s, s]` holds entry
-    (r, s) for r <= s <= r + w, where w = `bandwidth`.
+    (r, s) for r <= s <= r + w, where w + 1 is the band's row count.
 
     Attributes:
         perm: the ordering, a permutation of the matrix's rows.
@@ -168,10 +171,6 @@ class BandedCholesky:
 
     perm: np.ndarray
     band: np.ndarray
-
-    @property
-    def bandwidth(self) -> int:
-        return self.band.shape[0] - 1
 
     @classmethod
     def of(cls, A: sp.spmatrix) -> "BandedCholesky":
@@ -230,37 +229,6 @@ class CgResult:
     converged: bool
 
 
-def implicit_system(
-    M: np.ndarray,
-    K: sp.spmatrix,
-    C: sp.spmatrix,
-    q: np.ndarray,
-    qdot: np.ndarray,
-    f_ext: np.ndarray,
-    h: float,
-) -> LinearSystem:
-    """Raw backward-Euler assembly: A = M + h*C + h^2*K, b = h*(F - h*K*qdot).
-
-    F is the total current force f_ext - K q - C qdot.  All quantities must
-    share one consistent unit system.
-
-    Raises:
-        ValueError: h <= 0 or mismatched dimensions.
-    """
-    if h <= 0:
-        raise ValueError(f"step size must be > 0, got {h}")
-    M = np.asarray(M, dtype=np.float64)
-    n = len(M)
-    if K.shape != (n, n) or C.shape != (n, n) or len(q) != n or len(qdot) != n or len(f_ext) != n:
-        raise ValueError("system dimensions disagree")
-
-    A = (sp.diags(M) + h * C + (h * h) * K).tocsr()
-    force = f_ext - K @ q - C @ qdot
-    b = h * (force - h * (K @ qdot))
-    A.sum_duplicates()
-    return LinearSystem(A=A, b=b)
-
-
 def reduce_dirichlet(A: sp.csr_matrix, b: np.ndarray, fixed: np.ndarray) -> LinearSystem:
     """Hold the fixed DOFs at zero: their rows and columns of A become identity, their b zero.
 
@@ -296,50 +264,29 @@ def external_force(model: MeshFreeModel, loads: LoadCase) -> np.ndarray:
     return f + const
 
 
-def _settle_terms(model: MeshFreeModel, loads: LoadCase):
-    """Constant force and K with springs folded in, of one load case."""
-    f_const = external_force(model, loads)
-    spring_diag, _ = _spring_terms(model, loads)
-    K_eff = model.matrices.K + sp.diags(spring_diag) if spring_diag.any() else model.matrices.K
-    return f_const, K_eff
-
-
 @dataclass(frozen=True)
 class Settle:
     """The parts of the implicit-Euler system that stay fixed over a settle.
 
     For a fixed model, load case and h, A = M + h*C + h^2*K_eff is the same
-    on every step; only b depends on the state.  `factor` is the banded
-    Cholesky factor of A, used as an exact CG preconditioner.
+    on every step; only the right-hand side depends on the state.  `factor`
+    is the banded Cholesky factor of A, used as an exact CG preconditioner.
 
     Attributes:
         h: step size in s.
+        M: lumped mass diagonal.
         K: stiffness with support springs folded in (K_eff).
-        C: damping matrix.
         f: constant external force (N).
         A: system matrix.
         factor: `BandedCholesky` of A.
     """
 
     h: float
+    M: np.ndarray
     K: sp.spmatrix
-    C: sp.spmatrix
     f: np.ndarray
     A: sp.csr_matrix
     factor: BandedCholesky
-
-    def system(self, state: SimState) -> LinearSystem:
-        """This step's system: the shared A with b = h*(F - h*K_eff*qdot).
-
-        Raises:
-            ValueError: the state's length differs from the settle's DOFs.
-        """
-        if len(state.q) != len(self.f):
-            raise ValueError(f"state has {len(state.q)} DOFs, settle has {len(self.f)}")
-        K, h = self.K, self.h
-        force = self.f - K @ state.q - self.C @ state.qdot
-        b = h * (force - h * (K @ state.qdot))
-        return LinearSystem(A=self.A, b=b)
 
 
 def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
@@ -349,11 +296,15 @@ def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
         ValueError: h <= 0 or out-of-range load indices.
         IndefiniteSystemError: the system matrix is singular or not positive definite.
     """
-    f_const, K_eff = _settle_terms(model, loads)
-    # A does not depend on the state; the rest state only fills a b that is dropped.
-    rest = np.zeros(model.n_dofs)
-    A = implicit_system(model.matrices.M, K_eff, model.matrices.C, rest, rest, f_const, h).A
-    return Settle(h=h, K=K_eff, C=model.matrices.C, f=f_const, A=A, factor=BandedCholesky.of(A))
+    if h <= 0:
+        raise ValueError(f"step size must be > 0, got {h}")
+    f = external_force(model, loads)
+    spring_diag, _ = _spring_terms(model, loads)
+    M, K = model.matrices.M, model.matrices.K
+    K_eff = K + sp.diags(spring_diag) if spring_diag.any() else K
+    A = (sp.diags(M) + h * model.matrices.C + (h * h) * K_eff).tocsr()
+    A.sum_duplicates()
+    return Settle(h=h, M=M, K=K_eff, f=f, A=A, factor=BandedCholesky.of(A))
 
 
 def cg_solve(
@@ -424,8 +375,25 @@ def cg_solve(
     return CgResult(x=x, iterations=N_max, residual=residual, converged=False)
 
 
+def _factored_cg(system: LinearSystem, factor: BandedCholesky, N_max: int, tol: float,
+                 what: str) -> np.ndarray:
+    """x with A x = b, by CG preconditioned with `factor`, a `BandedCholesky` of A.
+
+    Raises:
+        NonConvergenceError: the true residual missed tol within N_max
+            iterations; the message starts with `what`.
+    """
+    result = cg_solve(system, N_max=N_max, tol=tol, preconditioner=factor.solve)
+    if not result.converged:
+        raise NonConvergenceError(
+            f"{what}: CG stopped at relative residual {result.residual:.3e} "
+            f"after the cap of {N_max} iterations (tolerance {tol:.1e})"
+        )
+    return result.x
+
+
 def step(settle: Settle, state: SimState, N_max: int, tol: float) -> SimState:
-    """Advance one backward-Euler step of `settle.h`: solve for dqdot, then integrate q.
+    """Advance one backward-Euler step of `settle.h`: solve for qdot_new, then integrate q.
 
     `settle` is `prepare_settle(model, loads, h)`, shared by every step of a
     settle.  The CG iteration cap N_max bounds per-step cost.
@@ -434,16 +402,13 @@ def step(settle: Settle, state: SimState, N_max: int, tol: float) -> SimState:
         ValueError: the state's length differs from the settle's DOFs.
         NonConvergenceError: CG hit N_max before the true residual met tol.
     """
-    result = cg_solve(settle.system(state), N_max=N_max, tol=tol,
-                      preconditioner=settle.factor.solve)
-    if not result.converged:
-        raise NonConvergenceError(
-            f"step at t={state.t:.3g} s: CG stopped at relative residual "
-            f"{result.residual:.3e} after the cap of {N_max} iterations (tolerance {tol:.1e})"
-        )
-    qdot_new = state.qdot + result.x
-    q_new = state.q + settle.h * qdot_new
-    return SimState(q=q_new, qdot=qdot_new, t=state.t + settle.h)
+    if len(state.q) != len(settle.f):
+        raise ValueError(f"state has {len(state.q)} DOFs, settle has {len(settle.f)}")
+    h = settle.h
+    b = settle.M * state.qdot + h * (settle.f - settle.K @ state.q)
+    qdot_new = _factored_cg(LinearSystem(A=settle.A, b=b), settle.factor, N_max, tol,
+                            f"step at t={state.t:.3g} s")
+    return SimState(q=state.q + h * qdot_new, qdot=qdot_new, t=state.t + h)
 
 
 def run_to_steady_state(

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+MAX_HISTOGRAM_BINS = 10_000  # a finer bin width is an input error, not a larger file
+
 
 class VolumeFormatError(ValueError):
     """Raised when a volume or cohort file violates the on-disk format."""
@@ -229,15 +231,20 @@ def stiffness_histogram(
         the number of records.
 
     Raises:
-        ValueError: empty cohort, or a bin width not finite and > 0.
+        ValueError: empty cohort, a bin width not finite and > 0, or one that
+            needs more than MAX_HISTOGRAM_BINS bins.
     """
     if not records:
         raise ValueError("cohort is empty")
     if not 0.0 < bin_width < math.inf:
         raise ValueError(f"bin width must be finite and > 0, got {bin_width}")
     values = np.array([r.young_E for r in records], dtype=float)
+    top = np.floor(float(values.max()) / bin_width)  # a float division overflows to inf quietly
+    if top >= MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bin width {bin_width} needs {top + 1:.0f} bins, "
+                         f"more than the {MAX_HISTOGRAM_BINS} allowed")
     idx = np.floor(values / bin_width).astype(int)
-    n_bins = int(idx.max()) + 1
+    n_bins = int(top) + 1
     counts = np.bincount(idx, minlength=n_bins)
     edges = np.arange(n_bins + 1) * bin_width
     return edges, counts

@@ -1,8 +1,8 @@
-"""Every optional parameter of the public API is set by some caller.
+"""The public API holds nothing that only tests use.
 
 A default that no caller overrides is a constant with a second name: it
 doubles the configurations a reader must consider and never gets a second
-value.  This test lists every parameter with a default of every public
+value.  The first check lists every parameter with a default of every public
 function and method in `src/elastosim/`, then looks for a call in `src/`,
 `perfbench/` or `demos/` that passes it, by keyword or by position.  Tests
 do not count as callers.
@@ -12,9 +12,16 @@ A call that only forwards an optional parameter of its enclosing function
 matched by the called name alone, so a same-named function elsewhere can
 keep a parameter alive; that errs toward passing, never toward a false
 failure.
+
+The second check does the same for names: every public function, class,
+method and property must be read somewhere in `src/` outside its own
+definition, or in `perfbench/` or `demos/`.  A read is a bare name or an
+attribute; an import alone, or a mention in a string, is not one.  Names are
+again matched alone, so a same-named attribute of another object counts.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -150,4 +157,73 @@ def test_every_optional_parameter_has_a_caller_that_sets_it():
     assert not orphans, (
         "optional parameters that no call in src/, perfbench/ or demos/ sets; "
         "fold each into a constant or pass it from a caller:\n  " + "\n  ".join(orphans)
+    )
+
+
+def _public_names(tree: ast.Module, module: str):
+    """(qualified name, def node) of each public function, class, method and property."""
+    for node in tree.body:
+        if isinstance(node, FUNCTION + (ast.ClassDef,)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, FUNCTION) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each bare name and attribute name is read in a tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_names(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Public names of the package that nothing reads outside their own definition.
+
+    Args:
+        package: module name -> source of each package module; its reads count too.
+        callers: sources of the other calling files.
+    """
+    trees = {module: ast.parse(src) for module, src in package.items()}
+    reads = Counter()
+    for tree in list(trees.values()) + [ast.parse(src) for src in callers]:
+        reads += _reads(tree)
+    return [qualname for module, tree in trees.items()
+            for qualname, node in _public_names(tree, module)
+            if reads[node.name] == _reads(node)[node.name]]
+
+
+def test_scanner_skips_own_definitions_imports_and_strings():
+    package = {"m": (
+        "def used():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def imported():\n"
+        "    pass\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return self.m()\n"
+        "    @property\n"
+        "    def p(self):\n"
+        "        return K\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "class Alone:\n"
+        "    pass\n"
+    )}
+    callers = ["from m import imported\nused()\nx.p\nLAYER = {'m.Alone': 1}\n"]
+    # K is read only inside its own body, by its property.
+    assert unreferenced_names(package, callers) == [
+        "m.recursive", "m.imported", "m.K", "m.K.m", "m.Alone",
+    ]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text() for top in CALLER_DIRS for p in sorted((ROOT / top).rglob("*.py"))]
+    unread = unreferenced_names(package, callers)
+    assert not unread, (
+        "public names that nothing in src/, perfbench/ or demos/ reads; delete each "
+        "or make it private:\n  " + "\n  ".join(unread)
     )

@@ -158,6 +158,17 @@ class TestCohortStatsCommand:
         err = capsys.readouterr().err
         assert "line 3, row ['a', 'nan', 'nan']" in err and "got nan" in err
 
+    def test_histogram_needing_too_many_bins_is_data_error(self, capsys, tmp_path):
+        csv_path = tmp_path / "cohort.csv"
+        csv_path.write_text("id,G_kPa,E_kPa\na,0.7,2.1\nb,2.0,6.0\n")
+        out = tmp_path / "out"
+        code = cli_main(["cohort-stats", "--csv", str(csv_path), "--bin-width", "1e-5",
+                         "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bin width 1e-05 needs 600001 bins" in err and "Traceback" not in err
+        assert not (out / "cohort_hist.csv").exists()
+
     def test_histogram_counts_sum_to_n(self, capsys, tmp_path):
         cohort = tmp_path / "cohort"
         assert cli_main(synth_args(cohort, n=4)) == EXIT_OK

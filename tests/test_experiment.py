@@ -77,6 +77,20 @@ class TestRetractorSpec:
         with pytest.raises(ValueError, match="diameter"):
             RetractorSpec(diameter=0.0, center=(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("diameter", [np.inf, np.nan, -1.0])
+    def test_rejects_diameter_not_finite_and_positive(self, diameter):
+        with pytest.raises(ValueError, match="retractor diameter must be finite and > 0"):
+            RetractorSpec(center=(0.0, 0.0, 0.0), diameter=diameter)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_center(self, value):
+        with pytest.raises(ValueError, match="retractor center must be finite"):
+            RetractorSpec(center=(0.0, value, 0.0))
+
+    def test_center_must_be_a_3_vector(self):
+        with pytest.raises(ValueError, match="retractor center must be a 3-vector"):
+            RetractorSpec(center=(0.0, 0.0))
+
     def test_requires_center(self):
         with pytest.raises(TypeError, match="center"):
             RetractorSpec()
@@ -119,6 +133,22 @@ class TestComparisonReport:
         with pytest.raises(ValueError, match=">= 0"):
             ComparisonReport(case_id="c", per_landmark=(("a", -1.0),),
                              mean_volume_diff=0.0, at_tool_diff=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["mean_volume_diff", "at_tool_diff"])
+    def test_rejects_non_finite_differences_by_name(self, field, value):
+        diffs = {"mean_volume_diff": 0.0, "at_tool_diff": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            ComparisonReport(case_id="c", per_landmark=(), **diffs)
+        with pytest.raises(ValueError, match="landmark difference of 'a' must be finite"):
+            ComparisonReport(case_id="c", per_landmark=(("a", value),),
+                             mean_volume_diff=0.0, at_tool_diff=0.0)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -0.5])
+    def test_rejects_threshold_not_finite_and_non_negative(self, threshold):
+        with pytest.raises(ValueError, match="threshold_mm must be finite and >= 0"):
+            ComparisonReport(case_id="c", per_landmark=(), mean_volume_diff=0.0,
+                             at_tool_diff=5.5, threshold_mm=threshold)
 
     def test_boundary_is_not_significant(self):
         rep = ComparisonReport(case_id="c", per_landmark=(), mean_volume_diff=0.0,

@@ -21,7 +21,6 @@ from elastosim.experiment import (
 from elastosim.meshfree import SystemMatrices, build_model
 from elastosim.solver import (
     BandedCholesky,
-    CgResult,
     IndefiniteSystemError,
     LinearSystem,
     LoadCase,
@@ -30,7 +29,6 @@ from elastosim.solver import (
     cg_solve,
     displace_landmarks,
     external_force,
-    implicit_system,
     prepare_settle,
     reduce_dirichlet,
     run_to_steady_state,
@@ -43,50 +41,59 @@ from elastosim.solver import (
 CG = dict(N_max=200, tol=1e-6)
 
 
-def scalar_system(M, K, C, q, qdot, f, h):
-    """1-DOF implicit-Euler system from plain scalars."""
-    return implicit_system(
-        np.array([float(M)]),
-        sp.csr_matrix(np.array([[float(K)]])),
-        sp.csr_matrix(np.array([[float(C)]])),
-        np.array([float(q)]),
-        np.array([float(qdot)]),
-        np.array([float(f)]),
-        h,
-    )
+def point_settle(h, spring_k=0.0, alpha=0.0, force=(0.0, 0.0, 0.0)):
+    """Settle of one point mass M = 1e-6 t per DOF (K = 0), held by a support
+    spring of stiffness spring_k at its rest position, with C = alpha * M."""
+    model = make_point_model(alpha=alpha)
+    springs = [(0, spring_k, model.dofs.nodes[0])] if spring_k else []
+    return prepare_settle(model, LoadCase(point_loads=[(0, force)], support_springs=springs), h)
+
+
+def k_eff(model, loads):
+    """K with the load case's support springs on its diagonal, built independently of the solver."""
+    springs = np.zeros(model.n_dofs)
+    for i, k, _ in loads.support_springs:
+        springs[3 * i : 3 * i + 3] += k
+    return model.matrices.K + sp.diags(springs)
 
 
 class TestImplicitSystem:
+    """The settle's system (M + hC + h^2 K_eff) qdot_new = M qdot + h (f - K_eff q), on one point mass."""
+
     def test_scalar_mass_only(self):
-        sys1 = scalar_system(M=1.0, K=0.0, C=0.0, q=0.0, qdot=0.0, f=2.0, h=0.1)
-        assert sys1.A.toarray()[0, 0] == pytest.approx(1.0)
-        assert sys1.b == pytest.approx([0.2])
+        # A = M, so qdot_new = qdot + h f / M = 3 + 0.1 * 2.
+        settle = point_settle(h=0.1, force=(2e-6, 0.0, 0.0))
+        assert np.allclose(settle.A.diagonal(), 1e-6, rtol=1e-12)
+        s1 = step(settle, SimState(q=np.zeros(3), qdot=np.array([3.0, 0.0, 0.0])), **CG)
+        assert s1.qdot == pytest.approx([3.2, 0.0, 0.0], rel=1e-12)
+        assert s1.q == pytest.approx([0.32, 0.0, 0.0], rel=1e-12)
 
     def test_scalar_with_stiffness(self):
-        sys1 = scalar_system(M=1.0, K=100.0, C=0.0, q=0.0, qdot=0.0, f=1.0, h=0.1)
-        assert sys1.A.toarray()[0, 0] == pytest.approx(2.0)
-        assert sys1.b == pytest.approx([0.1])
+        # k = 100 M and h = 0.1 give A = 2 M; from q = 1 at rest,
+        # qdot_new = h (f - k q) / (2 M) = 0.1 * (1 - 100) / 2.
+        settle = point_settle(h=0.1, spring_k=1e-4, force=(1e-6, 0.0, 0.0))
+        assert np.allclose(settle.A.diagonal(), 2e-6, rtol=1e-12)
+        s1 = step(settle, SimState(q=np.array([1.0, 0.0, 0.0]), qdot=np.zeros(3)), **CG)
+        assert s1.qdot == pytest.approx([-4.95, 0.0, 0.0], rel=1e-12)
 
     def test_vanishing_h_limit(self):
-        sys1 = scalar_system(M=3.0, K=50.0, C=2.0, q=0.0, qdot=0.0, f=0.0, h=1e-12)
-        assert sys1.A.toarray()[0, 0] == pytest.approx(3.0, rel=1e-9)
-        assert sys1.b[0] == 0.0
+        # As h -> 0, A -> M and a step keeps its velocity, whatever the spring and damping.
+        h = 1e-12
+        settle = point_settle(h=h, spring_k=5e-5, alpha=2.0)
+        assert np.allclose(settle.A.diagonal(), 1e-6, rtol=1e-9)
+        state = SimState(q=np.ones(3), qdot=np.ones(3))
+        s1 = step(settle, state, **CG)
+        assert s1.qdot == pytest.approx(np.ones(3), rel=1e-9)
+        assert np.allclose(s1.q - state.q, h, rtol=1e-9)
 
     def test_rejects_nonpositive_h(self):
-        with pytest.raises(ValueError, match="step size"):
-            scalar_system(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, h=0.0)
+        for h in (0.0, -0.1):
+            with pytest.raises(ValueError, match="step size must be > 0"):
+                point_settle(h=h)
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            implicit_system(
-                np.ones(2),
-                sp.eye(3, format="csr"),
-                sp.eye(3, format="csr"),
-                np.zeros(2),
-                np.zeros(2),
-                np.zeros(2),
-                0.1,
-            )
+        with pytest.raises(ValueError, match="state has 6 DOFs, settle has 3"):
+            step(point_settle(h=0.1), SimState.rest(6), **CG)
 
     def test_fixed_dof_rows_reduced_to_identity(self):
         K = sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 3.0]]))
@@ -332,7 +339,7 @@ class TestBandedCholesky:
         model, loads, h, _ = retraction_case
         settle = prepare_settle(model, loads, h)
         A = settle.A.tocoo()
-        assert settle.factor.bandwidth < np.abs(A.row - A.col).max()
+        assert settle.factor.band.shape[0] - 1 < np.abs(A.row - A.col).max()
         assert np.array_equal(settle.factor.perm,
                               reverse_cuthill_mckee(settle.A, symmetric_mode=True))
 
@@ -341,7 +348,7 @@ class TestBandedCholesky:
         n = 12
         A = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
         factor = BandedCholesky.of(A)
-        assert factor.bandwidth == 1
+        assert factor.band.shape[0] - 1 == 1
         assert np.array_equal(factor.perm, np.arange(n))
 
     @pytest.mark.parametrize("a", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 2.0]]],
@@ -367,22 +374,24 @@ def retraction_case():
 
 class TestPreparedSettle:
     def test_steps_match_rebuilt_system_with_plain_cg(self, retraction_case):
-        # Reference: rebuild A and b every step with the raw implicit_system,
-        # independently of Settle.system, and solve with unpreconditioned CG
-        # to a tight tolerance.  Velocities shrink by orders of magnitude along
-        # a settle, so they are compared against the run's largest velocity.
+        # Reference: the step in its velocity-increment form,
+        #   (M + h C + h^2 K_eff) dqdot = h (f - K_eff q - C qdot - h K_eff qdot),
+        # assembled densely here and solved directly.  Velocities shrink by
+        # orders of magnitude along a settle, so they are compared against the
+        # run's largest velocity.
         model, loads, h, _ = retraction_case
         settle = prepare_settle(model, loads, h)
+        K = k_eff(model, loads).toarray()
+        C = model.matrices.C.toarray()
+        f = external_force(model, loads)
+        A = np.diag(model.matrices.M) + h * C + h * h * K
         state = SimState.rest(model.n_dofs)
         v_scale = 0.0
         for _ in range(3):
             fast = step(settle, state, N_max=50, tol=1e-13)
-            system = implicit_system(model.matrices.M, settle.K, settle.C, state.q, state.qdot,
-                                     settle.f, h)
-            ref = cg_solve(system, N_max=20 * model.n_dofs, tol=1e-13)
-            assert ref.converged
-            qdot_ref = state.qdot + ref.x
-            q_ref = state.q + h * qdot_ref
+            q, qdot = state.q, state.qdot
+            qdot_ref = qdot + np.linalg.solve(A, h * (f - K @ q - C @ qdot - h * (K @ qdot)))
+            q_ref = q + h * qdot_ref
             v_scale = max(v_scale, np.linalg.norm(qdot_ref))
             assert np.linalg.norm(fast.q - q_ref) <= 1e-9 * np.linalg.norm(q_ref)
             assert np.linalg.norm(fast.qdot - qdot_ref) <= 1e-9 * v_scale
@@ -396,10 +405,7 @@ class TestPreparedSettle:
         model, loads, h, v_tol = retraction_case
         final = run_to_steady_state(model, loads, h=h, max_steps=5000, v_tol=v_tol,
                                     N_max=200, tol=1e-12)
-        springs = np.zeros(model.n_dofs)
-        for i, k, _ in loads.support_springs:
-            springs[3 * i : 3 * i + 3] += k
-        K_eff = (model.matrices.K + sp.diags(springs)).tocsc()
+        K_eff = k_eff(model, loads).tocsc()
         q_star = spsolve(K_eff, external_force(model, loads))
 
         K_inv = np.linalg.inv(K_eff.toarray())
@@ -516,18 +522,16 @@ class TestStaticLinearity:
 class TestOscillatorStability:
     def test_damped_oscillator_bounded_at_large_h(self):
         # Backward Euler stays bounded even at h = 1 s where an explicit
-        # scheme at omega*h ~ 3 would explode.
+        # scheme at omega*h ~ 3 would explode.  The point mass has k = 10 M
+        # and C = M: omega^2 = 10 and unit damping rate.
         for h in (0.01, 0.1, 1.0):
-            m, k, c = 1.0, 10.0, 1.0
-            q, v = 1.0, 0.0
+            settle = point_settle(h=h, spring_k=1e-5, alpha=1.0)
+            state = SimState(q=np.array([1.0, 0.0, 0.0]), qdot=np.zeros(3))
             peak = 0.0
             for _ in range(200):
-                sys1 = scalar_system(M=m, K=k, C=c, q=q, qdot=v, f=0.0, h=h)
-                dv = cg_solve(sys1, tol=1e-14).x[0]
-                v += dv
-                q += h * v
-                peak = max(peak, abs(q))
-            assert np.isfinite(q)
+                state = step(settle, state, N_max=200, tol=1e-14)
+                peak = max(peak, abs(state.q[0]))
+            q = state.q[0]
             assert peak <= 1.0 + 1e-9, f"h={h}: |q| grew to {peak}"
             assert abs(q) < 0.5, f"h={h}: damping should shrink |q|, got {q}"
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from elastosim.cli import EXIT_DATA, cli_main
 from elastosim.volume import (
+    MAX_HISTOGRAM_BINS,
     CohortRecord,
     RoiMask,
     VolumeFormatError,
@@ -262,6 +263,16 @@ class TestStiffnessHistogram:
     def test_rejects_width_not_finite_and_positive(self, width):
         with pytest.raises(ValueError, match="bin width must be finite and > 0"):
             stiffness_histogram([_rec(1.0)], bin_width=width)
+
+    @pytest.mark.parametrize("width, bins", [(1e-5, "600001"), (6.0 / MAX_HISTOGRAM_BINS, "10001"),
+                                             (5e-324, "inf")])
+    def test_rejects_width_needing_too_many_bins(self, width, bins):
+        with pytest.raises(ValueError, match=f"bin width {width} needs {bins} bins"):
+            stiffness_histogram([_rec(2.1), _rec(6.0)], bin_width=width)
+
+    def test_largest_histogram_allowed(self):
+        edges, counts = stiffness_histogram([_rec(0.0), _rec(9999.5)], bin_width=1.0)
+        assert len(counts) == MAX_HISTOGRAM_BINS and counts.sum() == 2
 
 
 class TestCohortStats:
