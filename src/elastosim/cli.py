@@ -136,7 +136,7 @@ def _add_retraction_flags(p: argparse.ArgumentParser):
                    help="implicit time step in milliseconds (default %(default)s)")
     _knob(p, "--v-tol", "v_tol", float, "steady-state velocity tolerance in mm/s")
     _knob(p, "--max-steps", "max_steps", int, "step budget before declaring non-convergence")
-    _knob(p, "--cg-tol", "cg_tol", float, "CG relative residual tolerance")
+    _knob(p, "--cg-tol", "cg_tol", float, "CG relative residual tolerance, in (0, 1)")
     _knob(p, "--cg-max", "cg_max", int, "CG iteration cap per solve")
     _knob(p, "--tool-center", "tool_center", _point,
           "retractor center in mm; unset takes the +x pole of the mask", metavar="X,Y,Z")

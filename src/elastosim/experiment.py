@@ -84,8 +84,8 @@ class RetractionConfig:
 
         Raises:
             ValueError: a non-finite number; h, v_tol, cg_tol, diameter,
-                voxel_ref_mm or a set liver_mass_kg not > 0; significance_mm
-                < 0; cg_max or max_steps < 1.
+                voxel_ref_mm or a set liver_mass_kg not > 0; cg_tol >= 1;
+                significance_mm < 0; cg_max or max_steps < 1.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -96,6 +96,8 @@ class RetractionConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
+        if self.cg_tol >= 1:  # CG starts at relative residual 1, so it would solve nothing
+            raise ValueError(f"cg_tol must be < 1, got {self.cg_tol}")
         if self.significance_mm < 0:
             raise ValueError(f"significance_mm must be >= 0, got {self.significance_mm}")
         for name in ("cg_max", "max_steps"):

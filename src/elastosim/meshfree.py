@@ -42,9 +42,7 @@ _COINCIDENT_D2 = 1e-18
 _TREE_GAP_REL = 1e-9
 _TREE_GAP_ABS_MM = 1e-12
 
-# Lloyd relaxation stops once no node moves this far in mm, or after this
-# many iterations.
-_LLOYD_MOVE_TOL_MM = 1e-6
+# Lloyd relaxation stops at its fixed point, or after this many iterations.
 _LLOYD_MAX_ITERS = 50
 
 _ARCHIVE_MAGIC = b"ESIMMDL1"
@@ -168,10 +166,6 @@ class ShapeMap:
     corrected_gradients: np.ndarray
     k: int
 
-    @property
-    def n_voxels(self) -> int:
-        return len(self.indices)
-
 
 @dataclass(frozen=True)
 class SystemMatrices:
@@ -185,10 +179,6 @@ class SystemMatrices:
     M: np.ndarray
     K: sp.csr_matrix
     C: sp.csr_matrix
-
-    @property
-    def n_dofs(self) -> int:
-        return len(self.M)
 
 
 @dataclass(frozen=True)
@@ -240,10 +230,12 @@ def sample_dofs(field: MaterialField, n_nodes: int, seed: int = 0) -> DofSet:
 
     Seeds are drawn without replacement from the masked voxel centers, then
     iterated: assign each voxel to its nearest node, move each node to the
-    centroid of its owned voxels, until the largest node movement drops
-    below _LLOYD_MOVE_TOL_MM or _LLOYD_MAX_ITERS is reached.  A node that
-    loses all voxels respawns at the voxel center farthest from its nearest
-    node.
+    centroid of its owned voxels.  A finite voxel set has finitely many
+    assignments, so no distance tolerance is needed: the iteration stops at
+    the fixed point, where the centroids return their input nodes bit for
+    bit, or after _LLOYD_MAX_ITERS steps.  Either way it returns the last
+    nodes assigned, with that assignment as `owner`.  A node that loses all
+    voxels respawns at the voxel center farthest from its nearest node.
 
     Raises:
         ValueError: n_nodes < 1 or more nodes than masked voxels.
@@ -259,21 +251,18 @@ def sample_dofs(field: MaterialField, n_nodes: int, seed: int = 0) -> DofSet:
     nodes = centers[rng.choice(n_vox, size=n_nodes, replace=False)].copy()
 
     for _ in range(_LLOYD_MAX_ITERS):
-        new_nodes = _lloyd_step(centers, nodes)
-        movement = float(np.linalg.norm(new_nodes - nodes, axis=1).max())
-        nodes = new_nodes
-        if movement < _LLOYD_MOVE_TOL_MM:
+        queried = nodes
+        nodes, owner = _lloyd_step(centers, queried)
+        if np.array_equal(nodes, queried):
             break
-
-    owner, _ = _nearest_nodes(centers, nodes, 1)
-    return DofSet(nodes=nodes, owner=owner[:, 0])
+    return DofSet(nodes=queried, owner=owner)
 
 
-def _lloyd_step(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _lloyd_step(points: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Move each node to the centroid of the points nearest to it.
 
     A node nearest to no point respawns at the point farthest from its
-    nearest node.
+    nearest node.  Returns (moved nodes, nearest input node of each point).
     """
     idx, d2 = _nearest_nodes(points, nodes, 1)
     owner, nearest_d2 = idx[:, 0], d2[:, 0]
@@ -285,7 +274,7 @@ def _lloyd_step(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     new_nodes = np.empty_like(nodes)
     new_nodes[owned] = sums[owned] / counts[owned, None]
     new_nodes[~owned] = points[np.argmax(nearest_d2)]
-    return new_nodes
+    return new_nodes, owner
 
 
 def _nearest_nodes(points: np.ndarray, nodes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -554,7 +543,7 @@ def build_model(
     if n_nodes < 4:
         raise ValueError(f"a 3D model needs at least 4 nodes, got {n_nodes}")
     dofs = sample_dofs(field, n_nodes=n_nodes, seed=seed)
-    shape = shape_weights(dofs, field, k=min(k, dofs.n_nodes))
+    shape = shape_weights(dofs, field, k=k)
     K = assemble_stiffness(shape, field, n_nodes=dofs.n_nodes)
     M = assemble_mass(shape, field, n_nodes=dofs.n_nodes)
     C = assemble_damping(M, K, alpha, beta)
@@ -705,6 +694,8 @@ def load_model(path: str | Path) -> MeshFreeModel:
         m, k, n_dofs = mask.n_selected, header["shape_k"], 3 * dofs.n_nodes
         if type(k) is not int:
             raise VolumeFormatError(f"shape_k must be an integer, got {k!r}")
+        if not 1 <= k <= dofs.n_nodes:
+            raise VolumeFormatError(f"shape_k={k} must lie in [1, {dofs.n_nodes}], the node count")
         for name, want in (("owner", (m,)), ("shape_indices", (m, k)), ("shape_weights", (m, k)),
                            ("shape_gradients", (m, k, 3)), ("shape_corrected", (m, k, 3)),
                            ("M", (n_dofs,)), ("q0", (n_dofs,))):

@@ -344,8 +344,6 @@ def cg_solve(
     z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
-    if tol >= 1.0:  # the relative residual at x = 0 is 1
-        return CgResult(x=x, iterations=0, residual=1.0, converged=True)
 
     for n_iter in range(1, N_max + 1):
         Ap = A @ p
@@ -478,8 +476,7 @@ def displace_landmarks(
         if outside or not grid_flags[k, j, i]:
             raise ValueError(f"landmark {label!r} at {pos.tolist()} is outside the masked volume")
 
-    k_support = min(model.shape.k, model.n_nodes)
-    idx, w, _ = shepard_weights(positions, model.dofs.nodes, k=k_support)
+    idx, w, _ = shepard_weights(positions, model.dofs.nodes, k=model.shape.k)
     q_nodes = np.asarray(q, dtype=np.float64).reshape(-1, 3)
     moved = positions + np.einsum("lk,lkc->lc", w, q_nodes[idx])
     return [(label, moved[row]) for row, (label, _) in enumerate(landmarks)]

@@ -255,6 +255,16 @@ class TestModelAndRetract:
         assert len(moved) == 4
         assert rest[1:] != moved[1:]  # the hoist moved something
 
+    def test_support_larger_than_node_count_is_data_error(self, capsys, tmp_path):
+        cohort = tmp_path / "cohort"
+        assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
+        model_path = tmp_path / "model.esm"
+        code = cli_main(["build-model", "--volume", str(cohort / "case_000.json"),
+                         "--nodes", "5", "--k", "8", "--out", str(model_path)])
+        assert code == EXIT_DATA
+        assert "data error: support size k=8 must lie in [1, 5]" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_non_convergence_is_exit_3(self, capsys, tmp_path):
         cohort = tmp_path / "cohort"
         assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
@@ -426,6 +436,7 @@ class TestCompareCommand:
         ("--h-ms", "inf", "h"),
         ("--cg-tol", "nan", "cg_tol"),
         ("--cg-tol", "-1", "cg_tol"),
+        ("--cg-tol", "1", "cg_tol"),
         ("--v-tol", "-1", "v_tol"),
         ("--support-k", "nan", "abdomen_k"),
         ("--alpha", "nan", "alpha"),

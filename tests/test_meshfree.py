@@ -1,6 +1,7 @@
 """Tests for DOF sampling, Shepard shape functions, and matrix assembly."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from elastosim import meshfree
-from elastosim.beam import _hex_element_stiffness, _hex_grid_connectivity
+from elastosim.beam import BeamSpec, _hex_element_stiffness, _hex_grid_connectivity
+from elastosim.experiment import SyntheticCohortSpec, synth_cohort, young_material_field
 from elastosim.meshfree import (
     DofSet,
     MaterialField,
+    ShapeMap,
     _strain_displacement,
     assemble_blocks,
     assemble_damping,
@@ -28,7 +31,7 @@ from elastosim.meshfree import (
     shape_weights,
     shepard_weights,
 )
-from elastosim.volume import RoiMask, VoxelVolume
+from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume
 
 
 def make_field(dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0), young=2.1, nu=0.45,
@@ -143,7 +146,22 @@ def loop_lloyd_step(points, nodes):
             new_nodes[i] = points[sel].mean(axis=0)
         else:
             new_nodes[i] = points[np.argmax(nearest_d2)]
-    return new_nodes
+    return new_nodes, owner
+
+
+def tolerance_stop_sample_dofs(field, n_nodes, seed):
+    """Reference: Lloyd stopped once no node moves 1e-6 mm, then one more owner query."""
+    centers = field.masked_centers()
+    rng = np.random.default_rng(seed)
+    nodes = centers[rng.choice(len(centers), size=n_nodes, replace=False)].copy()
+    for _ in range(meshfree._LLOYD_MAX_ITERS):
+        new_nodes, _ = meshfree._lloyd_step(centers, nodes)
+        movement = float(np.linalg.norm(new_nodes - nodes, axis=1).max())
+        nodes = new_nodes
+        if movement < 1e-6:
+            break
+    owner, _ = meshfree._nearest_nodes(centers, nodes, 1)
+    return nodes, owner[:, 0]
 
 
 def ellipsoid_field(dims=(14, 11, 9), spacing=(0.7, 1.1, 1.3)):
@@ -161,8 +179,10 @@ class TestLloydStep:
         points = ellipsoid_field().masked_centers()
         nodes = points[np.random.default_rng(0).choice(len(points), 40, replace=False)]
         for _ in range(8):
-            step = meshfree._lloyd_step(points, nodes)
-            assert np.array_equal(step, loop_lloyd_step(points, nodes))
+            step, owner = meshfree._lloyd_step(points, nodes)
+            ref_step, ref_owner = loop_lloyd_step(points, nodes)
+            assert np.array_equal(step, ref_step)
+            assert np.array_equal(owner, ref_owner)
             nodes = step
 
     def test_empty_cells_respawn_at_farthest_point(self):
@@ -172,8 +192,9 @@ class TestLloydStep:
         nodes[9] = [1e3, 1e3, 1e3]  # far outside the points
         d2 = cdist(points, nodes, "sqeuclidean")
         assert set(np.argmin(d2, axis=1)).isdisjoint({5, 9})
-        step = meshfree._lloyd_step(points, nodes)
-        assert np.array_equal(step, loop_lloyd_step(points, nodes))
+        step, owner = meshfree._lloyd_step(points, nodes)
+        ref_step, ref_owner = loop_lloyd_step(points, nodes)
+        assert np.array_equal(step, ref_step) and np.array_equal(owner, ref_owner)
         farthest = points[np.argmax(d2.min(axis=1))]
         assert np.array_equal(step[5], farthest) and np.array_equal(step[9], farthest)
 
@@ -184,6 +205,53 @@ class TestLloydStep:
         ref = sample_dofs(field, n_nodes=60, seed=3)
         assert np.array_equal(fast.nodes, ref.nodes)
         assert np.array_equal(fast.owner, ref.owner)
+
+
+class TestLloydStop:
+    def counted(self, monkeypatch, name):
+        calls = []
+        inner = getattr(meshfree, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(meshfree, name, wrapper)
+        return calls
+
+    def test_one_nearest_node_query_per_step(self, monkeypatch):
+        steps = self.counted(monkeypatch, "_lloyd_step")
+        queries = self.counted(monkeypatch, "_nearest_nodes")
+        sample_dofs(ellipsoid_field(), n_nodes=60, seed=3)
+        assert len(steps) > 1
+        assert len(queries) == len(steps)
+
+    def test_capped_run_returns_the_last_queried_nodes_and_their_owners(self, monkeypatch):
+        field = ellipsoid_field()
+        centers = field.masked_centers()
+        seeds = centers[np.random.default_rng(3).choice(len(centers), 60, replace=False)]
+        first, _ = meshfree._lloyd_step(centers, seeds)
+        second, _ = meshfree._lloyd_step(centers, first)
+        assert not np.array_equal(second, first), "two steps must not reach the fixed point"
+        monkeypatch.setattr(meshfree, "_LLOYD_MAX_ITERS", 2)
+        dofs = sample_dofs(field, n_nodes=60, seed=3)
+        assert np.array_equal(dofs.nodes, first)
+        ref_idx, _ = nearest_oracle(centers, dofs.nodes, 1)
+        assert np.array_equal(dofs.owner, ref_idx[:, 0])
+
+    @pytest.mark.parametrize("source", ["cohort", "slender beam"])
+    def test_fixed_point_stop_matches_tolerance_stop(self, source):
+        if source == "cohort":
+            cases = [case for seed in (3, 4, 5)
+                     for case in synth_cohort(SyntheticCohortSpec(n=3, seed=seed))]
+            fields, n_nodes = [young_material_field(c.volume, c.mask) for c in cases], 300
+        else:
+            slender = BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=0.625)
+            fields, n_nodes = [make_field(dims=slender.cells(), spacing=(0.625,) * 3)], 2441
+        for field in fields:
+            dofs = sample_dofs(field, n_nodes=n_nodes, seed=0)
+            ref_nodes, ref_owner = tolerance_stop_sample_dofs(field, n_nodes, seed=0)
+            assert np.array_equal(dofs.nodes, ref_nodes)
+            assert np.array_equal(dofs.owner, ref_owner)
 
 
 def nearest_oracle(points, nodes, k):
@@ -667,7 +735,7 @@ class TestAssembleMass:
         M = assemble_mass(shape, field, n_nodes=8)
         per_voxel = 1200.0 * 1e-12 * field.voxel_volume_mm3
         brute = np.zeros(8)
-        for v in range(shape.n_voxels):
+        for v in range(len(shape.indices)):
             for slot in range(shape.k):
                 brute[shape.indices[v, slot]] += shape.weights[v, slot] * per_voxel
         assert np.allclose(M[0::3], brute, rtol=1e-12)
@@ -768,6 +836,17 @@ class TestModelArchive:
         assert back.field.nu == model.field.nu
         assert back.field.density == model.field.density
         assert back.seed == model.seed
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_support_size_outside_node_count_rejected(self, tmp_path, k):
+        model = build_model(make_field(dims=(4, 4, 3)), n_nodes=6, k=5, seed=9)
+        cols = np.arange(k) % 5  # shape arrays that hold k columns, as the header says
+        shape = ShapeMap(indices=model.shape.indices[:, cols], weights=model.shape.weights[:, cols],
+                         gradients=model.shape.gradients[:, cols],
+                         corrected_gradients=model.shape.corrected_gradients[:, cols], k=k)
+        path = save_model(replace(model, shape=shape), tmp_path / "model.esim")
+        with pytest.raises(VolumeFormatError, match=rf"shape_k={k} must lie in \[1, 6\]"):
+            load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.esim"

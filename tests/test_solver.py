@@ -232,6 +232,13 @@ class TestCgSolve:
         assert res.residual == pytest.approx(true, rel=1e-9)
         assert res.converged == (true <= tol)
 
+    def test_only_a_zero_rhs_returns_x_zero(self):
+        # x = 0 already meets a tolerance of 1, yet a nonzero b still gets a step.
+        b = np.array([3.0, -1.0, 2.5])
+        res = cg_solve(LinearSystem(A=sp.eye(3, format="csr"), b=b), tol=1.0)
+        assert res.converged and res.iterations == 1
+        assert np.array_equal(res.x, b)
+
     def test_zero_rhs_short_circuits(self):
         A = sp.eye(4, format="csr")
         res = cg_solve(LinearSystem(A=A, b=np.zeros(4)))
