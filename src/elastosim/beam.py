@@ -268,35 +268,21 @@ def _hex_element_stiffness(res: float, young_kpa: float, nu: float) -> np.ndarra
     return sum(bg.T @ d_mat @ bg * jac**3 for bg in b)
 
 
-def _hex_grid_connectivity(cells: tuple[int, int, int]) -> np.ndarray:
-    """Element-to-node table for a regular grid, shape (n_elements, 8).
+def _hex_grid(cells: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Node ids and element-to-node table of a regular grid of cx x cy x cz cells.
 
-    Node (i, j, k) is numbered k + (cz+1) * (j + (cy+1) * i): the long x axis
-    varies slowest, so neighbouring nodes are at most one y-z node plane
-    apart and K's band is 3 * ((cy+1)(cz+1) + (cz+1) + 1) + 2 DOFs wide.
+    ids[i, j, k], shape (cx+1, cy+1, cz+1), numbers node (i, j, k) as
+    k + (cz+1) * (j + (cy+1) * i): the long x axis varies slowest, so
+    neighbouring nodes are at most one y-z node plane apart and K's band is
+    3 * ((cy+1)(cz+1) + (cz+1) + 1) + 2 DOFs wide.  The table, shape
+    (n_elements, 8), lists each cell's corners in ring order per z face, the
+    local order of `_hex_element_stiffness`.
     """
     cx, cy, cz = cells
-    nny, nnz = cy + 1, cz + 1
-
-    def node_id(i, j, k):
-        return k + nnz * (j + nny * i)
-
-    ei, ej, ek = np.meshgrid(np.arange(cx), np.arange(cy), np.arange(cz), indexing="ij")
-    ei, ej, ek = ei.ravel(), ej.ravel(), ek.ravel()
-    conn = np.stack(
-        [
-            node_id(ei, ej, ek),
-            node_id(ei + 1, ej, ek),
-            node_id(ei + 1, ej + 1, ek),
-            node_id(ei, ej + 1, ek),
-            node_id(ei, ej, ek + 1),
-            node_id(ei + 1, ej, ek + 1),
-            node_id(ei + 1, ej + 1, ek + 1),
-            node_id(ei, ej + 1, ek + 1),
-        ],
-        axis=1,
-    )
-    return conn
+    ids = np.arange((cx + 1) * (cy + 1) * (cz + 1)).reshape(cx + 1, cy + 1, cz + 1)
+    conn = np.stack([ids[di:di + cx, dj:dj + cy, dk:dk + cz].ravel()
+                     for dk in (0, 1) for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))], axis=1)
+    return ids, conn
 
 
 def _fea_system(spec: BeamSpec) -> LinearSystem:
@@ -305,23 +291,19 @@ def _fea_system(spec: BeamSpec) -> LinearSystem:
     The distributed load enters as consistent nodal loads of a uniform -z
     body force.
     """
-    cells = spec.cells()
-    cx, cy, cz = cells
     res = spec.resolution
     _, w_eff, h_eff = spec.snapped_extents()
-    n_nodes = (cx + 1) * (cy + 1) * (cz + 1)
+    ids, conn = _hex_grid(spec.cells())
 
     ke = _hex_element_stiffness(res, spec.E, _NU)
-    conn = _hex_grid_connectivity(cells)
-    K = assemble_blocks(conn, np.broadcast_to(ke, (len(conn), 24, 24)), n_nodes)
+    K = assemble_blocks(conn, np.broadcast_to(ke, (len(conn), 24, 24)), ids.size)
 
     # Uniform body force -q/(w*h) per mm^3; each corner takes V_e/8 of its element.
-    f = np.zeros(3 * n_nodes)
+    f = np.zeros(3 * ids.size)
     per_corner = spec.q_load / (w_eff * h_eff) * res**3 / 8.0
     np.add.at(f, 3 * conn.ravel() + 2, -per_corner)
 
-    clamped_nodes = np.arange((cy + 1) * (cz + 1))  # the i = 0 plane numbers first
-    fixed = (3 * clamped_nodes[:, None] + np.arange(3)).ravel()
+    fixed = (3 * ids[0].reshape(-1, 1) + np.arange(3)).ravel()
     return reduce_dirichlet(K, f, fixed)
 
 
@@ -336,27 +318,24 @@ def fea_baseline(spec: BeamSpec) -> DeflectionCurve:
         ValueError: degenerate discretization (via spec.cells()).
         NonConvergenceError: the solve missed its tolerance.
     """
-    cells = spec.cells()
-    cx, cy, cz = cells
-    res = spec.resolution
     _, w_eff, h_eff = spec.snapped_extents()
+    ids, _ = _hex_grid(spec.cells())
     system = _fea_system(spec)
     u = _factored_cg(system, BandedCholesky.of(system.A), _STATIC_CG_MAX, _STATIC_CG_TOL,
                      "FEA baseline")
-    uz = u[2::3].reshape(cx + 1, cy + 1, cz + 1)
     xs = axis_samples(spec)
-    deflection = [0.0]
-    for x in xs[1:]:
-        deflection.append(-_trilinear_sample(uz, res, cells, x, w_eff / 2.0, h_eff / 2.0))
-    return DeflectionCurve(x=xs, w=np.array(deflection))
+    w = -_trilinear_sample(u[2::3][ids], spec.resolution, xs[1:], w_eff / 2.0, h_eff / 2.0)
+    return DeflectionCurve(x=xs, w=np.concatenate([[0.0], w]))
 
 
-def _trilinear_sample(uz: np.ndarray, res: float, cells, x: float, y: float, z: float) -> float:
-    """Interpolate a node field uz[i, j, k] at (x, y, z); upper boundaries clamp to the last cell."""
-    cx, cy, cz = cells
+def _trilinear_sample(uz: np.ndarray, res: float, x, y, z) -> np.ndarray:
+    """Interpolate a node field uz[i, j, k] at the points (x, y, z), broadcast together.
+
+    Upper boundaries clamp to the last cell.
+    """
     out = []
-    for v, c in ((x, cx), (y, cy), (z, cz)):
-        i = min(int(np.floor(v / res)), c - 1)
+    for v, n in zip((x, y, z), uz.shape):  # n nodes span n - 1 cells, the last at n - 2
+        i = np.minimum(np.floor(v / res).astype(np.int64), n - 2)
         out.append((i, 2.0 * (v - i * res) / res - 1.0))
     (i, xi), (j, eta), (k, zeta) = out
     acc = 0.0
@@ -364,7 +343,7 @@ def _trilinear_sample(uz: np.ndarray, res: float, cells, x: float, y: float, z: 
         for dj, wy in ((0, (1 - eta) / 2), (1, (1 + eta) / 2)):
             for di, wx in ((0, (1 - xi) / 2), (1, (1 + xi) / 2)):
                 acc += wz * wy * wx * uz[i + di, j + dj, k + dk]
-    return float(acc)
+    return acc
 
 
 def convergence_error(sim: DeflectionCurve, theory: DeflectionCurve) -> dict:

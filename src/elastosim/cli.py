@@ -211,7 +211,7 @@ def cmd_synth_cohort(args) -> int:
 
 def cmd_build_model(args) -> int:
     config = _config(args)
-    case = case_from_volume(load_volume(args.volume), Path(args.volume).stem, config.conversion_nu)
+    case = case_from_volume(load_volume(args.volume), Path(args.volume).stem)
     model = config.measured_model(case)
     path = save_model(model, Path(args.out))
     print(f"{model.n_nodes} nodes / {model.n_dofs} DOFs, "
@@ -237,7 +237,7 @@ def cmd_retract(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _config(args)
-    case = case_from_volume(load_volume(args.volume), Path(args.volume).stem, config.conversion_nu)
+    case = case_from_volume(load_volume(args.volume), Path(args.volume).stem)
     report = compare_case(case, config)
     path = write_comparison_csv([report], Path(args.out) / "comparison.csv")
     print(f"{report.case_id}: mean {report.mean_volume_diff:.3f} mm, "
@@ -380,6 +380,3 @@ def cli_main(argv=None) -> int:
     except (VolumeFormatError, ValueError, OSError) as exc:
         print(f"elastosim: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-main = cli_main

@@ -84,23 +84,26 @@ class RetractionConfig:
 
         Raises:
             ValueError: a non-finite number; h, v_tol, cg_tol, diameter,
-                voxel_ref_mm or a set liver_mass_kg not > 0; cg_tol >= 1;
-                significance_mm < 0; cg_max or max_steps < 1.
+                voxel_ref_mm, atlas_e_kpa or a set liver_mass_kg not > 0;
+                cg_tol >= 1; significance_mm, alpha, beta or seed < 0; k,
+                cg_max or max_steps < 1.
         """
         for f in fields(self):
             value = getattr(self, f.name)
             # Integers are finite, and may exceed what a float array holds.
             if not isinstance(value, (int, type(None))) and not np.isfinite(value).all():
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in ("h", "v_tol", "cg_tol", "diameter", "voxel_ref_mm", "liver_mass_kg"):
+        for name in ("h", "v_tol", "cg_tol", "diameter", "voxel_ref_mm", "atlas_e_kpa",
+                     "liver_mass_kg"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
         if self.cg_tol >= 1:  # CG starts at relative residual 1, so it would solve nothing
             raise ValueError(f"cg_tol must be < 1, got {self.cg_tol}")
-        if self.significance_mm < 0:
-            raise ValueError(f"significance_mm must be >= 0, got {self.significance_mm}")
-        for name in ("cg_max", "max_steps"):
+        for name in ("significance_mm", "alpha", "beta", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("k", "cg_max", "max_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -237,6 +240,8 @@ class SyntheticCohortSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"cohort size must be >= 0, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("median_kpa", "log_sd"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -259,20 +264,20 @@ class CohortCase:
     mask: RoiMask
 
 
-def case_from_volume(
-    volume: VoxelVolume, case_id: str, conversion_nu: float = RetractionConfig.conversion_nu
-) -> CohortCase:
+def case_from_volume(volume: VoxelVolume, case_id: str) -> CohortCase:
     """Cohort case of an elastogram whose tissue is its strictly positive voxels.
 
     The mask matches how the synthetic generator zeroes everything outside
-    the organ; the record holds the masked mean shear modulus.
+    the organ; the record holds the masked mean shear modulus and its
+    Young's modulus at the default conversion Poisson ratio.
 
     Raises:
         ValueError: not an elastogram, or no positive voxel.
     """
     mask = RoiMask(dims=volume.dims, flags=volume.data > 0)
     g = mean_shear_modulus(volume, mask)
-    record = CohortRecord(id=case_id, mean_shear_G=g, young_E=shear_to_young(g, conversion_nu))
+    record = CohortRecord(id=case_id, mean_shear_G=g,
+                          young_E=shear_to_young(g, RetractionConfig.conversion_nu))
     return CohortCase(record=record, volume=volume, mask=mask)
 
 

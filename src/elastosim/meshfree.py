@@ -671,8 +671,9 @@ def load_model(path: str | Path) -> MeshFreeModel:
         FileNotFoundError: archive missing.
         VolumeFormatError: bad magic, a truncated or malformed header, a
             missing array, an array whose bytes or shape disagree with the
-            manifest, the mask, shape_k or the model's DOF count, or a
-            shape_k, alpha, beta or seed of the wrong type or range.
+            manifest, the mask, shape_k or the model's DOF count, an owner or
+            shape_indices entry outside [0, node count), or a shape_k,
+            alpha, beta or seed of the wrong type or range.
     """
     path = Path(path)
     if not path.exists():
@@ -703,6 +704,12 @@ def load_model(path: str | Path) -> MeshFreeModel:
                 raise VolumeFormatError(
                     f"array {name!r} has shape {arrays[name].shape}; {m} masked voxels, "
                     f"shape_k={k} and {n_dofs} DOFs need {want}"
+                )
+        for name in ("owner", "shape_indices"):
+            index = arrays[name]
+            if index.size and not 0 <= index.min() <= index.max() < dofs.n_nodes:
+                raise VolumeFormatError(
+                    f"array {name!r} holds a node index outside [0, {dofs.n_nodes})"
                 )
         for name in ("alpha", "beta"):
             if type(header[name]) not in (int, float) or not 0 <= header[name] < math.inf:

@@ -16,7 +16,7 @@ hits the cap raises.
 For a fixed model, load case and h the matrix is the same on every step of a
 settle, so `prepare_settle` assembles it once and factors it with a
 `BandedCholesky`; each step then only forms its right-hand side and runs CG
-preconditioned by that factor, which converges in one or two iterations.
+preconditioned by that factor, which converges in one iteration.
 Convergence is still judged on the true, unpreconditioned residual
 b - A x, so the tolerance and the iteration cap keep their meaning.  The
 cantilever's static solves go through the same factored CG.
@@ -52,10 +52,6 @@ from elastosim.volume import _write_csv
 class NonConvergenceError(RuntimeError):
     """Raised when a run hits its step budget before reaching steady state,
     or a standalone solve hits its iteration cap before its tolerance."""
-
-    def __init__(self, message: str, last_velocity_inf: float = float("nan")):
-        super().__init__(message)
-        self.last_velocity_inf = last_velocity_inf
 
 
 class IndefiniteSystemError(RuntimeError):
@@ -424,8 +420,8 @@ def run_to_steady_state(
     step.  Each step's CG runs to tol within N_max iterations.
 
     Raises:
-        NonConvergenceError: max_steps reached first, carrying the last
-            velocity infinity-norm; or a step's CG hit its cap.
+        NonConvergenceError: max_steps reached first, the message carrying
+            the last velocity infinity-norm; or a step's CG hit its cap.
     """
     settle = prepare_settle(model, loads, h)
     current = SimState.rest(model.n_dofs)
@@ -438,8 +434,7 @@ def run_to_steady_state(
         if quiet >= 3:
             return current
     raise NonConvergenceError(
-        f"no steady state after {max_steps} steps; last |qdot|_inf = {v_inf:.3e} mm/s",
-        last_velocity_inf=v_inf,
+        f"no steady state after {max_steps} steps; last |qdot|_inf = {v_inf:.3e} mm/s"
     )
 
 

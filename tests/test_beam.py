@@ -13,7 +13,9 @@ from elastosim.beam import (
     DeflectionCurve,
     _fea_system,
     _hex_element_stiffness,
+    _hex_grid,
     _meshfree_system,
+    _trilinear_sample,
     axis_samples,
     build_beam_phantom,
     convergence_error,
@@ -28,6 +30,7 @@ from elastosim.meshfree import elasticity_matrix
 from elastosim.solver import (
     BandedCholesky,
     NonConvergenceError,
+    _factored_cg,
     cg_solve,
     displace_landmarks,
 )
@@ -39,10 +42,61 @@ EXACT = BeamSpec(L=50.0, w=10.0, h_beam=10.0, E=12.0, q_load=1e-4, resolution=1.
 SMALL = BeamSpec(L=20.0, w=5.0, h_beam=5.0, E=12.0, q_load=1e-4, resolution=1.25)
 # The slender cantilever at 1.25 mm voxels, for the mesh-free solver checks.
 SLENDER_SMOKE = BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=1.25)
+# The FEA grids of validate-beam --slender (80 x 16 x 4 cells), of validate-beam
+# (30 x 6 x 6), and one with odd cell counts (50 x 9 x 3).
+GRID_SPECS = [
+    BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=0.625),
+    BeamSpec(L=50.0, w=10.0, h_beam=10.0, E=12.0, q_load=1e-4, resolution=1.64),
+    BeamSpec(L=50.0, w=9.0, h_beam=3.0, E=12.0, q_load=1e-4, resolution=1.0),
+]
 
 
 def clamped_dofs(phantom):
     return np.array([3 * i + c for i in sorted(phantom.fixed_nodes) for c in range(3)])
+
+
+def hex_grid_reference(cells):
+    """Node ids and element table built node by node from the numbering formula."""
+    cx, cy, cz = cells
+    nny, nnz = cy + 1, cz + 1
+
+    def node_id(i, j, k):
+        return k + nnz * (j + nny * i)
+
+    ni, nj, nk = np.meshgrid(np.arange(cx + 1), np.arange(cy + 1), np.arange(cz + 1),
+                             indexing="ij")
+    ei, ej, ek = np.meshgrid(np.arange(cx), np.arange(cy), np.arange(cz), indexing="ij")
+    ei, ej, ek = ei.ravel(), ej.ravel(), ek.ravel()
+    conn = np.stack(
+        [
+            node_id(ei, ej, ek),
+            node_id(ei + 1, ej, ek),
+            node_id(ei + 1, ej + 1, ek),
+            node_id(ei, ej + 1, ek),
+            node_id(ei, ej, ek + 1),
+            node_id(ei + 1, ej, ek + 1),
+            node_id(ei + 1, ej + 1, ek + 1),
+            node_id(ei, ej + 1, ek + 1),
+        ],
+        axis=1,
+    )
+    return node_id(ni, nj, nk), conn
+
+
+def trilinear_reference(uz, res, cells, x, y, z):
+    """Interpolate uz[i, j, k] at one point, one corner at a time."""
+    cx, cy, cz = cells
+    out = []
+    for v, c in ((x, cx), (y, cy), (z, cz)):
+        i = min(int(np.floor(v / res)), c - 1)
+        out.append((i, 2.0 * (v - i * res) / res - 1.0))
+    (i, xi), (j, eta), (k, zeta) = out
+    acc = 0.0
+    for dk, wz in ((0, (1 - zeta) / 2), (1, (1 + zeta) / 2)):
+        for dj, wy in ((0, (1 - eta) / 2), (1, (1 + eta) / 2)):
+            for di, wx in ((0, (1 - xi) / 2), (1, (1 + xi) / 2)):
+                acc += wz * wy * wx * uz[i + di, j + dj, k + dk]
+    return float(acc)
 
 
 class TestSecondMoment:
@@ -273,6 +327,40 @@ class TestHexElement:
         eig = np.linalg.eigvalsh(ke)
         assert np.sum(np.abs(eig) <= 1e-10 * eig.max()) == 6
         assert eig.min() >= -1e-10 * eig.max()
+
+
+class TestHexGrid:
+    @pytest.mark.parametrize("spec", GRID_SPECS)
+    def test_matches_the_node_by_node_reference(self, spec):
+        ids, conn = _hex_grid(spec.cells())
+        ref_ids, ref_conn = hex_grid_reference(spec.cells())
+        assert ids.dtype == ref_ids.dtype and np.array_equal(ids, ref_ids)
+        assert conn.dtype == ref_conn.dtype and np.array_equal(conn, ref_conn)
+
+    @pytest.mark.parametrize("spec", GRID_SPECS)
+    def test_fea_curve_matches_the_point_by_point_sampler(self, spec):
+        cells = spec.cells()
+        _, w_eff, h_eff = spec.snapped_extents()
+        system = _fea_system(spec)
+        u = _factored_cg(system, BandedCholesky.of(system.A), elastosim.beam._STATIC_CG_MAX,
+                         elastosim.beam._STATIC_CG_TOL, "FEA baseline")
+        uz = u[2::3].reshape(tuple(c + 1 for c in cells))
+        xs = axis_samples(spec)
+        want = [0.0] + [-trilinear_reference(uz, spec.resolution, cells, x, w_eff / 2, h_eff / 2)
+                        for x in xs[1:]]
+        curve = fea_baseline(spec)
+        assert np.array_equal(curve.x, xs)
+        assert curve.w.tobytes() == np.array(want).tobytes()
+
+    def test_sampler_clamps_every_upper_boundary_like_the_reference(self):
+        spec = GRID_SPECS[2]
+        cells = spec.cells()
+        uz = np.random.default_rng(3).standard_normal(tuple(c + 1 for c in cells))
+        L, w_eff, h_eff = spec.snapped_extents()
+        xs = np.linspace(0.0, L, 41)
+        got = _trilinear_sample(uz, spec.resolution, xs, w_eff, h_eff)
+        want = [trilinear_reference(uz, spec.resolution, cells, x, w_eff, h_eff) for x in xs]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestFeaBaseline:

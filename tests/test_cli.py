@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line harness and its exit-code contract."""
 
 import argparse
+import importlib
 import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +25,26 @@ from elastosim.cli import (
 from elastosim.experiment import load_comparison_csv
 from elastosim.volume import VoxelVolume, load_cohort_csv, write_volume
 
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: the test extra installs tomli
+    import tomli as tomllib
+
+ROOT = Path(__file__).resolve().parents[1]
 FAST_SYNTH = ["--dims", "10,9,8", "--voxel-mm", "2.0", "--nodes", "40", "--k", "6"]
 
 
 def synth_args(out, n=2, seed=3):
     return ["synth-cohort", "--n", str(n), "--seed", str(seed),
             "--dims", "10,9,8", "--voxel-mm", "2.0", "--out", str(out)]
+
+
+def test_console_script_names_cli_main():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["elastosim"]
+    assert target == "elastosim.cli:cli_main"
+    module, name = target.split(":")
+    assert getattr(importlib.import_module(module), name) is cli_main
 
 
 class TestExitCodes:
@@ -333,6 +349,12 @@ def _gradients_transposed(header, payload):
     return payload
 
 
+def _owner_past_nodes(header, payload):
+    offset = _entry(header, "owner")["offset"]
+    n_nodes = _entry(header, "nodes")["shape"][0]
+    return payload[:offset] + struct.pack("<q", n_nodes) + payload[offset + 8:]
+
+
 def _column_index_past_dofs(header, payload):
     offset = _entry(header, "K_indices")["offset"]
     n_dofs = _entry(header, "M")["shape"][0]
@@ -366,6 +388,7 @@ class TestCorruptModelArchive:
         (_weights_as_three_columns, "'shape_weights'"),
         (_gradients_transposed, "'shape_gradients'"),
         (_column_index_past_dofs, "indices must be"),
+        (_owner_past_nodes, "'owner' holds a node index outside [0, 40)"),
     ])
     def test_bad_manifest_is_data_error(self, capsys, tmp_path, archive, corrupt, named):
         header, payload = split_archive(archive)
@@ -446,6 +469,12 @@ class TestCompareCommand:
         ("--significance-mm", "nan", "significance_mm"),
         ("--diameter", "inf", "diameter"),
         ("--tool-center", "nan,0,0", "tool_center"),
+        ("--atlas-e-kpa", "0", "atlas_e_kpa"),
+        ("--atlas-e-kpa", "-1", "atlas_e_kpa"),
+        ("--alpha", "-1", "alpha"),
+        ("--beta", "-1", "beta"),
+        ("--seed", "-1", "seed"),
+        ("--k", "0", "k"),
     ])
     def test_bad_knob_is_data_error_naming_the_field(self, capsys, tmp_path, flag, value, field):
         cohort = tmp_path / "cohort"

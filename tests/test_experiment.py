@@ -167,6 +167,8 @@ class TestSyntheticCohortSpec:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="cohort size"):
             SyntheticCohortSpec(n=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SyntheticCohortSpec(n=1, seed=-1)
         with pytest.raises(ValueError, match="median"):
             SyntheticCohortSpec(n=1, median_kpa=0.0)
         with pytest.raises(ValueError, match="log-sd"):

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from elastosim import meshfree
-from elastosim.beam import BeamSpec, _hex_element_stiffness, _hex_grid_connectivity
+from elastosim.beam import BeamSpec, _hex_element_stiffness, _hex_grid
 from elastosim.experiment import SyntheticCohortSpec, synth_cohort, young_material_field
 from elastosim.meshfree import (
     DofSet,
@@ -663,9 +663,9 @@ class TestAssembleBlocks:
 
     @pytest.mark.parametrize("nu", [0.0, 0.3])
     def test_hex_grid_matches_references(self, nu):
-        cells = (4, 3, 2)
-        conn = _hex_grid_connectivity(cells)
-        n_nodes = 5 * 4 * 3
+        ids, conn = _hex_grid((4, 3, 2))
+        n_nodes = ids.size
+        assert n_nodes == 5 * 4 * 3
         blocks = np.broadcast_to(_hex_element_stiffness(0.8, 12.0, nu), (len(conn), 24, 24))
         K = assemble_blocks(conn, blocks, n_nodes)
         assert_matches_dense(K, conn, blocks, n_nodes)
@@ -846,6 +846,26 @@ class TestModelArchive:
                          corrected_gradients=model.shape.corrected_gradients[:, cols], k=k)
         path = save_model(replace(model, shape=shape), tmp_path / "model.esim")
         with pytest.raises(VolumeFormatError, match=rf"shape_k={k} must lie in \[1, 6\]"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("shape_indices", 99),
+        ("owner", 99),
+        ("owner", -1),
+    ])
+    def test_node_index_outside_node_count_rejected(self, tmp_path, name, value):
+        model = build_model(make_field(dims=(4, 4, 3)), n_nodes=6, k=5, seed=9)
+        if name == "owner":
+            owner = model.dofs.owner.copy()
+            owner[7] = value
+            model = replace(model, dofs=DofSet(nodes=model.dofs.nodes, owner=owner))
+        else:
+            indices = model.shape.indices.copy()
+            indices[0, 0] = value
+            model = replace(model, shape=replace(model.shape, indices=indices))
+        path = save_model(model, tmp_path / "model.esim")
+        with pytest.raises(VolumeFormatError,
+                           match=rf"'{name}' holds a node index outside \[0, 6\)"):
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
