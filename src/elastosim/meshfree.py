@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -647,8 +648,8 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[16 : 16 + hlen].decode())
         arrays = {}
         for item in header["arrays"]:
-            name, offset, nbytes = item["name"], int(item["offset"]), int(item["nbytes"])
-            dtype, shape = np.dtype(item["dtype"]), tuple(int(n) for n in item["shape"])
+            name, offset, nbytes = item["name"], operator.index(item["offset"]), operator.index(item["nbytes"])
+            dtype, shape = np.dtype(item["dtype"]), tuple(operator.index(n) for n in item["shape"])
             if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
                 raise VolumeFormatError(f"array {name!r} lies outside the payload")
             if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize != nbytes:
