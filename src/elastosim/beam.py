@@ -44,6 +44,7 @@ from elastosim.volume import RoiMask, VoxelVolume, _write_csv
 _NU = 0.0  # Poisson ratio of both discretizations; bending theory has no Poisson term
 _STATIC_CG_TOL = 1e-8  # true relative residual of both beam models' static solves
 _STATIC_CG_MAX = 200  # iteration cap of both static solves; the factored CG takes one
+MAX_FEA_FACTOR_BYTES = 2**30  # a finer grid is an input error, not a longer run
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,9 @@ class BeamSpec:
         50 x 10 x 10 mm benchmark (50 / 1.64 = 30.49, a 1.6% snap).
 
         Raises:
-            ValueError: resolution misses a dimension by more than 2%, or
-                fewer than 2 cells along any axis.
+            ValueError: resolution misses a dimension by more than 2%,
+                fewer than 2 cells along any axis, or a grid whose FEA band
+                factor would exceed MAX_FEA_FACTOR_BYTES.
         """
         counts = []
         for name, extent in (("L", self.L), ("w", self.w), ("h_beam", self.h_beam)):
@@ -104,6 +106,12 @@ class BeamSpec:
                     f"at resolution {self.resolution}"
                 )
             counts.append(n)
+        cx, cy, cz = counts
+        band = 3 * ((cy + 1) * (cz + 1) + (cz + 1) + 1) + 2  # of `_hex_grid`'s numbering
+        factor_bytes = 8 * (band + 1) * 3 * (cx + 1) * (cy + 1) * (cz + 1)  # float64
+        if factor_bytes > MAX_FEA_FACTOR_BYTES:
+            raise ValueError(f"resolution {self.resolution} needs a {factor_bytes:.3g}-byte FEA "
+                             f"band factor, more than the {MAX_FEA_FACTOR_BYTES} allowed")
         return tuple(counts)
 
     def snapped_extents(self) -> tuple[float, float, float]:

@@ -4,14 +4,14 @@ A model is built from a masked per-voxel Young's modulus field in three
 stages.  Lloyd-relaxed Voronoi sampling picks the DOF node positions inside
 the mask.  Inverse-distance-squared Shepard functions over the k nearest
 nodes give each voxel center a partition-of-unity weight set with analytic
-gradients.  Mass, stiffness, and damping are then assembled with one
-integration point per voxel: lumped M, K = sum of B^T D B * V_voxel, and
-Rayleigh C = alpha*M + beta*K.
+gradients.  Mass and stiffness are then assembled with one integration point
+per voxel: lumped M and K = sum of B^T D B * V_voxel.  The Rayleigh damping
+C = alpha*M + beta*K is held as its two coefficients.
 
 Units are a consistent mm / tonne / second system: lengths mm, mass tonnes,
 force N, stress N/mm^2.  Young's modulus enters in kPa (1 kPa = 1e-3 N/mm^2)
 and density in kg/m^3 (1 kg/m^3 = 1e-12 t/mm^3); both are converted during
-assembly so that M, K, C can be combined without hidden factors.
+assembly so that M, K and C can be combined without hidden factors.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import math
 import operator
 import struct
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -47,7 +48,7 @@ _TREE_GAP_ABS_MM = 1e-12
 _LLOYD_MAX_ITERS = 50
 
 _ARCHIVE_MAGIC = b"ESIMMDL1"
-ARCHIVE_VERSION = 2
+ARCHIVE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -158,41 +159,55 @@ class ShapeMap:
             per-voxel shift enforcing sum_i ghat_i x_i^T = I makes the
             discrete gradient exact on linear displacement fields, without
             which the assembled stiffness locks severely under bending.
-        k: support size.
     """
 
     indices: np.ndarray
     weights: np.ndarray
     gradients: np.ndarray
     corrected_gradients: np.ndarray
-    k: int
+
+    @property
+    def k(self) -> int:
+        """Support size: the nodes per masked voxel."""
+        return self.indices.shape[1]
 
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled lumped mass, stiffness, and Rayleigh damping.
+    """Lumped mass, stiffness, and the two Rayleigh damping coefficients.
 
-    M is the diagonal as a flat (3n,) array in tonnes; K (N/mm) and C
-    (N·s/mm) are sparse CSR, symmetric positive semi-definite, with the
-    internal-force convention f_int = -K q - C q_dot.
+    M is the diagonal as a flat (3n,) array in tonnes; K (N/mm) is sparse
+    CSR, symmetric positive semi-definite.  The damping C = alpha*M + beta*K
+    (N·s/mm) is held as alpha (1/s) and beta (s), with the internal-force
+    convention f_int = -K q - C q_dot.
     """
 
     M: np.ndarray
     K: sp.csr_matrix
-    C: sp.csr_matrix
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0 <= value <= sys.float_info.max:  # a Python int may exceed every float
+                raise ValueError(f"damping {name} must be finite and >= 0, got {value}")
+
+    @property
+    def C(self) -> sp.csr_matrix:
+        """Rayleigh damping beta*K + diag(alpha*M) as sparse CSR, symmetric PSD."""
+        C = (self.beta * self.K + sp.diags(self.alpha * self.M)).tocsr()
+        C.sum_duplicates()
+        return C
 
 
 @dataclass(frozen=True)
 class MeshFreeModel:
-    """Simulation-ready model: field, nodes, shape map, matrices, rest state."""
+    """Simulation-ready model: field, nodes, shape map and matrices, at rest when q = 0."""
 
     field: MaterialField
     dofs: DofSet
     shape: ShapeMap
     matrices: SystemMatrices
-    q0: np.ndarray
-    alpha: float
-    beta: float
     seed: int
 
     @property
@@ -204,6 +219,11 @@ class MeshFreeModel:
         return 3 * self.dofs.n_nodes
 
     @property
+    def q0(self) -> np.ndarray:
+        """Rest displacements: zero on every DOF."""
+        return np.zeros(self.n_dofs)
+
+    @property
     def total_mass_t(self) -> float:
         """Total lumped mass in tonnes (sum over one component per node)."""
         return float(self.matrices.M[0::3].sum())
@@ -213,17 +233,14 @@ class MeshFreeModel:
         return self.total_mass_t * 1000.0
 
     def with_constant_young(self, young_kpa: float) -> "MeshFreeModel":
-        """Rebuild K and C with a constant stiffness, reusing nodes and shapes.
+        """Rebuild K with a constant stiffness, reusing nodes, shapes, M and damping.
 
         The DOF sampling and shape map depend only on the mask geometry, so
-        an atlas-stiffness twin shares them and differs only in K (and the
-        beta part of C).
+        an atlas-stiffness twin shares them and differs only in K.
         """
         field = self.field.with_young(young_kpa)
         K = assemble_stiffness(self.shape, field, n_nodes=self.n_nodes)
-        C = assemble_damping(self.matrices.M, K, self.alpha, self.beta)
-        mats = SystemMatrices(M=self.matrices.M, K=K, C=C)
-        return replace(self, field=field, matrices=mats)
+        return replace(self, field=field, matrices=replace(self.matrices, K=K))
 
 
 def sample_dofs(field: MaterialField, n_nodes: int, seed: int = 0) -> DofSet:
@@ -239,12 +256,14 @@ def sample_dofs(field: MaterialField, n_nodes: int, seed: int = 0) -> DofSet:
     voxels respawns at the voxel center farthest from its nearest node.
 
     Raises:
-        ValueError: n_nodes < 1 or more nodes than masked voxels.
+        ValueError: n_nodes < 1, more nodes than masked voxels, or seed < 0.
     """
     centers = field.masked_centers()
     n_vox = len(centers)
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_nodes > n_vox:
         raise ValueError(f"n_nodes {n_nodes} exceeds masked voxel count {n_vox}")
 
@@ -419,7 +438,6 @@ def shape_weights(dofs: DofSet, field: MaterialField, k: int = 8) -> ShapeMap:
         weights=weights,
         gradients=gradients,
         corrected_gradients=corrected,
-        k=k,
     )
 
 
@@ -515,19 +533,6 @@ def assemble_mass(shape: ShapeMap, field: MaterialField, n_nodes: int) -> np.nda
     return np.repeat(node_mass, 3)
 
 
-def assemble_damping(M: np.ndarray, K: sp.csr_matrix, alpha: float, beta: float) -> sp.csr_matrix:
-    """Rayleigh damping C = alpha*M + beta*K (N·s/mm), symmetric PSD.
-
-    Raises:
-        ValueError: negative alpha or beta.
-    """
-    if alpha < 0 or beta < 0:
-        raise ValueError(f"damping coefficients must be >= 0, got alpha={alpha} beta={beta}")
-    C = (beta * K + sp.diags(alpha * M)).tocsr()
-    C.sum_duplicates()
-    return C
-
-
 def build_model(
     field: MaterialField,
     n_nodes: int = 200,
@@ -547,15 +552,11 @@ def build_model(
     shape = shape_weights(dofs, field, k=k)
     K = assemble_stiffness(shape, field, n_nodes=dofs.n_nodes)
     M = assemble_mass(shape, field, n_nodes=dofs.n_nodes)
-    C = assemble_damping(M, K, alpha, beta)
     return MeshFreeModel(
         field=field,
         dofs=dofs,
         shape=shape,
-        matrices=SystemMatrices(M=M, K=K, C=C),
-        q0=np.zeros(3 * dofs.n_nodes),
-        alpha=alpha,
-        beta=beta,
+        matrices=SystemMatrices(M=M, K=K, alpha=alpha, beta=beta),
         seed=seed,
     )
 
@@ -584,8 +585,9 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
 
     Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
     (scalars plus an array manifest with dtype/shape/offset), then the raw
-    array bytes back to back.  The damping C = alpha*M + beta*K is not
-    stored; `load_model` rebuilds it from the stored M, K, alpha and beta.
+    array bytes back to back.  Each fact is stored once: the damping as
+    alpha and beta, the support size as the width of `shape_indices`, and
+    the Lloyd owners as its first column, the nearest node of each voxel.
     """
     path = Path(path)
     K = model.matrices.K.tocsr()
@@ -593,7 +595,6 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
         "volume_data": model.field.volume.data,
         "mask_flags": model.field.mask.flags,
         "nodes": model.dofs.nodes,
-        "owner": model.dofs.owner,
         "shape_indices": model.shape.indices,
         "shape_weights": model.shape.weights,
         "shape_gradients": model.shape.gradients,
@@ -602,7 +603,6 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
         "K_data": K.data,
         "K_indices": K.indices.astype(np.int64),
         "K_indptr": K.indptr.astype(np.int64),
-        "q0": model.q0,
     }
     manifest, payload = _pack_arrays(arrays)
     header = {
@@ -613,9 +613,8 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
         "kind": model.field.volume.kind,
         "nu": model.field.nu,
         "density": model.field.density,
-        "shape_k": model.shape.k,
-        "alpha": model.alpha,
-        "beta": model.beta,
+        "alpha": model.matrices.alpha,
+        "beta": model.matrices.beta,
         "seed": model.seed,
         "arrays": manifest,
     }
@@ -666,22 +665,23 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def load_model(path: str | Path) -> MeshFreeModel:
-    """Load a model archive written by save_model; C is rebuilt as alpha*M + beta*K.
+    """Load a model archive written by save_model.
 
     Raises:
         FileNotFoundError: archive missing.
         VolumeFormatError: bad magic, a truncated or malformed header, a
             missing array, an array whose bytes or shape disagree with the
-            manifest, the mask, shape_k or the model's DOF count, an owner or
-            shape_indices entry outside [0, node count), or a shape_k,
-            alpha, beta or seed of the wrong type or range.
+            manifest, the mask, the support size or the model's DOF count,
+            a support size outside [1, node count], a shape_indices entry
+            outside [0, node count), or an alpha, beta or seed of the wrong
+            type or range.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"model archive not found: {path}")
     header, arrays = _read_archive(path)
     try:
-        for name in ("owner", "shape_indices", "K_indices", "K_indptr"):
+        for name in ("shape_indices", "K_indices", "K_indptr"):
             if arrays[name].dtype.kind not in "iu":
                 raise VolumeFormatError(f"array {name!r} must hold integers, not {arrays[name].dtype}")
         volume = VoxelVolume(
@@ -692,54 +692,43 @@ def load_model(path: str | Path) -> MeshFreeModel:
         )
         mask = RoiMask(dims=volume.dims, flags=arrays["mask_flags"])
         field = MaterialField(volume=volume, mask=mask, nu=header["nu"], density=header["density"])
-        dofs = DofSet(nodes=arrays["nodes"], owner=arrays["owner"])
-        m, k, n_dofs = mask.n_selected, header["shape_k"], 3 * dofs.n_nodes
-        if type(k) is not int:
-            raise VolumeFormatError(f"shape_k must be an integer, got {k!r}")
-        if not 1 <= k <= dofs.n_nodes:
-            raise VolumeFormatError(f"shape_k={k} must lie in [1, {dofs.n_nodes}], the node count")
-        for name, want in (("owner", (m,)), ("shape_indices", (m, k)), ("shape_weights", (m, k)),
-                           ("shape_gradients", (m, k, 3)), ("shape_corrected", (m, k, 3)),
-                           ("M", (n_dofs,)), ("q0", (n_dofs,))):
+        indices, m = arrays["shape_indices"].astype(np.int64), mask.n_selected
+        if indices.ndim != 2 or len(indices) != m:
+            raise VolumeFormatError(f"array 'shape_indices' has shape {indices.shape}; "
+                                    f"{m} masked voxels need ({m}, k)")
+        # The owners are the first column, copied; empty if k = 0, which is rejected next.
+        dofs = DofSet(nodes=arrays["nodes"], owner=indices[:, :1].flatten())
+        k, n, n_dofs = indices.shape[1], dofs.n_nodes, 3 * dofs.n_nodes
+        if not 1 <= k <= n:
+            raise VolumeFormatError(f"support size k={k} must lie in [1, {n}], the node count")
+        if not 0 <= indices.min() <= indices.max() < n:
+            raise VolumeFormatError(f"array 'shape_indices' holds a node index outside [0, {n})")
+        for name, want in (("shape_weights", (m, k)), ("shape_gradients", (m, k, 3)),
+                           ("shape_corrected", (m, k, 3)), ("M", (n_dofs,))):
             if arrays[name].shape != want:
                 raise VolumeFormatError(
                     f"array {name!r} has shape {arrays[name].shape}; {m} masked voxels, "
-                    f"shape_k={k} and {n_dofs} DOFs need {want}"
-                )
-        for name in ("owner", "shape_indices"):
-            index = arrays[name]
-            if index.size and not 0 <= index.min() <= index.max() < dofs.n_nodes:
-                raise VolumeFormatError(
-                    f"array {name!r} holds a node index outside [0, {dofs.n_nodes})"
+                    f"support size {k} and {n_dofs} DOFs need {want}"
                 )
         for name in ("alpha", "beta"):
-            if type(header[name]) not in (int, float) or not 0 <= header[name] < math.inf:
-                raise VolumeFormatError(f"{name} must be a finite number >= 0, got {header[name]!r}")
+            if type(header[name]) not in (int, float):
+                raise VolumeFormatError(f"{name} must be a number, got {header[name]!r}")
         if type(header["seed"]) is not int:
             raise VolumeFormatError(f"seed must be an integer, got {header['seed']!r}")
         shape = ShapeMap(
-            indices=arrays["shape_indices"].astype(np.int64),
+            indices=indices,
             weights=arrays["shape_weights"],
             gradients=arrays["shape_gradients"],
             corrected_gradients=arrays["shape_corrected"],
-            k=k,
         )
         K = sp.csr_matrix(
             (arrays["K_data"], arrays["K_indices"], arrays["K_indptr"]), shape=(n_dofs, n_dofs)
         )
         K.check_format(full_check=True)  # column indices come from outside
-        M = arrays["M"].copy()
-        C = assemble_damping(M, K, header["alpha"], header["beta"])
-        return MeshFreeModel(
-            field=field,
-            dofs=dofs,
-            shape=shape,
-            matrices=SystemMatrices(M=M, K=K, C=C),
-            q0=arrays["q0"].copy(),
-            alpha=header["alpha"],
-            beta=header["beta"],
-            seed=header["seed"],
-        )
+        matrices = SystemMatrices(M=arrays["M"].copy(), K=K, alpha=header["alpha"],
+                                  beta=header["beta"])
+        return MeshFreeModel(field=field, dofs=dofs, shape=shape, matrices=matrices,
+                             seed=header["seed"])
     except KeyError as exc:
         raise VolumeFormatError(f"{path}: archive has no {exc}") from exc
     except (TypeError, ValueError) as exc:

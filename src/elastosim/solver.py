@@ -8,10 +8,10 @@ Solving Ordinary Differential Equations II, 1996, Sec. IV.3):
 
 where K_eff folds any support-spring stiffness into K, and f is the constant
 external force: gravity, point loads and the springs' anchor terms.  The
-damping C enters only the matrix, so a step's right-hand side takes one
-sparse product.  The matrix is SPD for h > 0, so conjugate gradient solves
-it; iterations are capped to bound per-step cost, and a step whose solve
-hits the cap raises.
+damping C = alpha*M + beta*K enters only the matrix, formed from alpha and
+beta as (h*beta + h^2)*K + diag((1 + h*alpha)*M + h^2*springs), so a step's
+right-hand side takes one sparse product.  The matrix is SPD for h > 0, so
+CG solves it; iterations are capped, and a step whose solve hits the cap raises.
 
 For a fixed model, load case and h the matrix is the same on every step of a
 settle, so `prepare_settle` assembles it once and factors it with a
@@ -264,9 +264,9 @@ def external_force(model: MeshFreeModel, loads: LoadCase) -> np.ndarray:
 class Settle:
     """The parts of the implicit-Euler system that stay fixed over a settle.
 
-    For a fixed model, load case and h, A = M + h*C + h^2*K_eff is the same
-    on every step; only the right-hand side depends on the state.  `factor`
-    is the banded Cholesky factor of A, used as an exact CG preconditioner.
+    For a fixed model, load case and h, A = M + h*C + h^2*K_eff (formed from
+    alpha and beta, not C) is the same on every step; only the right-hand side
+    depends on the state.  `factor`, A's banded Cholesky, preconditions CG exactly.
 
     Attributes:
         h: step size in s.
@@ -296,11 +296,12 @@ def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
         raise ValueError(f"step size must be > 0, got {h}")
     f = external_force(model, loads)
     spring_diag, _ = _spring_terms(model, loads)
-    M, K = model.matrices.M, model.matrices.K
-    K_eff = K + sp.diags(spring_diag) if spring_diag.any() else K
-    A = (sp.diags(M) + h * model.matrices.C + (h * h) * K_eff).tocsr()
+    mats = model.matrices
+    K_eff = mats.K + sp.diags(spring_diag) if spring_diag.any() else mats.K
+    diag = (1.0 + h * mats.alpha) * mats.M + (h * h) * spring_diag
+    A = ((h * mats.beta + h * h) * mats.K + sp.diags(diag)).tocsr()
     A.sum_duplicates()
-    return Settle(h=h, M=M, K=K_eff, f=f, A=A, factor=BandedCholesky.of(A))
+    return Settle(h=h, M=mats.M, K=K_eff, f=f, A=A, factor=BandedCholesky.of(A))
 
 
 def cg_solve(

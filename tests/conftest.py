@@ -9,7 +9,6 @@ from elastosim.meshfree import (
     MaterialField,
     MeshFreeModel,
     SystemMatrices,
-    assemble_damping,
     assemble_mass,
     assemble_stiffness,
     sample_dofs,
@@ -47,9 +46,7 @@ def make_point_model(spacing=10.0, density=1000.0, alpha=0.0, beta=0.0):
     shape = shape_weights(dofs, field, k=1)
     K = assemble_stiffness(shape, field, n_nodes=1)
     M = assemble_mass(shape, field, n_nodes=1)
-    C = assemble_damping(M, K, alpha, beta)
     return MeshFreeModel(
         field=field, dofs=dofs, shape=shape,
-        matrices=SystemMatrices(M=M, K=K, C=C),
-        q0=np.zeros(3), alpha=alpha, beta=beta, seed=0,
+        matrices=SystemMatrices(M=M, K=K, alpha=alpha, beta=beta), seed=0,
     )

@@ -161,6 +161,13 @@ class TestBeamSpec:
         with pytest.raises(ValueError, match="degenerate"):
             BeamSpec(L=50.0, w=10.0, h_beam=2.5, resolution=2.5).cells()
 
+    def test_fea_factor_budget(self):
+        # The slender beam at 0.3125 mm needs a 1.06e9-byte band factor, just
+        # inside 2**30; the stocky beam at that resolution needs 14 GB.
+        assert BeamSpec(L=50.0, w=10.0, h_beam=2.5, resolution=0.3125).cells() == (160, 32, 8)
+        with pytest.raises(ValueError, match=r"resolution 0.3125 needs a 1.42e\+10-byte FEA band"):
+            BeamSpec(resolution=0.3125).cells()
+
 
 class TestAnalyticDeflection:
     def test_zero_at_clamp(self):

@@ -78,6 +78,19 @@ class TestExitCodes:
         code = cli_main(["validate-beam", "--resolution", "1.3", "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    def test_beam_grid_past_the_factor_budget_is_data_error(self, capsys, tmp_path):
+        # About 5e9 FEA node ids: rejected by size before any array exists.
+        code = cli_main(["validate-beam", "--resolution", "0.01", "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "data error: resolution 0.01 needs a" in capsys.readouterr().err
+        assert not (tmp_path / "beam_convergence.csv").exists()
+
+    def test_negative_beam_seed_names_the_seed(self, capsys, tmp_path):
+        code = cli_main(["validate-beam", "--resolution", "2.5", "--nodes", "120",
+                         "--seed", "-1", "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "data error: seed must be >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_beam_resolution_names_the_field(self, capsys, tmp_path, value):
         code = cli_main(["validate-beam", "--resolution", value, "--out", str(tmp_path)])
@@ -322,7 +335,7 @@ def _drop_k_data(header, payload):
 
 
 def _offset_past_payload(header, payload):
-    _entry(header, "q0")["offset"] = len(payload)
+    _entry(header, "K_indptr")["offset"] = len(payload)
     return payload
 
 
@@ -349,8 +362,23 @@ def _gradients_transposed(header, payload):
     return payload
 
 
+def _indices_two_columns(header, payload):
+    """shape_indices read as its first 2m entries, 2 per voxel, beside 6-wide weights."""
+    item = _entry(header, "shape_indices")
+    item["shape"][1] = 2
+    item["nbytes"] = item["shape"][0] * 2 * 8
+    return payload
+
+
+def _indices_flat(header, payload):
+    item = _entry(header, "shape_indices")
+    item["shape"] = [item["shape"][0] * item["shape"][1]]
+    return payload
+
+
 def _owner_past_nodes(header, payload):
-    offset = _entry(header, "owner")["offset"]
+    """The first voxel's owner, the first entry of shape_indices, set to the node count."""
+    offset = _entry(header, "shape_indices")["offset"]
     n_nodes = _entry(header, "nodes")["shape"][0]
     return payload[:offset] + struct.pack("<q", n_nodes) + payload[offset + 8:]
 
@@ -382,13 +410,16 @@ class TestCorruptModelArchive:
 
     @pytest.mark.parametrize("corrupt, named", [
         (_drop_k_data, "'K_data'"),
-        (_offset_past_payload, "'q0'"),
+        (_offset_past_payload, "'K_indptr'"),
         (_shape_overfills_bytes, "'M'"),
         (_shape_short_of_dofs, "'M'"),
         (_weights_as_three_columns, "'shape_weights'"),
         (_gradients_transposed, "'shape_gradients'"),
+        (_indices_two_columns, "'shape_weights' has shape (248, 6); 248 masked voxels, "
+                               "support size 2 and 120 DOFs need (248, 2)"),
+        (_indices_flat, "'shape_indices' has shape (1488,); 248 masked voxels need (248, k)"),
         (_column_index_past_dofs, "indices must be"),
-        (_owner_past_nodes, "'owner' holds a node index outside [0, 40)"),
+        (_owner_past_nodes, "'shape_indices' holds a node index outside [0, 40)"),
     ])
     def test_bad_manifest_is_data_error(self, capsys, tmp_path, archive, corrupt, named):
         header, payload = split_archive(archive)
@@ -397,11 +428,13 @@ class TestCorruptModelArchive:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, named", [
-        ("shape_k", "abc", "shape_k"),
-        ("shape_k", 2.5, "shape_k"),
-        ("shape_k", 6.0, "shape_k"),  # equal to the arrays' 6, but not an integer
-        ("shape_k", 2, "shape_k=2"),
-        ("shape_k", 40, "shape_k=40"),  # in range for 40 nodes, but the arrays hold k = 6
+        ("alpha", "abc", "alpha must be a number"),
+        ("alpha", True, "alpha must be a number"),
+        ("seed", 2.5, "seed"),
+        ("seed", 0.0, "seed"),  # equal to the stored seed 0, but not an integer
+        ("beta", -0.5, "damping beta must be finite and >= 0"),
+        pytest.param("alpha", 10**400, "damping alpha must be finite and >= 0",
+                     id="alpha-int_past_every_float"),
         ("alpha", float("nan"), "alpha"),
         ("beta", float("inf"), "beta"),
         ("density", float("nan"), "density"),
@@ -419,7 +452,7 @@ class TestCorruptModelArchive:
         assert self.retract(tmp_path, _patch_value(archive, name, np.nan)) == EXIT_DATA
         assert f"array {name!r} holds a NaN or inf" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 2, 4])
     def test_unknown_version_is_data_error(self, capsys, tmp_path, archive, version):
         header, payload = split_archive(archive)
         header["version"] = version

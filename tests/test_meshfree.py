@@ -18,9 +18,9 @@ from elastosim.meshfree import (
     DofSet,
     MaterialField,
     ShapeMap,
+    SystemMatrices,
     _strain_displacement,
     assemble_blocks,
-    assemble_damping,
     assemble_mass,
     assemble_stiffness,
     build_model,
@@ -111,6 +111,10 @@ class TestSampleDofs:
         field = make_field(dims=(2, 2, 1))
         with pytest.raises(ValueError, match="exceeds"):
             sample_dofs(field, n_nodes=5, seed=0)
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sample_dofs(make_field(), n_nodes=4, seed=-1)
 
     def test_owner_matches_final_nodes(self):
         field = make_field(dims=(6, 5, 4))
@@ -766,13 +770,17 @@ class TestAssembleDamping:
         assert np.allclose(C, expected, rtol=1e-12, atol=1e-300)
 
     def test_rejects_negative(self):
-        field = make_field()
-        dofs = sample_dofs(field, n_nodes=4, seed=0)
-        shape = shape_weights(dofs, field, k=4)
-        K = assemble_stiffness(shape, field, n_nodes=4)
-        M = assemble_mass(shape, field, n_nodes=4)
-        with pytest.raises(ValueError, match="damping"):
-            assemble_damping(M, K, alpha=-0.1, beta=0.0)
+        model = build_model(make_field(), n_nodes=4, k=4, seed=0)
+        for name in ("alpha", "beta"):
+            with pytest.raises(ValueError, match=f"damping {name} must be finite and >= 0, got -0.1"):
+                replace(model.matrices, **{name: -0.1})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_rejects_non_finite(self, name, value):
+        mats = build_model(make_field(), n_nodes=4, k=4, seed=0).matrices
+        with pytest.raises(ValueError, match=f"damping {name} must be finite and >= 0"):
+            SystemMatrices(M=mats.M, K=mats.K, **{"alpha": 0.1, "beta": 0.01, name: value})
 
 
 class TestBuildModel:
@@ -794,7 +802,7 @@ class TestBuildModel:
             t = np.zeros(K.shape[0])
             t[axis::3] = 1.0
             assert np.linalg.norm(K @ t) <= 1e-7 * norm_K * np.linalg.norm(t)
-        assert np.all(model.q0 == 0.0)
+        assert model.q0.shape == (model.n_dofs,) and np.all(model.q0 == 0.0)
 
     def test_same_seed_bit_identical(self):
         field = make_field(dims=(5, 4, 3))
@@ -814,6 +822,48 @@ class TestBuildModel:
         assert np.array_equal(twin.matrices.M, model.matrices.M)
         # Constant 4.2 versus constant 2.1 halves K exactly.
         assert abs(twin.matrices.K * 2.0 - model.matrices.K).max() <= 1e-12 * abs(model.matrices.K).max()
+        assert (twin.matrices.alpha, twin.matrices.beta) == (model.matrices.alpha, model.matrices.beta)
+
+
+def assert_owner_is_first_support_node(model):
+    """The Lloyd owner of each voxel is the first node of its Shepard support."""
+    assert model.dofs.owner.dtype == model.shape.indices.dtype
+    assert np.array_equal(model.dofs.owner, model.shape.indices[:, 0])
+
+
+class TestOwnerIsFirstSupportNode:
+    # The archive stores no owners: `load_model` reads them from the first
+    # column of shape_indices.  Both come from `_nearest_nodes`, ordered by
+    # (d^2, node index), so the two must agree bit for bit.
+    def test_randomized_fields(self):
+        rng = np.random.default_rng(4321)
+        for _ in range(12):
+            dims = tuple(int(d) for d in rng.integers(4, 8, size=3))
+            n_vox = dims[0] * dims[1] * dims[2]
+            flags = rng.random(n_vox) < 0.7
+            flags[: max(0, 12 - int(flags.sum()))] = True  # keep enough voxels to sample
+            data = np.zeros(n_vox, dtype=np.float32)
+            data[flags] = rng.uniform(0.5, 8.0, size=int(flags.sum()))
+            field = MaterialField(
+                volume=VoxelVolume(dims=dims, spacing_mm=tuple(rng.uniform(0.8, 2.2, size=3)),
+                                   kind="elastogram_shear_kPa", data=data),
+                mask=RoiMask(dims=dims, flags=flags),
+            )
+            n_nodes = int(rng.integers(6, min(24, field.mask.n_selected) + 1))
+            k = int(rng.integers(4, min(8, n_nodes) + 1))
+            assert_owner_is_first_support_node(
+                build_model(field, n_nodes=n_nodes, k=k, seed=int(rng.integers(0, 1000))))
+
+    def test_unit_spacing_ties(self):
+        # Nodes on voxel centers of a unit grid tie at many distances.
+        field = make_field(dims=(6, 6, 6))
+        for seed in range(4):
+            assert_owner_is_first_support_node(build_model(field, n_nodes=20, k=8, seed=seed))
+
+    def test_cohort_cases(self):
+        for case in synth_cohort(SyntheticCohortSpec(n=3, seed=7, heterogeneity=0.3)):
+            field = young_material_field(case.volume, case.mask)
+            assert_owner_is_first_support_node(build_model(field, n_nodes=300, k=8, seed=0))
 
 
 class TestModelArchive:
@@ -823,11 +873,18 @@ class TestModelArchive:
         path = save_model(model, tmp_path / "model.esim")
         back = load_model(path)
         assert np.array_equal(back.dofs.nodes, model.dofs.nodes)
+        # The owners are read from the first column of shape_indices.
         assert np.array_equal(back.dofs.owner, model.dofs.owner)
+        assert back.dofs.owner.dtype == model.dofs.owner.dtype
+        assert back.shape.k == model.shape.k == 5
+        assert np.array_equal(back.shape.indices, model.shape.indices)
         assert np.array_equal(back.shape.weights, model.shape.weights)
         assert np.array_equal(back.shape.gradients, model.shape.gradients)
+        assert np.array_equal(back.shape.corrected_gradients, model.shape.corrected_gradients)
         assert np.array_equal(back.matrices.M, model.matrices.M)
-        # C is rebuilt on load as alpha*M + beta*K; it must match the built C bit for bit.
+        assert np.array_equal(back.q0, model.q0)
+        assert (back.matrices.alpha, back.matrices.beta) == (0.2, 0.02)
+        # C is derived from alpha, beta, M and K; it must match the built C bit for bit.
         for name in ("K", "C"):
             built, loaded = getattr(model.matrices, name).tocsr(), getattr(back.matrices, name)
             assert np.array_equal(loaded.indptr, built.indptr)
@@ -840,12 +897,19 @@ class TestModelArchive:
     @pytest.mark.parametrize("k", [0, 7])
     def test_support_size_outside_node_count_rejected(self, tmp_path, k):
         model = build_model(make_field(dims=(4, 4, 3)), n_nodes=6, k=5, seed=9)
-        cols = np.arange(k) % 5  # shape arrays that hold k columns, as the header says
+        cols = np.arange(k) % 5  # shape arrays that all hold k columns
         shape = ShapeMap(indices=model.shape.indices[:, cols], weights=model.shape.weights[:, cols],
                          gradients=model.shape.gradients[:, cols],
-                         corrected_gradients=model.shape.corrected_gradients[:, cols], k=k)
+                         corrected_gradients=model.shape.corrected_gradients[:, cols])
         path = save_model(replace(model, shape=shape), tmp_path / "model.esim")
-        with pytest.raises(VolumeFormatError, match=rf"shape_k={k} must lie in \[1, 6\]"):
+        with pytest.raises(VolumeFormatError, match=rf"support size k={k} must lie in \[1, 6\]"):
+            load_model(path)
+
+    def test_flat_shape_indices_rejected(self, tmp_path):
+        model = build_model(make_field(dims=(4, 4, 3)), n_nodes=6, k=5, seed=9)
+        shape = replace(model.shape, indices=model.shape.indices.ravel())
+        path = save_model(replace(model, shape=shape), tmp_path / "model.esim")
+        with pytest.raises(VolumeFormatError, match=r"'shape_indices' has shape \(240,\); 48 masked"):
             load_model(path)
 
     @pytest.mark.parametrize("name, value", [
@@ -854,18 +918,14 @@ class TestModelArchive:
         ("owner", -1),
     ])
     def test_node_index_outside_node_count_rejected(self, tmp_path, name, value):
+        # A voxel's owner is stored as the first column of its shape_indices row.
         model = build_model(make_field(dims=(4, 4, 3)), n_nodes=6, k=5, seed=9)
-        if name == "owner":
-            owner = model.dofs.owner.copy()
-            owner[7] = value
-            model = replace(model, dofs=DofSet(nodes=model.dofs.nodes, owner=owner))
-        else:
-            indices = model.shape.indices.copy()
-            indices[0, 0] = value
-            model = replace(model, shape=replace(model.shape, indices=indices))
-        path = save_model(model, tmp_path / "model.esim")
+        indices = model.shape.indices.copy()
+        indices[7, 0 if name == "owner" else 3] = value
+        path = save_model(replace(model, shape=replace(model.shape, indices=indices)),
+                          tmp_path / "model.esim")
         with pytest.raises(VolumeFormatError,
-                           match=rf"'{name}' holds a node index outside \[0, 6\)"):
+                           match=r"'shape_indices' holds a node index outside \[0, 6\)"):
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):

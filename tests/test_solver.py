@@ -50,12 +50,23 @@ def point_settle(h, spring_k=0.0, alpha=0.0, force=(0.0, 0.0, 0.0)):
     return prepare_settle(model, LoadCase(point_loads=[(0, force)], support_springs=springs), h)
 
 
-def k_eff(model, loads):
-    """K with the load case's support springs on its diagonal, built independently of the solver."""
+def spring_diagonal(model, loads):
+    """The load case's support-spring stiffness per DOF, built independently of the solver."""
     springs = np.zeros(model.n_dofs)
     for i, k, _ in loads.support_springs:
         springs[3 * i : 3 * i + 3] += k
-    return model.matrices.K + sp.diags(springs)
+    return springs
+
+
+def k_eff(model, loads):
+    """K with the load case's support springs on its diagonal."""
+    return model.matrices.K + sp.diags(spring_diagonal(model, loads))
+
+
+def dense_damping(model):
+    """Rayleigh C = alpha*M + beta*K, dense, from the model's two coefficients."""
+    mats = model.matrices
+    return mats.alpha * np.diag(mats.M) + mats.beta * mats.K.toarray()
 
 
 class TestImplicitSystem:
@@ -390,7 +401,7 @@ class TestPreparedSettle:
         model, loads, h, _ = retraction_case
         settle = prepare_settle(model, loads, h)
         K = k_eff(model, loads).toarray()
-        C = model.matrices.C.toarray()
+        C = dense_damping(model)
         f = external_force(model, loads)
         A = np.diag(model.matrices.M) + h * C + h * h * K
         state = SimState.rest(model.n_dofs)
@@ -418,11 +429,20 @@ class TestPreparedSettle:
 
         K_inv = np.linalg.inv(K_eff.toarray())
         KiM = K_inv * model.matrices.M
-        KiC = K_inv @ model.matrices.C.toarray()
+        KiC = K_inv @ dense_damping(model)
         bound = v_tol * (2.0 * np.abs(KiM).sum(axis=1).max() / h + np.abs(KiC).sum(axis=1).max())
         err = np.abs(final.q - q_star).max()
         assert err <= bound, f"settle off the static solution by {err:.3e} mm, bound {bound:.3e}"
         assert np.abs(q_star).max() > 1e3 * bound, "the bound must be tight enough to mean something"
+
+    def test_matrix_is_formed_from_the_damping_coefficients(self, retraction_case):
+        model, loads, h, _ = retraction_case
+        mats = model.matrices
+        expected = ((1.0 + h * mats.alpha) * np.diag(mats.M)
+                    + (h * mats.beta + h * h) * mats.K.toarray()
+                    + h * h * np.diag(spring_diagonal(model, loads)))
+        A = prepare_settle(model, loads, h).A.toarray()
+        assert np.abs(A - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_one_settle_serves_every_step(self, retraction_case):
         model, loads, h, _ = retraction_case
@@ -444,7 +464,8 @@ class TestPreparedSettle:
     def test_singular_system_is_a_solver_error(self):
         # A massless, stiffness-free model gives A = 0, which has no LU factor.
         zero = sp.csr_matrix((3, 3))
-        model = replace(make_point_model(), matrices=SystemMatrices(M=np.zeros(3), K=zero, C=zero))
+        model = replace(make_point_model(),
+                        matrices=SystemMatrices(M=np.zeros(3), K=zero, alpha=0.0, beta=0.0))
         with pytest.raises(IndefiniteSystemError, match="singular"):
             prepare_settle(model, LoadCase(), h=0.1)
 
@@ -589,7 +610,6 @@ class TestDisplaceLandmarks:
         from elastosim.meshfree import (
             MeshFreeModel,
             SystemMatrices,
-            assemble_damping,
             assemble_mass,
             assemble_stiffness,
             sample_dofs,
@@ -602,8 +622,7 @@ class TestDisplaceLandmarks:
         M = assemble_mass(shape, field, n_nodes=2)
         model = MeshFreeModel(
             field=field, dofs=dofs, shape=shape,
-            matrices=SystemMatrices(M=M, K=K, C=assemble_damping(M, K, 0.0, 0.0)),
-            q0=np.zeros(6), alpha=0.0, beta=0.0, seed=0,
+            matrices=SystemMatrices(M=M, K=K, alpha=0.0, beta=0.0), seed=0,
         )
         q = np.array([1.0, 0.0, 0.0, 3.0, 0.0, 0.0])
         midpoint = dofs.nodes.mean(axis=0)
