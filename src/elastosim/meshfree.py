@@ -6,7 +6,9 @@ the mask.  Inverse-distance-squared Shepard functions over the k nearest
 nodes give each voxel center a partition-of-unity weight set with analytic
 gradients.  Mass and stiffness are then assembled with one integration point
 per voxel: lumped M and K = sum of B^T D B * V_voxel.  The Rayleigh damping
-C = alpha*M + beta*K is held as its two coefficients.
+C = alpha*M + beta*K is held as its two coefficients.  A model archive
+stores no Shepard weights, raw gradients or M: `load_model` recomputes them
+with the code the build runs, so a loaded model equals the built one.
 
 Units are a consistent mm / tonne / second system: lengths mm, mass tonnes,
 force N, stress N/mm^2.  Young's modulus enters in kPa (1 kPa = 1e-3 N/mm^2)
@@ -48,7 +50,7 @@ _TREE_GAP_ABS_MM = 1e-12
 _LLOYD_MAX_ITERS = 50
 
 _ARCHIVE_MAGIC = b"ESIMMDL1"
-ARCHIVE_VERSION = 3
+ARCHIVE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class MaterialField:
             )
         if not 0.0 <= self.nu < 0.5:
             raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
-        if not 0.0 < self.density < math.inf:
+        if not 0 < self.density <= sys.float_info.max:  # a Python int may exceed every float
             raise ValueError(f"density must be finite and > 0, got {self.density}")
         if self.mask.n_selected == 0:
             raise ValueError("mask selects no voxels")
@@ -208,7 +210,6 @@ class MeshFreeModel:
     dofs: DofSet
     shape: ShapeMap
     matrices: SystemMatrices
-    seed: int
 
     @property
     def n_nodes(self) -> int:
@@ -321,8 +322,8 @@ def _nearest_nodes(points: np.ndarray, nodes: np.ndarray, k: int) -> tuple[np.nd
 def _ranked_candidates(tree: cKDTree, points: np.ndarray, nodes: np.ndarray, k: int, width: int):
     """The first k of each point's `width` nearest tree nodes by (d^2, node index).
 
-    d^2 is recomputed term by term, dx*dx + dy*dy + dz*dz, so that it does
-    not depend on the tree's arithmetic.  Returns (indices, d2, settled),
+    d^2 is recomputed by `_squared_distances`, so that it does not depend on
+    the tree's arithmetic.  Returns (indices, d2, settled),
     where only the rows marked settled (see `_nearest_nodes`) are final.
     """
     width = min(width, len(nodes))
@@ -338,12 +339,19 @@ def _ranked_candidates(tree: cKDTree, points: np.ndarray, nodes: np.ndarray, k: 
     # the arrays that outlive the call, they keep memory resident through the
     # rest of a run.
     del dist
-    sq = points[:, None, :] - nodes[cand]
-    sq *= sq
-    d2 = sq[..., 0] + sq[..., 1] + sq[..., 2]
-    del sq
+    d2 = _squared_distances(points, nodes[cand])
     order = np.lexsort((cand, d2), axis=1)[:, :k]
     return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d2, order, axis=1), settled
+
+
+def _squared_distances(points: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """d^2 of each point to its support nodes, (m, k), as dx*dx + dy*dy + dz*dz.
+
+    The search and the Shepard evaluation share it, so both get the same bits.
+    """
+    sq = points[:, None, :] - support
+    sq *= sq
+    return sq[..., 0] + sq[..., 1] + sq[..., 2]
 
 
 def shepard_weights(points: np.ndarray, nodes: np.ndarray, k: int):
@@ -365,9 +373,18 @@ def shepard_weights(points: np.ndarray, nodes: np.ndarray, k: int):
     nodes = np.asarray(nodes, dtype=np.float64)
     if not 1 <= k <= len(nodes):
         raise ValueError(f"support size k={k} must lie in [1, {len(nodes)}]")
+    idx, _ = _nearest_nodes(points, nodes, k)
+    return (idx, *_shepard(points, nodes, idx))
 
-    idx, d2k = _nearest_nodes(points, nodes, k)
-    diff = points[:, None, :] - nodes[idx]  # (m, k, 3)
+
+def _shepard(points: np.ndarray, nodes: np.ndarray, idx: np.ndarray):
+    """Shepard (weights, gradients), (m, k) and (m, k, 3), over the supports `idx`.
+
+    Each support is ordered nearest first, so a coincident node is its first.
+    """
+    support = nodes[idx]
+    diff = points[:, None, :] - support  # (m, k, 3)
+    d2k = _squared_distances(points, support)
     coincident = d2k[:, 0] <= _COINCIDENT_D2
 
     with np.errstate(divide="ignore"):
@@ -385,7 +402,7 @@ def shepard_weights(points: np.ndarray, nodes: np.ndarray, k: int):
     w[coincident] = 0.0
     w[coincident, 0] = 1.0
     gw[coincident] = 0.0
-    return idx, w, gw
+    return w, gw
 
 
 def correct_gradients(gradients: np.ndarray, node_positions: np.ndarray) -> np.ndarray:
@@ -552,13 +569,8 @@ def build_model(
     shape = shape_weights(dofs, field, k=k)
     K = assemble_stiffness(shape, field, n_nodes=dofs.n_nodes)
     M = assemble_mass(shape, field, n_nodes=dofs.n_nodes)
-    return MeshFreeModel(
-        field=field,
-        dofs=dofs,
-        shape=shape,
-        matrices=SystemMatrices(M=M, K=K, alpha=alpha, beta=beta),
-        seed=seed,
-    )
+    return MeshFreeModel(field=field, dofs=dofs, shape=shape,
+                         matrices=SystemMatrices(M=M, K=K, alpha=alpha, beta=beta))
 
 
 def _pack_arrays(arrays: dict[str, np.ndarray]) -> tuple[list[dict], bytes]:
@@ -588,6 +600,8 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
     array bytes back to back.  Each fact is stored once: the damping as
     alpha and beta, the support size as the width of `shape_indices`, and
     the Lloyd owners as its first column, the nearest node of each voxel.
+    The Shepard weights, their raw gradients and M are not stored, because
+    `load_model` recomputes them; K and the corrected gradients would cost more.
     """
     path = Path(path)
     K = model.matrices.K.tocsr()
@@ -596,10 +610,7 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
         "mask_flags": model.field.mask.flags,
         "nodes": model.dofs.nodes,
         "shape_indices": model.shape.indices,
-        "shape_weights": model.shape.weights,
-        "shape_gradients": model.shape.gradients,
         "shape_corrected": model.shape.corrected_gradients,
-        "M": model.matrices.M,
         "K_data": K.data,
         "K_indices": K.indices.astype(np.int64),
         "K_indptr": K.indptr.astype(np.int64),
@@ -615,7 +626,6 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
         "density": model.field.density,
         "alpha": model.matrices.alpha,
         "beta": model.matrices.beta,
-        "seed": model.seed,
         "arrays": manifest,
     }
     blob = json.dumps(header).encode()
@@ -667,13 +677,16 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
 def load_model(path: str | Path) -> MeshFreeModel:
     """Load a model archive written by save_model.
 
+    The Shepard weights, raw gradients and M are recomputed by the code
+    `build_model` runs, so the loaded model equals the built one bit for bit.
+
     Raises:
         FileNotFoundError: archive missing.
         VolumeFormatError: bad magic, a truncated or malformed header, a
             missing array, an array whose bytes or shape disagree with the
             manifest, the mask, the support size or the model's DOF count,
             a support size outside [1, node count], a shape_indices entry
-            outside [0, node count), or an alpha, beta or seed of the wrong
+            outside [0, node count), or a density, alpha or beta of the wrong
             type or range.
     """
     path = Path(path)
@@ -684,12 +697,11 @@ def load_model(path: str | Path) -> MeshFreeModel:
         for name in ("shape_indices", "K_indices", "K_indptr"):
             if arrays[name].dtype.kind not in "iu":
                 raise VolumeFormatError(f"array {name!r} must hold integers, not {arrays[name].dtype}")
-        volume = VoxelVolume(
-            dims=tuple(header["dims"]),
-            spacing_mm=tuple(header["spacing_mm"]),
-            kind=header["kind"],
-            data=arrays["volume_data"],
-        )
+        for name in ("density", "alpha", "beta"):
+            if type(header[name]) not in (int, float):
+                raise VolumeFormatError(f"{name} must be a number, got {header[name]!r}")
+        volume = VoxelVolume(dims=tuple(header["dims"]), spacing_mm=tuple(header["spacing_mm"]),
+                             kind=header["kind"], data=arrays["volume_data"])
         mask = RoiMask(dims=volume.dims, flags=arrays["mask_flags"])
         field = MaterialField(volume=volume, mask=mask, nu=header["nu"], density=header["density"])
         indices, m = arrays["shape_indices"].astype(np.int64), mask.n_selected
@@ -703,32 +715,20 @@ def load_model(path: str | Path) -> MeshFreeModel:
             raise VolumeFormatError(f"support size k={k} must lie in [1, {n}], the node count")
         if not 0 <= indices.min() <= indices.max() < n:
             raise VolumeFormatError(f"array 'shape_indices' holds a node index outside [0, {n})")
-        for name, want in (("shape_weights", (m, k)), ("shape_gradients", (m, k, 3)),
-                           ("shape_corrected", (m, k, 3)), ("M", (n_dofs,))):
-            if arrays[name].shape != want:
-                raise VolumeFormatError(
-                    f"array {name!r} has shape {arrays[name].shape}; {m} masked voxels, "
-                    f"support size {k} and {n_dofs} DOFs need {want}"
-                )
-        for name in ("alpha", "beta"):
-            if type(header[name]) not in (int, float):
-                raise VolumeFormatError(f"{name} must be a number, got {header[name]!r}")
-        if type(header["seed"]) is not int:
-            raise VolumeFormatError(f"seed must be an integer, got {header['seed']!r}")
-        shape = ShapeMap(
-            indices=indices,
-            weights=arrays["shape_weights"],
-            gradients=arrays["shape_gradients"],
-            corrected_gradients=arrays["shape_corrected"],
-        )
-        K = sp.csr_matrix(
-            (arrays["K_data"], arrays["K_indices"], arrays["K_indptr"]), shape=(n_dofs, n_dofs)
-        )
+        if arrays["shape_corrected"].shape != (m, k, 3):
+            raise VolumeFormatError(
+                f"array 'shape_corrected' has shape {arrays['shape_corrected'].shape}; "
+                f"{m} masked voxels and support size {k} need {(m, k, 3)}"
+            )
+        weights, gradients = _shepard(field.masked_centers(), dofs.nodes, indices)
+        shape = ShapeMap(indices=indices, weights=weights, gradients=gradients,
+                         corrected_gradients=arrays["shape_corrected"])
+        K = sp.csr_matrix((arrays["K_data"], arrays["K_indices"], arrays["K_indptr"]),
+                          shape=(n_dofs, n_dofs))
         K.check_format(full_check=True)  # column indices come from outside
-        matrices = SystemMatrices(M=arrays["M"].copy(), K=K, alpha=header["alpha"],
-                                  beta=header["beta"])
-        return MeshFreeModel(field=field, dofs=dofs, shape=shape, matrices=matrices,
-                             seed=header["seed"])
+        matrices = SystemMatrices(M=assemble_mass(shape, field, n_nodes=n), K=K,
+                                  alpha=header["alpha"], beta=header["beta"])
+        return MeshFreeModel(field=field, dofs=dofs, shape=shape, matrices=matrices)
     except KeyError as exc:
         raise VolumeFormatError(f"{path}: archive has no {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -55,7 +55,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class IndefiniteSystemError(RuntimeError):
-    """Raised when CG detects a non-SPD system (p^T A p <= 0), or a Cholesky
+    """Raised when CG detects a non-SPD system (p^T A p <= 0 or NaN), or a Cholesky
     factorization finds a singular or indefinite matrix."""
 
 
@@ -289,7 +289,8 @@ def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
     """Assemble and factor the implicit-Euler matrix shared by every step of a settle.
 
     Raises:
-        ValueError: h <= 0 or out-of-range load indices.
+        ValueError: h <= 0, out-of-range load indices, or a system matrix
+            that overflows to a non-finite entry.
         IndefiniteSystemError: the system matrix is singular or not positive definite.
     """
     if h <= 0:
@@ -298,9 +299,13 @@ def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
     spring_diag, _ = _spring_terms(model, loads)
     mats = model.matrices
     K_eff = mats.K + sp.diags(spring_diag) if spring_diag.any() else mats.K
-    diag = (1.0 + h * mats.alpha) * mats.M + (h * h) * spring_diag
-    A = ((h * mats.beta + h * h) * mats.K + sp.diags(diag)).tocsr()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, by name
+        diag = (1.0 + h * mats.alpha) * mats.M + (h * h) * spring_diag
+        A = ((h * mats.beta + h * h) * mats.K + sp.diags(diag)).tocsr()
     A.sum_duplicates()
+    if not np.isfinite(A.data).all():
+        raise ValueError(f"the implicit-Euler matrix overflows at step size h={h} "
+                         f"with damping alpha={mats.alpha}, beta={mats.beta}")
     return Settle(h=h, M=mats.M, K=K_eff, f=f, A=A, factor=BandedCholesky.of(A))
 
 
@@ -327,7 +332,7 @@ def cg_solve(
     solves included.
 
     Raises:
-        IndefiniteSystemError: a search direction gives p^T A p <= 0.
+        IndefiniteSystemError: a search direction gives p^T A p <= 0 or NaN.
     """
     A, b = system.A, system.b
     n = len(b)
@@ -345,7 +350,7 @@ def cg_solve(
     for n_iter in range(1, N_max + 1):
         Ap = A @ p
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        if not pAp > 0.0:  # NaN too
             raise IndefiniteSystemError(
                 f"indefinite system: p^T A p = {pAp} at iteration {n_iter}"
             )

@@ -48,5 +48,5 @@ def make_point_model(spacing=10.0, density=1000.0, alpha=0.0, beta=0.0):
     M = assemble_mass(shape, field, n_nodes=1)
     return MeshFreeModel(
         field=field, dofs=dofs, shape=shape,
-        matrices=SystemMatrices(M=M, K=K, alpha=alpha, beta=beta), seed=0,
+        matrices=SystemMatrices(M=M, K=K, alpha=alpha, beta=beta),
     )

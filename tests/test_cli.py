@@ -317,6 +317,19 @@ class TestModelAndRetract:
         err = capsys.readouterr().err
         assert "solver error" in err and "after the cap of 1 iterations" in err
 
+    def test_overflowing_step_is_data_error(self, capsys, tmp_path):
+        # h^2 overflows, so the settle matrix holds inf before any solve.
+        cohort = tmp_path / "cohort"
+        assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
+        model_path = tmp_path / "model.esm"
+        assert cli_main(["build-model", "--volume", str(cohort / "case_000.json"),
+                         "--nodes", "40", "--k", "6", "--out", str(model_path)]) == EXIT_OK
+        code = cli_main(["retract", "--model", str(model_path), "--h-ms", "1e300",
+                         "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "overflows at step size h=1e+297" in err
+
 
 def _entry(header, name):
     return next(item for item in header["arrays"] if item["name"] == name)
@@ -340,30 +353,31 @@ def _offset_past_payload(header, payload):
 
 
 def _shape_overfills_bytes(header, payload):
-    _entry(header, "M")["shape"][0] += 1
+    _entry(header, "shape_corrected")["shape"][0] += 1
     return payload
 
 
 def _shape_short_of_dofs(header, payload):
-    m = _entry(header, "M")
-    m["shape"][0] -= 3
-    m["nbytes"] -= 3 * 8
+    """K_indptr one node (three DOFs) short, its manifest consistent with its bytes."""
+    item = _entry(header, "K_indptr")
+    item["shape"][0] -= 3
+    item["nbytes"] -= 3 * 8
     return payload
 
 
-def _weights_as_three_columns(header, payload):
-    item = _entry(header, "shape_weights")
-    item["shape"] = [item["shape"][0] * item["shape"][1] // 3, 3]
+def _corrected_as_three_columns(header, payload):
+    item = _entry(header, "shape_corrected")
+    item["shape"] = [item["shape"][0] * item["shape"][1], 3]
     return payload
 
 
 def _gradients_transposed(header, payload):
-    _entry(header, "shape_gradients")["shape"][1:] = [3, 6]
+    _entry(header, "shape_corrected")["shape"][1:] = [3, 6]
     return payload
 
 
 def _indices_two_columns(header, payload):
-    """shape_indices read as its first 2m entries, 2 per voxel, beside 6-wide weights."""
+    """shape_indices read as its first 2m entries, 2 per voxel, beside 6-wide gradients."""
     item = _entry(header, "shape_indices")
     item["shape"][1] = 2
     item["nbytes"] = item["shape"][0] * 2 * 8
@@ -385,7 +399,7 @@ def _owner_past_nodes(header, payload):
 
 def _column_index_past_dofs(header, payload):
     offset = _entry(header, "K_indices")["offset"]
-    n_dofs = _entry(header, "M")["shape"][0]
+    n_dofs = 3 * _entry(header, "nodes")["shape"][0]
     return payload[:offset] + struct.pack("<q", n_dofs) + payload[offset + 8:]
 
 
@@ -411,12 +425,12 @@ class TestCorruptModelArchive:
     @pytest.mark.parametrize("corrupt, named", [
         (_drop_k_data, "'K_data'"),
         (_offset_past_payload, "'K_indptr'"),
-        (_shape_overfills_bytes, "'M'"),
-        (_shape_short_of_dofs, "'M'"),
-        (_weights_as_three_columns, "'shape_weights'"),
-        (_gradients_transposed, "'shape_gradients'"),
-        (_indices_two_columns, "'shape_weights' has shape (248, 6); 248 masked voxels, "
-                               "support size 2 and 120 DOFs need (248, 2)"),
+        (_shape_overfills_bytes, "'shape_corrected'"),
+        (_shape_short_of_dofs, "index pointer size 118 should be 121"),
+        (_corrected_as_three_columns, "'shape_corrected' has shape (1488, 3)"),
+        (_gradients_transposed, "'shape_corrected' has shape (248, 3, 6)"),
+        (_indices_two_columns, "'shape_corrected' has shape (248, 6, 3); 248 masked voxels "
+                               "and support size 2 need (248, 2, 3)"),
         (_indices_flat, "'shape_indices' has shape (1488,); 248 masked voxels need (248, k)"),
         (_column_index_past_dofs, "indices must be"),
         (_owner_past_nodes, "'shape_indices' holds a node index outside [0, 40)"),
@@ -430,15 +444,16 @@ class TestCorruptModelArchive:
     @pytest.mark.parametrize("field, value, named", [
         ("alpha", "abc", "alpha must be a number"),
         ("alpha", True, "alpha must be a number"),
-        ("seed", 2.5, "seed"),
-        ("seed", 0.0, "seed"),  # equal to the stored seed 0, but not an integer
+        ("density", "1060", "density must be a number"),
+        ("density", True, "density must be a number"),  # would load as density 1
         ("beta", -0.5, "damping beta must be finite and >= 0"),
         pytest.param("alpha", 10**400, "damping alpha must be finite and >= 0",
                      id="alpha-int_past_every_float"),
         ("alpha", float("nan"), "alpha"),
         ("beta", float("inf"), "beta"),
         ("density", float("nan"), "density"),
-        ("seed", "x", "seed"),
+        pytest.param("density", 10**400, "density must be finite and > 0",
+                     id="density-int_past_every_float"),
     ])
     def test_bad_header_scalar_is_data_error(self, capsys, tmp_path, archive, field, value, named):
         header, payload = split_archive(archive)
@@ -447,12 +462,12 @@ class TestCorruptModelArchive:
         err = capsys.readouterr().err
         assert "bad.esm" in err and named in err
 
-    @pytest.mark.parametrize("name", ["K_data", "M", "nodes"])
+    @pytest.mark.parametrize("name", ["K_data", "shape_corrected", "nodes"])
     def test_nan_array_is_data_error(self, capsys, tmp_path, archive, name):
         assert self.retract(tmp_path, _patch_value(archive, name, np.nan)) == EXIT_DATA
         assert f"array {name!r} holds a NaN or inf" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [1, 2, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
     def test_unknown_version_is_data_error(self, capsys, tmp_path, archive, version):
         header, payload = split_archive(archive)
         header["version"] = version

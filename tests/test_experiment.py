@@ -375,6 +375,13 @@ class TestRetractionConfig:
         with pytest.raises(ValueError, match="voxel_ref_mm must be > 0"):
             RetractionConfig(voxel_ref_mm=voxel_ref_mm)
 
+    def test_density_past_every_float_is_a_value_error(self):
+        # A Python int compares below inf, but no float array can hold it;
+        # the case's MaterialField rejects it by name, so a cohort run skips
+        # the case instead of failing with an OverflowError in assembly.
+        with pytest.raises(ValueError, match="density must be finite and > 0"):
+            compare_case(tiny_case(), RetractionConfig(density=10**400))
+
     def test_integer_knobs_of_any_size_pass_the_finite_check(self):
         assert RetractionConfig(seed=2**70, cg_max=10**30).seed == 2**70
 

@@ -129,7 +129,7 @@ class TestLoadModel:
         expect_documented(load_model, tmp_path / "m.esm")
 
     @FUZZ
-    @given(key=st.sampled_from(["nu", "alpha", "beta", "density", "seed"]),
+    @given(key=st.sampled_from(["nu", "alpha", "beta", "density"]),
            value=json_values | st.integers(-2, 6) | st.floats(-1.0, 10.0))
     def test_header_scalar_loads_only_when_valid(self, tmp_path, archive, key, value):
         header, payload = split_archive(archive)
@@ -141,9 +141,9 @@ class TestLoadModel:
             return
         assert type(model.shape.k) is int and model.shape.k == model.shape.indices.shape[1]
         assert model.shape.weights.shape == model.shape.indices.shape
-        assert type(model.seed) is int
         assert all(math.isfinite(v) and v >= 0 for v in (model.matrices.alpha, model.matrices.beta))
         assert math.isfinite(model.field.density) and model.field.density > 0
+        assert np.isfinite(model.matrices.M).all()  # assembled from the header's density
         assert 0 <= model.field.nu < 0.5
 
     @FUZZ

@@ -1,7 +1,11 @@
 """Tests for DOF sampling, Shepard shape functions, and matrix assembly."""
 
+import json
+import struct
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +16,14 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from elastosim import meshfree
-from elastosim.beam import BeamSpec, _hex_element_stiffness, _hex_grid
-from elastosim.experiment import SyntheticCohortSpec, synth_cohort, young_material_field
+from elastosim.beam import BeamSpec, _hex_element_stiffness, _hex_grid, build_beam_phantom
+from elastosim.experiment import (
+    RetractionConfig,
+    SyntheticCohortSpec,
+    case_from_volume,
+    synth_cohort,
+    young_material_field,
+)
 from elastosim.meshfree import (
     DofSet,
     MaterialField,
@@ -32,6 +42,9 @@ from elastosim.meshfree import (
     shepard_weights,
 )
 from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import _model_arrays, model_digest  # noqa: E402
 
 
 def make_field(dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0), young=2.1, nu=0.45,
@@ -69,7 +82,8 @@ class TestMaterialField:
         field = MaterialField(volume=vol, mask=mask)
         assert field.masked_young().tolist() == [1.0]
 
-    @pytest.mark.parametrize("density", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("density", [0.0, -1.0, float("nan"), float("inf"),
+                                         pytest.param(10**400, id="int_past_every_float")])
     def test_rejects_density_not_finite_and_positive(self, density):
         with pytest.raises(ValueError, match="density must be finite and > 0"):
             make_field(density=density)
@@ -892,7 +906,32 @@ class TestModelArchive:
             assert np.array_equal(loaded.data, built.data)
         assert back.field.nu == model.field.nu
         assert back.field.density == model.field.density
-        assert back.seed == model.seed
+
+    def test_stores_each_fact_once(self, tmp_path):
+        model = build_model(make_field(dims=(4, 4, 3)), n_nodes=6, k=5, seed=9)
+        raw = save_model(model, tmp_path / "model.esim").read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen])
+        assert header["version"] == 4 and "seed" not in header
+        assert [item["name"] for item in header["arrays"]] == [
+            "volume_data", "mask_flags", "nodes", "shape_indices", "shape_corrected",
+            "K_data", "K_indices", "K_indptr"]
+
+    def test_mass_follows_the_header_density(self, tmp_path):
+        # M is assembled from the header's density on load, so an edited
+        # density cannot leave a stale M behind.  Doubling rho is exact in
+        # floating point, so M doubles bit for bit.
+        model = build_model(make_field(dims=(4, 4, 3), density=1000.0), n_nodes=6, k=5, seed=9)
+        raw = save_model(model, tmp_path / "model.esim").read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen])
+        header["density"] = 2000.0
+        blob = json.dumps(header).encode()
+        path = tmp_path / "denser.esim"
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+        back = load_model(path)
+        assert back.field.density == 2000.0
+        assert np.array_equal(back.matrices.M, 2.0 * model.matrices.M)
 
     @pytest.mark.parametrize("k", [0, 7])
     def test_support_size_outside_node_count_rejected(self, tmp_path, k):
@@ -933,6 +972,46 @@ class TestModelArchive:
         p.write_bytes(b"NOTAMODL" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_model(p)
+
+
+def assert_loads_as_built(model, path):
+    """The archive loads to the built model, bit for bit in every array the benchmark digests."""
+    back = load_model(save_model(model, path))
+    built_arrays, loaded_arrays = _model_arrays(model), _model_arrays(back)
+    for name, built in built_arrays.items():
+        loaded = loaded_arrays[name]
+        assert loaded.shape == built.shape, name
+        if built.dtype.kind == "f":
+            assert loaded.dtype == built.dtype, name
+        assert np.array_equal(loaded, built), name
+    assert model_digest(back) == model_digest(model)
+
+
+class TestArchiveRebuild:
+    # The archive stores no Shepard weights, raw gradients or M; `load_model`
+    # recomputes them with the build's own code, on the pipeline's models.
+    def test_cohort_run_seed_7_cases(self, tmp_path):
+        config = RetractionConfig(seed=7)
+        for case in synth_cohort(SyntheticCohortSpec(n=3, seed=7)):
+            assert_loads_as_built(config.measured_model(case), tmp_path / f"{case.record.id}.esm")
+
+    def test_build_workload_seed_1_cases(self, tmp_path):
+        # `synth-cohort --n 8 --seed 1 --heterogeneity 0.3`, then `build-model --seed 1`.
+        config = RetractionConfig(seed=1)
+        for case in synth_cohort(SyntheticCohortSpec(n=8, seed=1, heterogeneity=0.3)):
+            case = case_from_volume(case.volume, case.record.id)
+            assert_loads_as_built(config.measured_model(case), tmp_path / f"{case.record.id}.esm")
+
+    @pytest.mark.parametrize("spec, n_nodes", [
+        pytest.param(BeamSpec(L=50.0, w=10.0, h_beam=10.0, E=12.0, q_load=1e-4, resolution=1.64),
+                     500, id="benchmark"),
+        # Nodes on a unit-pitch grid tie at many distances.
+        pytest.param(BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=0.625),
+                     2441, id="slender"),
+    ])
+    def test_validate_beam_phantoms(self, tmp_path, spec, n_nodes):
+        phantom = build_beam_phantom(spec, n_nodes=n_nodes, k=6, seed=0)
+        assert_loads_as_built(phantom.model, tmp_path / "beam.esm")
 
 
 class TestElasticityMatrix:

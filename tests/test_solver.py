@@ -221,6 +221,13 @@ class TestCgSolve:
         with pytest.raises(IndefiniteSystemError, match="indefinite"):
             cg_solve(LinearSystem(A=A, b=np.array([1.0, 1.0])))
 
+    def test_nan_curvature_is_indefinite(self):
+        # NaN fails p^T A p > 0 as surely as a negative value; left to run,
+        # every later iterate would be NaN until the cap.
+        A = sp.csr_matrix(np.diag([np.nan, 1.0]))
+        with pytest.raises(IndefiniteSystemError, match=r"p\^T A p = nan at iteration 1"):
+            cg_solve(LinearSystem(A=A, b=np.array([1.0, 1.0])))
+
     def test_iteration_cap_returns_flagged_result(self):
         rng = np.random.default_rng(3)
         G = rng.standard_normal((40, 40))
@@ -461,6 +468,13 @@ class TestPreparedSettle:
         with pytest.raises(NonConvergenceError, match=r"residual .* cap of 1 iterations"):
             step(settle, SimState.rest(model.n_dofs), N_max=1, tol=1e-30)
 
+    def test_overflowing_step_is_a_data_error(self, retraction_case):
+        # h^2 = inf: the matrix holds inf entries before any factor is tried.
+        model, loads, _, _ = retraction_case
+        with pytest.raises(ValueError, match=r"overflows at step size h=1e\+300 "
+                                             r"with damping alpha=0\.\d+, beta=0\.\d+"):
+            prepare_settle(model, loads, h=1e300)
+
     def test_singular_system_is_a_solver_error(self):
         # A massless, stiffness-free model gives A = 0, which has no LU factor.
         zero = sp.csr_matrix((3, 3))
@@ -622,7 +636,7 @@ class TestDisplaceLandmarks:
         M = assemble_mass(shape, field, n_nodes=2)
         model = MeshFreeModel(
             field=field, dofs=dofs, shape=shape,
-            matrices=SystemMatrices(M=M, K=K, alpha=0.0, beta=0.0), seed=0,
+            matrices=SystemMatrices(M=M, K=K, alpha=0.0, beta=0.0),
         )
         q = np.array([1.0, 0.0, 0.0, 3.0, 0.0, 0.0])
         midpoint = dofs.nodes.mean(axis=0)
