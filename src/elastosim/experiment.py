@@ -15,6 +15,7 @@ statistics demonstrate the machinery rather than reproduce clinical rates.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -83,15 +84,19 @@ class RetractionConfig:
         """Reject a knob no run can use, naming its field.
 
         Raises:
-            ValueError: a non-finite number; h, v_tol, cg_tol, diameter,
+            ValueError: a non-finite number, or a number past the largest
+                float in a float field; h, v_tol, cg_tol, diameter,
                 voxel_ref_mm, atlas_e_kpa or a set liver_mass_kg not > 0;
                 cg_tol >= 1; significance_mm, alpha, beta or seed < 0; k,
                 cg_max or max_steps < 1.
         """
         for f in fields(self):
             value = getattr(self, f.name)
-            # Integers are finite, and may exceed what a float array holds.
-            if not isinstance(value, (int, type(None))) and not np.isfinite(value).all():
+            # An int field may hold an int of any size.  A float field reaches
+            # float arithmetic, so even a Python int there must fit a float.
+            if value is None or (f.type == "int" and isinstance(value, int)):
+                continue
+            if not all(abs(x) <= sys.float_info.max for x in np.ravel(value)):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("h", "v_tol", "cg_tol", "diameter", "voxel_ref_mm", "atlas_e_kpa",
                      "liver_mass_kg"):

@@ -5,8 +5,11 @@ stages.  Lloyd-relaxed Voronoi sampling picks the DOF node positions inside
 the mask.  Inverse-distance-squared Shepard functions over the k nearest
 nodes give each voxel center a partition-of-unity weight set with analytic
 gradients.  Mass and stiffness are then assembled with one integration point
-per voxel: lumped M and K = sum of B^T D B * V_voxel.  The Rayleigh damping
-C = alpha*M + beta*K is held as its two coefficients.  A model archive
+per voxel: lumped M and K = sum of B^T D B * V_voxel.  K is summed per node
+pair in closed form, without forming B or any voxel's block, over a
+node-pair pattern computed once per shape map, so that a model and its
+atlas-stiffness twin share it.  The Rayleigh damping C = alpha*M + beta*K
+is held as its two coefficients.  A model archive
 stores no Shepard weights, raw gradients or M: `load_model` recomputes them
 with the code the build runs, so a loaded model equals the built one.
 
@@ -24,7 +27,9 @@ import operator
 import struct
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,6 +178,11 @@ class ShapeMap:
         """Support size: the nodes per masked voxel."""
         return self.indices.shape[1]
 
+    @cached_property
+    def _pairs(self) -> _PairPattern:
+        """The node-pair pattern of the supports, computed once per shape map."""
+        return _pair_pattern(self.indices)
+
 
 @dataclass(frozen=True)
 class SystemMatrices:
@@ -237,7 +247,9 @@ class MeshFreeModel:
         """Rebuild K with a constant stiffness, reusing nodes, shapes, M and damping.
 
         The DOF sampling and shape map depend only on the mask geometry, so
-        an atlas-stiffness twin shares them and differs only in K.
+        an atlas-stiffness twin shares them and differs only in K.  It shares
+        the ShapeMap object itself, so its K reuses the node-pair pattern of
+        this model's assembly and costs only the numeric per-pair sums.
         """
         field = self.field.with_young(young_kpa)
         K = assemble_stiffness(self.shape, field, n_nodes=self.n_nodes)
@@ -491,17 +503,28 @@ def assemble_stiffness(shape: ShapeMap, field: MaterialField, n_nodes: int) -> s
     """Assemble sparse K (N/mm) with one integration point per masked voxel.
 
     Each voxel contributes B^T D(E_voxel, nu) B * V_voxel at its center,
-    with B built from the first-order-consistent gradients; the result is
-    explicitly symmetrized against roundoff.
-    """
-    young = field.masked_young()
-    v_vox = field.voxel_volume_mm3
-    d_unit = elasticity_matrix(1.0, field.nu)  # D is linear in E
+    with B built from the first-order-consistent gradients g.  For the
+    isotropic D that sum has a closed form per node pair (a, b), so neither
+    B nor a voxel's (3k x 3k) block is ever formed:
 
-    b = _strain_displacement(shape.corrected_gradients)
-    ke = np.einsum("via,ij,vjb->vab", b, d_unit, b, optimize=True)
-    ke *= (young * v_vox)[:, None, None]
-    return assemble_blocks(shape.indices, ke, n_nodes)
+        P_ab = sum_v w_v g_a g_b^T,   K_ab = lam P_ab + mu P_ab^T + mu tr(P_ab) I
+
+    with w_v = E_v * V_voxel and lam, mu the Lame constants of D at unit E.
+    The nine components of P are summed one (v, k, k) array at a time over
+    the shape map's node-pair pattern, which is computed once per ShapeMap:
+    every K assembled on one shape map, such as an atlas twin's, shares it.
+    The result is explicitly symmetrized against roundoff.
+    """
+    pattern = shape._pairs  # first: its temporaries are the call's largest
+    d_unit = elasticity_matrix(1.0, field.nu)  # D is linear in E
+    lam, mu = d_unit[0, 1], d_unit[3, 3]
+    g = shape.corrected_gradients
+    gw = g * (field.masked_young() * field.voxel_volume_mm3)[:, None, None]
+    p = _pair_sums(pattern, lambda i, j: gw[:, :, i, None] * g[:, None, :, j])
+    blocks = lam * p + mu * p.transpose(0, 2, 1)
+    diagonal = np.arange(3)
+    blocks[:, diagonal, diagonal] += mu * np.trace(p, axis1=1, axis2=2)[:, None]
+    return _symmetric_csr(pattern, blocks, n_nodes)
 
 
 def assemble_blocks(nodes: np.ndarray, blocks: np.ndarray, n_nodes: int) -> sp.csr_matrix:
@@ -518,21 +541,74 @@ def assemble_blocks(nodes: np.ndarray, blocks: np.ndarray, n_nodes: int) -> sp.c
             block i lands on the three DOFs of each node in nodes[i].
         n_nodes: node count; the assembled matrix is (3 n_nodes, 3 n_nodes).
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    e, m = nodes.shape
-    keys = (nodes[:, :, None] * n_nodes + nodes[:, None, :]).ravel()
-    pairs, inv = np.unique(keys, return_inverse=True)
+    e, m = np.shape(nodes)
     parts = blocks.reshape(e, m, 3, m, 3)
-    data = np.empty((len(pairs), 3, 3))
+    pattern = _pair_pattern(nodes)
+    return _symmetric_csr(pattern, _pair_sums(pattern, lambda a, b: parts[:, :, a, :, b]), n_nodes)
+
+
+class _PairPattern(NamedTuple):
+    """Symbolic structure of a sum of element blocks per node pair.
+
+    pairs holds each distinct (row node, column node) pair once, as the
+    sorted key row * span + column.  inverse maps every (element, a, b)
+    entry of the element-to-node table, shape (e, m), to its pair, in that
+    order; mirror maps each pair (i, j) to (j, i).
+    """
+
+    pairs: np.ndarray
+    span: int
+    inverse: np.ndarray
+    mirror: np.ndarray
+
+
+def _pair_pattern(nodes: np.ndarray) -> _PairPattern:
+    """The node-pair pattern of an element-to-node table, shape (e, m)."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    span = int(nodes.max()) + 1
+    keys = (nodes[:, :, None] * span + nodes[:, None, :]).ravel()
+    # np.unique's inverse would hold about twice the key-sized temporaries.
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)  # first entry of each distinct pair
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pairs = keys[first]
+    del keys
+    rank = np.cumsum(first)
+    rank -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = rank
+    mirror = np.searchsorted(pairs, pairs % span * span + pairs // span)
+    return _PairPattern(pairs=pairs, span=span, inverse=inverse, mirror=mirror)
+
+
+def _pair_sums(pattern: _PairPattern, entries) -> np.ndarray:
+    """Per-pair 3x3 sums, (pairs, 3, 3), of per-entry components.
+
+    entries(a, b) gives component (a, b) of every (element, a', b') entry
+    of the pattern's table, shape (e, m, m).  One component at a time
+    keeps temporaries at e*m^2.
+    """
+    n_pairs = len(pattern.pairs)
+    data = np.empty((n_pairs, 3, 3))
     for a in range(3):
-        for b in range(3):  # one component at a time keeps temporaries at e*m^2
-            weights = parts[:, :, a, :, b].ravel()
-            data[:, a, b] = np.bincount(inv, weights=weights, minlength=len(pairs))
-    indptr = np.searchsorted(pairs, np.arange(n_nodes + 1) * n_nodes)
-    # Average each block with its mirror pair's transpose: (K + K^T) / 2 by blocks.
-    mirror = np.searchsorted(pairs, pairs % n_nodes * n_nodes + pairs // n_nodes)
-    data = (data + data[mirror].transpose(0, 2, 1)) * 0.5
-    K = sp.bsr_matrix((data, pairs % n_nodes, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
+        for b in range(3):
+            # Passed inline, so that each component is freed before the next is formed.
+            data[:, a, b] = np.bincount(pattern.inverse, weights=entries(a, b).ravel(),
+                                        minlength=n_pairs)
+    return data
+
+
+def _symmetric_csr(pattern: _PairPattern, data: np.ndarray, n_nodes: int) -> sp.csr_matrix:
+    """The (3 n_nodes)^2 CSR matrix of per-pair 3x3 blocks, symmetrized against roundoff.
+
+    Each block is averaged with its mirror pair's transpose: (K + K^T) / 2 by blocks.
+    """
+    pairs, span = pattern.pairs, pattern.span
+    data = (data + data[pattern.mirror].transpose(0, 2, 1)) * 0.5
+    indptr = np.searchsorted(pairs, np.arange(n_nodes + 1) * span)
+    K = sp.bsr_matrix((data, pairs % span, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
     K.eliminate_zeros()
     return K
 
@@ -723,6 +799,9 @@ def load_model(path: str | Path) -> MeshFreeModel:
         weights, gradients = _shepard(field.masked_centers(), dofs.nodes, indices)
         shape = ShapeMap(indices=indices, weights=weights, gradients=gradients,
                          corrected_gradients=arrays["shape_corrected"])
+        if arrays["K_indptr"].shape != (n_dofs + 1,):
+            raise VolumeFormatError(f"array 'K_indptr' has shape {arrays['K_indptr'].shape}; "
+                                    f"{n} nodes need ({n_dofs + 1},)")
         K = sp.csr_matrix((arrays["K_data"], arrays["K_indices"], arrays["K_indptr"]),
                           shape=(n_dofs, n_dofs))
         K.check_format(full_check=True)  # column indices come from outside

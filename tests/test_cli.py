@@ -426,7 +426,7 @@ class TestCorruptModelArchive:
         (_drop_k_data, "'K_data'"),
         (_offset_past_payload, "'K_indptr'"),
         (_shape_overfills_bytes, "'shape_corrected'"),
-        (_shape_short_of_dofs, "index pointer size 118 should be 121"),
+        (_shape_short_of_dofs, "'K_indptr' has shape (118,); 40 nodes need (121,)"),
         (_corrected_as_three_columns, "'shape_corrected' has shape (1488, 3)"),
         (_gradients_transposed, "'shape_corrected' has shape (248, 3, 6)"),
         (_indices_two_columns, "'shape_corrected' has shape (248, 6, 3); 248 masked voxels "

@@ -1,6 +1,7 @@
 """Tests for synthetic cohorts, retraction runs, and measured-vs-atlas reports."""
 
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -356,6 +357,18 @@ class TestSimulateRetraction:
         assert np.abs(state.qdot).max() < 1e-6
 
 
+# A value past the largest float for each float field of RetractionConfig
+# but density, which test_density_past_every_float_is_a_value_error passes
+# through compare_case.
+FLOAT_FIELDS_PAST_EVERY_FLOAT = [
+    ("atlas_e_kpa", 10**400), ("significance_mm", 10**400), ("conversion_nu", 10**400),
+    ("sim_nu", 10**400), ("abdomen_k", 10**400), ("liver_mass_kg", 10**400),
+    ("tool_center", (0.0, 10**400, 0.0)), ("diameter", 10**400), ("alpha", 10**400),
+    ("beta", 10**400), ("h", 10**400), ("v_tol", 10**400), ("cg_tol", -10**400),
+    ("voxel_ref_mm", 10**400),
+]
+
+
 class TestRetractionConfig:
     def test_retractor_at_pole_takes_the_diameter(self):
         case = tiny_case()
@@ -377,10 +390,19 @@ class TestRetractionConfig:
 
     def test_density_past_every_float_is_a_value_error(self):
         # A Python int compares below inf, but no float array can hold it;
-        # the case's MaterialField rejects it by name, so a cohort run skips
-        # the case instead of failing with an OverflowError in assembly.
-        with pytest.raises(ValueError, match="density must be finite and > 0"):
+        # the config rejects it by name, so a cohort run cannot fail with an
+        # OverflowError in assembly.
+        with pytest.raises(ValueError, match="density must be finite, got"):
             compare_case(tiny_case(), RetractionConfig(density=10**400))
+
+    @pytest.mark.parametrize("name, value", FLOAT_FIELDS_PAST_EVERY_FLOAT)
+    def test_float_field_past_every_float_is_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got"):
+            RetractionConfig(**{name: value})
+
+    def test_every_float_field_has_an_overflow_row(self):
+        float_fields = {f.name for f in fields(RetractionConfig) if f.type != "int"}
+        assert float_fields == {"density"} | {name for name, _ in FLOAT_FIELDS_PAST_EVERY_FLOAT}
 
     def test_integer_knobs_of_any_size_pass_the_finite_check(self):
         assert RetractionConfig(seed=2**70, cg_max=10**30).seed == 2**70

@@ -723,6 +723,71 @@ class TestAssembleBlocks:
         assert_same_pattern(K, coo_assembly(nodes, blocks, n_nodes))
 
 
+def block_reference_stiffness(shape, field, n_nodes):
+    """Reference: every voxel's dense B^T D B block through `assemble_blocks`.
+
+    This is the route that the closed-form per-pair sum of
+    `assemble_stiffness` replaced.
+    """
+    b = _strain_displacement(shape.corrected_gradients)
+    ke = np.einsum("via,ij,vjb->vab", b, elasticity_matrix(1.0, field.nu), b, optimize=True)
+    ke *= (field.masked_young() * field.voxel_volume_mm3)[:, None, None]
+    return assemble_blocks(shape.indices, ke, n_nodes)
+
+
+@pytest.fixture(scope="module")
+def cohort_seed_7_model():
+    """`cohort-run --seed 7`'s case_001: 300 nodes, k = 8, 4 264 masked voxels."""
+    case = synth_cohort(SyntheticCohortSpec(n=3, seed=7))[1]
+    return RetractionConfig(seed=7).measured_model(case)
+
+
+@pytest.fixture(scope="module")
+def slender_beam_model():
+    """The mesh-free model of `validate-beam --slender`."""
+    spec = BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=0.625)
+    return build_beam_phantom(spec, n_nodes=2441, k=6, seed=0).model
+
+
+class TestClosedFormStiffness:
+    @pytest.mark.parametrize("model_name", ["cohort_seed_7_model", "slender_beam_model"])
+    def test_matches_the_voxel_block_route(self, request, model_name):
+        model = request.getfixturevalue(model_name)
+        K = model.matrices.K
+        ref = block_reference_stiffness(model.shape, model.field, model.n_nodes)
+        assert_same_pattern(K, ref)
+        assert np.abs(K.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
+        assert (K != K.T).nnz == 0
+        norm_K = sp.linalg.norm(K)
+        for axis in range(3):
+            t = np.zeros(K.shape[0])
+            t[axis::3] = 1.0
+            assert np.linalg.norm(K @ t) <= 1e-13 * norm_K * np.linalg.norm(t)
+
+    def test_atlas_twin_equals_a_fresh_assembly(self, cohort_seed_7_model):
+        model = cohort_seed_7_model
+        twin = model.with_constant_young(2.1)
+        assert twin.shape is model.shape, "the twin shares the shape map and its node pairs"
+        # replace() copies the shape map without its node-pair pattern.
+        fresh = assemble_stiffness(replace(model.shape), model.field.with_young(2.1), model.n_nodes)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(twin.matrices.K, name), getattr(fresh, name)), name
+
+    def test_peak_memory_is_below_half_of_the_voxel_blocks(self, cohort_seed_7_model):
+        model = cohort_seed_7_model
+        shape = replace(model.shape)  # no node-pair pattern yet: the call builds it
+        v, k = shape.indices.shape
+        assert v >= 4000
+        voxel_blocks = v * (3 * k) ** 2 * 8  # the bytes of one (v, 3k, 3k) float64 array
+        tracemalloc.start()
+        try:
+            assemble_stiffness(shape, model.field, model.n_nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * voxel_blocks, f"peak {peak / voxel_blocks:.2f} of the voxel blocks"
+
+
 class TestAssembleMass:
     def test_total_mass_conserved(self):
         field = make_field(dims=(4, 4, 2), density=1050.0)
