@@ -155,9 +155,10 @@ class RetractorSpec:
 
         Raises:
             ValueError: a diameter not finite and > 0, or a center that is not
-                a finite 3-vector.
+                a finite 3-vector; a Python int past the largest float counts
+                as not finite.
         """
-        if not 0.0 < self.diameter < np.inf:
+        if not 0.0 < self.diameter <= sys.float_info.max:  # a Python int may exceed every float
             raise ValueError(f"retractor diameter must be finite and > 0, got {self.diameter}")
         center = _finite_3_vector(self.center, "retractor center")
         object.__setattr__(self, "center", tuple(center.tolist()))
@@ -248,7 +249,7 @@ class SyntheticCohortSpec:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("median_kpa", "log_sd"):
-            if not np.isfinite(getattr(self, name)):
+            if not abs(getattr(self, name)) <= sys.float_info.max:  # NaN, inf or a huge int
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.median_kpa <= 0:
             raise ValueError(f"median stiffness must be > 0, got {self.median_kpa}")

@@ -28,6 +28,7 @@ import struct
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,6 +54,11 @@ _TREE_GAP_ABS_MM = 1e-12
 
 # Lloyd relaxation stops at its fixed point, or after this many iterations.
 _LLOYD_MAX_ITERS = 50
+# Moved nodes per range search in a Lloyd step.  Early steps move every node
+# and find ~80 voxels around each; searching them in blocks keeps the pair
+# arrays of one search small, so the step's temporaries stay below those of
+# the first full query.
+_LLOYD_BALL_BLOCK = 32
 
 _ARCHIVE_MAGIC = b"ESIMMDL1"
 ARCHIVE_VERSION = 4
@@ -268,6 +274,21 @@ def sample_dofs(field: MaterialField, n_nodes: int, seed: int = 0) -> DofSet:
     nodes assigned, with that assignment as `owner`.  A node that loses all
     voxels respawns at the voxel center farthest from its nearest node.
 
+    Only the first step searches every voxel.  Each voxel then keeps its
+    owner, its exact d^2 to the owner's current position, and a lower bound
+    on its distance to every other node, first the distance to its second
+    nearest.  A node that did not move cannot come closer.  So after each
+    step one range search of radius R, the largest owner distance plus the
+    _TREE_GAP_* margins, finds the voxels near the moved nodes.  Each such
+    (voxel, moved node other than its owner) pair lowers the voxel's bound
+    to the node's exact distance, and every bound is capped at R for the
+    moved nodes farther away.  A voxel is searched again, by
+    `_nearest_nodes`, unless its owner distance d stays clearly below its
+    bound: d * (1 + _TREE_GAP_REL) + _TREE_GAP_ABS_MM < bound.  A moved node
+    that ties or beats the owner fails that test, so every owner is still
+    decided by (d^2, node index), as a full query of every voxel at every
+    step would decide it, bit for bit.
+
     Raises:
         ValueError: n_nodes < 1, more nodes than masked voxels, or seed < 0.
     """
@@ -283,31 +304,68 @@ def sample_dofs(field: MaterialField, n_nodes: int, seed: int = 0) -> DofSet:
     rng = np.random.default_rng(seed)
     nodes = centers[rng.choice(n_vox, size=n_nodes, replace=False)].copy()
 
-    for _ in range(_LLOYD_MAX_ITERS):
-        queried = nodes
-        nodes, owner = _lloyd_step(centers, queried)
-        if np.array_equal(nodes, queried):
+    k = min(2, n_nodes)
+    owner, nearest_d2, bound = _owners(centers, nodes, k)
+    voxel_tree = cKDTree(centers)
+    for _ in range(_LLOYD_MAX_ITERS - 1):
+        new_nodes = _centroids(centers, owner, nearest_d2, n_nodes)
+        moved = np.flatnonzero((new_nodes != nodes).any(axis=1))
+        if not len(moved):
             break
-    return DofSet(nodes=queried, owner=owner)
+        nodes = new_nodes
+        nearest_d2 = _squared_distances(centers, nodes.take(owner, axis=0)[:, None])[:, 0]
+        reach = np.sqrt(nearest_d2) * (1.0 + _TREE_GAP_REL) + _TREE_GAP_ABS_MM
+        radius = reach.max()
+        np.minimum(bound, radius, out=bound)
+        _lower_bounds(voxel_tree, centers, nodes, moved, owner, radius, bound)
+        rows = np.flatnonzero(~(reach < bound))
+        owner[rows], nearest_d2[rows], bound[rows] = _owners(centers[rows], nodes, k)
+    return DofSet(nodes=nodes, owner=owner)
 
 
-def _lloyd_step(points: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Move each node to the centroid of the points nearest to it.
+def _lower_bounds(voxel_tree, centers, nodes, moved, owner, radius, bound) -> None:
+    """Lower each voxel's bound in place to its distance to each moved node within radius.
 
-    A node nearest to no point respawns at the point farthest from its
-    nearest node.  Returns (moved nodes, nearest input node of each point).
+    A voxel's own owner is skipped: the bound covers the other nodes.
     """
-    idx, d2 = _nearest_nodes(points, nodes, 1)
-    owner, nearest_d2 = idx[:, 0], d2[:, 0]
-    counts = np.bincount(owner, minlength=len(nodes))
+    for start in range(0, len(moved), _LLOYD_BALL_BLOCK):
+        block = moved[start:start + _LLOYD_BALL_BLOCK]
+        near = voxel_tree.query_ball_point(nodes[block], radius, return_sorted=False)
+        counts = np.fromiter(map(len, near), np.intp, len(near))
+        voxels = np.fromiter(chain.from_iterable(near), np.intp, counts.sum())
+        del near
+        others = np.repeat(block, counts)
+        rival = others != owner[voxels]
+        voxels, others = voxels[rival], others[rival]
+        d2 = _squared_distances(centers.take(voxels, axis=0), nodes.take(others, axis=0)[:, None])
+        np.minimum.at(bound, voxels, np.sqrt(d2[:, 0]))
+
+
+def _owners(points: np.ndarray, nodes: np.ndarray, k: int):
+    """Nearest node of each point, its d^2, and the distance to its second nearest.
+
+    k is 2, or 1 for a single node, whose points have no second nearest
+    (distance inf).
+    """
+    idx, d2 = _nearest_nodes(points, nodes, k)
+    bound = np.sqrt(d2[:, 1]) if k > 1 else np.full(len(points), np.inf)
+    return idx[:, 0].copy(), d2[:, 0].copy(), bound
+
+
+def _centroids(points: np.ndarray, owner: np.ndarray, nearest_d2: np.ndarray, n_nodes: int):
+    """Centroid of the points each node owns.
+
+    A node owning no point respawns at the point farthest from its owner.
+    """
+    counts = np.bincount(owner, minlength=n_nodes)
     sums = np.stack(
-        [np.bincount(owner, weights=points[:, c], minlength=len(nodes)) for c in range(3)], axis=1
+        [np.bincount(owner, weights=points[:, c], minlength=n_nodes) for c in range(3)], axis=1
     )
     owned = counts > 0
-    new_nodes = np.empty_like(nodes)
+    new_nodes = np.empty((n_nodes, 3))
     new_nodes[owned] = sums[owned] / counts[owned, None]
     new_nodes[~owned] = points[np.argmax(nearest_d2)]
-    return new_nodes, owner
+    return new_nodes
 
 
 def _nearest_nodes(points: np.ndarray, nodes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

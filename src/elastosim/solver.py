@@ -37,6 +37,7 @@ the consistent mm / tonne / second quantities built during assembly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,7 +91,10 @@ class SimState:
 
 def _finite_3_vector(value, what: str) -> np.ndarray:
     """`value` as a float 3-vector, or a ValueError that names `what`."""
-    v = np.asarray(value, dtype=float)
+    try:
+        v = np.asarray(value, dtype=float)
+    except OverflowError:  # a Python int past the largest float
+        raise ValueError(f"{what} must be finite, got {value}") from None
     if v.shape != (3,):
         raise ValueError(f"{what} must be a 3-vector, got shape {v.shape}")
     if not np.isfinite(v).all():
@@ -118,20 +122,22 @@ class LoadCase:
 
         Raises:
             ValueError: a gravity, point force or spring anchor that is not a
-                finite 3-vector, or a spring stiffness that is not finite and >= 0.
+                finite 3-vector, or a spring stiffness that is not finite and >= 0;
+                a Python int past the largest float counts as not finite.
         """
         gravity = _finite_3_vector(self.gravity, "gravity")
         loads = tuple(
             (int(i), _finite_3_vector(f, f"point force on node {int(i)}"))
             for i, f in self.point_loads
         )
+        for i, k, _ in self.support_springs:
+            if not 0 <= k <= sys.float_info.max:  # a Python int may exceed every float
+                raise ValueError(
+                    f"spring stiffness must be finite and >= 0, got {k} on node {int(i)}")
         springs = tuple(
             (int(i), float(k), _finite_3_vector(a, f"spring anchor of node {int(i)}"))
             for i, k, a in self.support_springs
         )
-        for i, k, _ in springs:
-            if not (np.isfinite(k) and k >= 0):
-                raise ValueError(f"spring stiffness must be finite and >= 0, got {k} on node {i}")
         object.__setattr__(self, "gravity", tuple(gravity.tolist()))
         object.__setattr__(self, "point_loads", loads)
         object.__setattr__(self, "support_springs", springs)

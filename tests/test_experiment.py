@@ -88,6 +88,15 @@ class TestRetractorSpec:
         with pytest.raises(ValueError, match="retractor center must be finite"):
             RetractorSpec(center=(0.0, value, 0.0))
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"center": (10**400, 0, 0)}, "retractor center must be finite"),
+        ({"center": (0.0, 0.0, 0.0), "diameter": 10**400},
+         "retractor diameter must be finite and > 0"),
+    ], ids=["center", "diameter"])
+    def test_int_past_every_float_is_rejected_by_name(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            RetractorSpec(**spec)
+
     def test_center_must_be_a_3_vector(self):
         with pytest.raises(ValueError, match="retractor center must be a 3-vector"):
             RetractorSpec(center=(0.0, 0.0))
@@ -182,6 +191,11 @@ class TestSyntheticCohortSpec:
     def test_rejects_non_finite_field_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             SyntheticCohortSpec(n=1, **{name: value})
+
+    @pytest.mark.parametrize("name", ["median_kpa", "log_sd"])
+    def test_int_past_every_float_is_rejected_by_name(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got 1000"):
+            SyntheticCohortSpec(n=1, **{name: 10**400})
 
 
 class TestSynthCohort:

@@ -21,6 +21,7 @@ from elastosim.experiment import (
     RetractionConfig,
     SyntheticCohortSpec,
     case_from_volume,
+    stiff_inclusion_case,
     synth_cohort,
     young_material_field,
 )
@@ -152,8 +153,29 @@ class TestSampleDofs:
         assert np.array_equal(a.owner, b.owner)
 
 
+def lloyd_step(points, nodes):
+    """Reference: one full-query Lloyd step, the route `sample_dofs` replaced.
+
+    Every point is searched for its nearest node; each node moves to the
+    centroid of its points, and a node nearest to no point respawns at the
+    point farthest from its nearest node.  Returns (moved nodes, nearest
+    input node of each point).
+    """
+    idx, d2 = meshfree._nearest_nodes(points, nodes, 1)
+    owner, nearest_d2 = idx[:, 0], d2[:, 0]
+    counts = np.bincount(owner, minlength=len(nodes))
+    sums = np.stack(
+        [np.bincount(owner, weights=points[:, c], minlength=len(nodes)) for c in range(3)], axis=1
+    )
+    owned = counts > 0
+    new_nodes = np.empty_like(nodes)
+    new_nodes[owned] = sums[owned] / counts[owned, None]
+    new_nodes[~owned] = points[np.argmax(nearest_d2)]
+    return new_nodes, owner
+
+
 def loop_lloyd_step(points, nodes):
-    """Reference: the per-node centroid loop that meshfree._lloyd_step replaces."""
+    """Reference: the per-node centroid loop that `lloyd_step` replaced."""
     d2 = cdist(points, nodes, "sqeuclidean")
     owner = np.argmin(d2, axis=1)
     nearest_d2 = d2[np.arange(len(points)), owner]
@@ -167,13 +189,36 @@ def loop_lloyd_step(points, nodes):
     return new_nodes, owner
 
 
+def lloyd_history(field, n_nodes, seed, step=lloyd_step):
+    """Reference Lloyd run with one full query per step: [(queried nodes, owner)] per step."""
+    centers = field.masked_centers()
+    rng = np.random.default_rng(seed)
+    nodes = centers[rng.choice(len(centers), size=n_nodes, replace=False)].copy()
+    history = []
+    for _ in range(meshfree._LLOYD_MAX_ITERS):
+        queried = nodes
+        nodes, owner = step(centers, queried)
+        history.append((queried, owner))
+        if np.array_equal(nodes, queried):
+            break
+    return history
+
+
+def assert_matches_full_query(field, n_nodes, seed):
+    """`sample_dofs` returns the reference's last nodes and owners bit for bit."""
+    ref_nodes, ref_owner = lloyd_history(field, n_nodes, seed)[-1]
+    dofs = sample_dofs(field, n_nodes=n_nodes, seed=seed)
+    assert dofs.nodes.tobytes() == ref_nodes.tobytes()
+    assert np.array_equal(dofs.owner, ref_owner)
+
+
 def tolerance_stop_sample_dofs(field, n_nodes, seed):
     """Reference: Lloyd stopped once no node moves 1e-6 mm, then one more owner query."""
     centers = field.masked_centers()
     rng = np.random.default_rng(seed)
     nodes = centers[rng.choice(len(centers), size=n_nodes, replace=False)].copy()
     for _ in range(meshfree._LLOYD_MAX_ITERS):
-        new_nodes, _ = meshfree._lloyd_step(centers, nodes)
+        new_nodes, _ = lloyd_step(centers, nodes)
         movement = float(np.linalg.norm(new_nodes - nodes, axis=1).max())
         nodes = new_nodes
         if movement < 1e-6:
@@ -192,12 +237,31 @@ def ellipsoid_field(dims=(14, 11, 9), spacing=(0.7, 1.1, 1.3)):
     return make_field(dims=dims, spacing=spacing, mask_flags=flags).with_young(young)
 
 
+def cohort_field(seed, index):
+    """`cohort-run --seed seed`'s case `index`, which that run samples with Lloyd seed `seed`."""
+    case = synth_cohort(SyntheticCohortSpec(n=3, seed=seed))[index]
+    return young_material_field(case.volume, case.mask)
+
+
+def inclusion_field(contrast):
+    case = stiff_inclusion_case(contrast)
+    return young_material_field(case.volume, case.mask)
+
+
+def beam_field(spec):
+    return make_field(dims=spec.cells(), spacing=(spec.resolution,) * 3, young=spec.E)
+
+
+SLENDER = BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=0.625)
+STOCKY = BeamSpec(L=50.0, w=10.0, h_beam=10.0, E=12.0, q_load=1e-4, resolution=1.64)
+
+
 class TestLloydStep:
     def test_matches_per_node_loop_bit_for_bit(self):
         points = ellipsoid_field().masked_centers()
         nodes = points[np.random.default_rng(0).choice(len(points), 40, replace=False)]
         for _ in range(8):
-            step, owner = meshfree._lloyd_step(points, nodes)
+            step, owner = lloyd_step(points, nodes)
             ref_step, ref_owner = loop_lloyd_step(points, nodes)
             assert np.array_equal(step, ref_step)
             assert np.array_equal(owner, ref_owner)
@@ -210,45 +274,27 @@ class TestLloydStep:
         nodes[9] = [1e3, 1e3, 1e3]  # far outside the points
         d2 = cdist(points, nodes, "sqeuclidean")
         assert set(np.argmin(d2, axis=1)).isdisjoint({5, 9})
-        step, owner = meshfree._lloyd_step(points, nodes)
+        step, owner = lloyd_step(points, nodes)
         ref_step, ref_owner = loop_lloyd_step(points, nodes)
         assert np.array_equal(step, ref_step) and np.array_equal(owner, ref_owner)
         farthest = points[np.argmax(d2.min(axis=1))]
         assert np.array_equal(step[5], farthest) and np.array_equal(step[9], farthest)
 
-    def test_sample_dofs_matches_per_node_loop(self, monkeypatch):
+    def test_sample_dofs_matches_per_node_loop(self):
         field = ellipsoid_field()
-        fast = sample_dofs(field, n_nodes=60, seed=3)
-        monkeypatch.setattr(meshfree, "_lloyd_step", loop_lloyd_step)
-        ref = sample_dofs(field, n_nodes=60, seed=3)
-        assert np.array_equal(fast.nodes, ref.nodes)
-        assert np.array_equal(fast.owner, ref.owner)
+        dofs = sample_dofs(field, n_nodes=60, seed=3)
+        ref_nodes, ref_owner = lloyd_history(field, 60, 3, step=loop_lloyd_step)[-1]
+        assert np.array_equal(dofs.nodes, ref_nodes)
+        assert np.array_equal(dofs.owner, ref_owner)
 
 
 class TestLloydStop:
-    def counted(self, monkeypatch, name):
-        calls = []
-        inner = getattr(meshfree, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return inner(*args)
-        monkeypatch.setattr(meshfree, name, wrapper)
-        return calls
-
-    def test_one_nearest_node_query_per_step(self, monkeypatch):
-        steps = self.counted(monkeypatch, "_lloyd_step")
-        queries = self.counted(monkeypatch, "_nearest_nodes")
-        sample_dofs(ellipsoid_field(), n_nodes=60, seed=3)
-        assert len(steps) > 1
-        assert len(queries) == len(steps)
-
     def test_capped_run_returns_the_last_queried_nodes_and_their_owners(self, monkeypatch):
         field = ellipsoid_field()
         centers = field.masked_centers()
         seeds = centers[np.random.default_rng(3).choice(len(centers), 60, replace=False)]
-        first, _ = meshfree._lloyd_step(centers, seeds)
-        second, _ = meshfree._lloyd_step(centers, first)
+        first, _ = lloyd_step(centers, seeds)
+        second, _ = lloyd_step(centers, first)
         assert not np.array_equal(second, first), "two steps must not reach the fixed point"
         monkeypatch.setattr(meshfree, "_LLOYD_MAX_ITERS", 2)
         dofs = sample_dofs(field, n_nodes=60, seed=3)
@@ -263,13 +309,119 @@ class TestLloydStop:
                      for case in synth_cohort(SyntheticCohortSpec(n=3, seed=seed))]
             fields, n_nodes = [young_material_field(c.volume, c.mask) for c in cases], 300
         else:
-            slender = BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=0.625)
-            fields, n_nodes = [make_field(dims=slender.cells(), spacing=(0.625,) * 3)], 2441
+            fields, n_nodes = [beam_field(SLENDER)], 2441
         for field in fields:
             dofs = sample_dofs(field, n_nodes=n_nodes, seed=0)
             ref_nodes, ref_owner = tolerance_stop_sample_dofs(field, n_nodes, seed=0)
             assert np.array_equal(dofs.nodes, ref_nodes)
             assert np.array_equal(dofs.owner, ref_owner)
+
+
+class TestIncrementalLloyd:
+    """`sample_dofs`, which re-queries only the voxels a step can reassign,
+    against `lloyd_history`, which queries every voxel at every step."""
+
+    @pytest.mark.parametrize("build", [
+        *[f"cohort seed {s} case {i}" for s in (3, 4, 5, 7) for i in range(3)],
+        *[f"inclusion {c}x" for c in (1, 2, 4)],
+        "slender beam", "stocky beam",
+    ])
+    def test_pipeline_builds(self, build):
+        if build.startswith("cohort"):
+            seed, index = int(build.split()[2]), int(build.split()[4])
+            assert_matches_full_query(cohort_field(seed, index), 300, seed)
+        elif build.startswith("inclusion"):
+            assert_matches_full_query(inclusion_field(float(build.split()[1][:-1])), 300, 0)
+        elif build == "slender beam":
+            assert_matches_full_query(beam_field(SLENDER), 2441, 0)
+        else:
+            assert_matches_full_query(beam_field(STOCKY), 500, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("n_nodes", [4, 40, 600])
+    def test_inclusion_across_seeds_and_node_counts(self, seed, n_nodes):
+        assert_matches_full_query(inclusion_field(4.0), n_nodes, seed)
+
+    def test_respawned_node(self):
+        # Two slabs, 2 mm apart: some step leaves a node between them with no voxel.
+        dims = (20, 2, 2)
+        x = np.arange(80) % dims[0]
+        field = make_field(dims=dims, mask_flags=(x < 2) | (x > 6))
+        history = lloyd_history(field, 12, 3)
+        assert any(len(np.unique(owner)) < 12 for _, owner in history)
+        assert_matches_full_query(field, 12, 3)
+
+    def test_moved_node_ties_the_owner_with_a_lower_index(self):
+        # Unit spacing: every d^2 is exact, so distinct nodes tie exactly.
+        field = make_field(dims=(6, 5, 4))
+        centers = field.masked_centers()
+        history = lloyd_history(field, 17, 5)
+        ties = 0
+        for (before, old_owner), (nodes, owner) in zip(history, history[1:]):
+            d2 = cdist(centers, nodes, "sqeuclidean")
+            rows = np.arange(len(centers))
+            moved = (nodes != before).any(axis=1)
+            ties += np.sum(moved[owner] & (owner < old_owner)
+                           & (d2[rows, owner] == d2[rows, old_owner]))
+        assert ties > 0
+        assert_matches_full_query(field, 17, 5)
+
+    def test_rival_beyond_the_search_radius(self):
+        # A node that moves while farther than every owner distance is never
+        # compared; only the cap of each bound at the radius keeps it
+        # counted when a later step moves the voxel's owner away.
+        flags = np.zeros(45, dtype=bool)
+        flags[[1, 3, 5, 6, 9, 10, 14, 15, 16, 17, 18, 19, 20, 23, 25, 26, 29, 30, 31, 32, 33, 34,
+               35, 36, 38, 40, 42]] = True
+        field = make_field(dims=(3, 5, 3), spacing=(0.5, 1.3, 1.0), mask_flags=flags)
+        assert_matches_full_query(field, 4, 26)
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            dims = tuple(int(d) for d in rng.integers(2, 8, 3))
+            flags = rng.random(int(np.prod(dims))) < rng.uniform(0.3, 1.0)
+            if flags.sum() < 3:
+                continue
+            spacing = tuple(float(h) for h in rng.choice([0.5, 0.7, 1.0, 1.3], 3))
+            field = make_field(dims=dims, spacing=spacing, mask_flags=flags)
+            n_nodes = int(rng.integers(1, flags.sum() + 1))
+            assert_matches_full_query(field, n_nodes, int(rng.integers(0, 100)))
+
+    def test_single_node(self):
+        assert_matches_full_query(ellipsoid_field(), 1, 2)
+
+    def test_as_many_nodes_as_voxels(self):
+        field = make_field(dims=(4, 3, 2))
+        assert_matches_full_query(field, 24, 0)
+        assert_matches_full_query(ellipsoid_field(), field.mask.n_selected, 1)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7])
+    def test_capped_runs(self, monkeypatch, cap):
+        monkeypatch.setattr(meshfree, "_LLOYD_MAX_ITERS", cap)
+        history = lloyd_history(ellipsoid_field(), 60, 3)
+        assert len(history) == cap
+        assert_matches_full_query(ellipsoid_field(), 60, 3)
+
+    def test_requeries_under_a_quarter_of_the_voxels(self, monkeypatch):
+        field = cohort_field(7, 1)
+        queried, steps = [], []
+        nearest, centroids = meshfree._nearest_nodes, meshfree._centroids
+
+        def counted_nearest(points, nodes, k):
+            queried.append(len(points))
+            return nearest(points, nodes, k)
+
+        def counted_centroids(*args):
+            steps.append(1)
+            return centroids(*args)
+
+        monkeypatch.setattr(meshfree, "_nearest_nodes", counted_nearest)
+        monkeypatch.setattr(meshfree, "_centroids", counted_centroids)
+        sample_dofs(field, n_nodes=300, seed=7)
+        n_vox = field.mask.n_selected
+        assert queried[0] == n_vox and len(steps) > 5
+        assert sum(queried[1:]) < 0.25 * len(steps) * n_vox
 
 
 def nearest_oracle(points, nodes, k):

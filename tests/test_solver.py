@@ -137,6 +137,18 @@ class TestLoadCase:
         with pytest.raises(ValueError, match="spring anchor of node 4 must be finite"):
             LoadCase(support_springs=[(4, 1.0, [0.0, value, 0.0])])
 
+    @pytest.mark.parametrize("loads, message", [
+        ({"gravity": (10**400, 0, 0)}, "gravity must be finite"),
+        ({"point_loads": [(3, (10**400, 0, 0))]}, "point force on node 3 must be finite"),
+        ({"support_springs": [(2, 10**400, (0, 0, 0))]},
+         "spring stiffness must be finite and >= 0, got 1000"),
+        ({"support_springs": [(4, 1.0, (0, 10**400, 0))]},
+         "spring anchor of node 4 must be finite"),
+    ], ids=["gravity", "point force", "spring stiffness", "spring anchor"])
+    def test_int_past_every_float_is_rejected_by_name(self, loads, message):
+        with pytest.raises(ValueError, match=message):
+            LoadCase(**loads)
+
     def test_finite_loads_pass_and_coerce(self):
         loads = LoadCase(gravity=(0, 0, -9810), point_loads=[(1, [0, 0, 2])],
                          support_springs=[(0, 0.0, [1, 2, 3])])
