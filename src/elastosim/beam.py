@@ -14,10 +14,16 @@ so pointwise convergence errors are directly comparable.
 The comparison runs at a fixed Poisson ratio of 0: the analytic formula has
 no Poisson term, and nu = 0 removes Poisson-contraction artifacts from both
 discretizations.
+
+Both stiffness matrices come from one kernel, `meshfree._isotropic_stiffness`,
+so the FEA checks the mesh-free method with the same constitutive code.  Every
+FEA element is the same cube, so its 2x2x2 Gauss sum is formed once
+(`_hex_unit_sums`) and only scaled by E.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -27,10 +33,9 @@ from elastosim.meshfree import (
     KPA_TO_N_PER_MM2,
     MaterialField,
     MeshFreeModel,
-    _strain_displacement,
-    assemble_blocks,
+    _isotropic_stiffness,
+    _pair_pattern,
     build_model,
-    elasticity_matrix,
 )
 from elastosim.solver import (
     BandedCholesky,
@@ -70,7 +75,7 @@ class BeamSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)):
+            if not abs(getattr(self, f.name)) <= sys.float_info.max:  # NaN, inf or a huge int
                 raise ValueError(f"beam {f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("L", "w", "h_beam", "E", "resolution"):
             if getattr(self, name) <= 0:
@@ -91,11 +96,17 @@ class BeamSpec:
         Raises:
             ValueError: resolution misses a dimension by more than 2%,
                 fewer than 2 cells along any axis, or a grid whose FEA band
-                factor would exceed MAX_FEA_FACTOR_BYTES.
+                factor would exceed MAX_FEA_FACTOR_BYTES (checked first per
+                axis, so that no cell count overflows).
         """
         counts = []
         for name, extent in (("L", self.L), ("w", self.w), ("h_beam", self.h_beam)):
-            n = max(1, round(extent / self.resolution))
+            ratio = extent / self.resolution  # inf past the largest float
+            if ratio > MAX_FEA_FACTOR_BYTES:  # each cell adds more than a byte to the factor
+                raise ValueError(f"resolution {self.resolution} spans {name}={extent} with "
+                                 f"{ratio:.3g} cells, more than the FEA band factor's "
+                                 f"{MAX_FEA_FACTOR_BYTES} bytes allow")
+            n = max(1, round(ratio))
             if abs(n * self.resolution - extent) > 0.02 * extent:
                 raise ValueError(
                     f"resolution {self.resolution} does not divide {name}={extent} within 2%"
@@ -262,8 +273,12 @@ def simulate_beam(phantom: BeamPhantom) -> DeflectionCurve:
     return DeflectionCurve(x=xs, w=np.concatenate([[0.0], deflection]))
 
 
-def _hex_element_stiffness(res: float, young_kpa: float, nu: float) -> np.ndarray:
-    """24x24 trilinear hexahedron stiffness for a cube of edge res (2x2x2 Gauss)."""
+def _hex_unit_sums(res: float) -> np.ndarray:
+    """P[i, j, a, b] = sum_q dN_a/dx_i dN_b/dx_j det J of a trilinear cube of edge res.
+
+    The sum over the 2x2x2 Gauss points (unit weights) at E = 1, shape
+    (3, 3, 8, 8): what `_isotropic_stiffness` sums per element.
+    """
     grid = np.array([[i, j, k] for k in (-1, 1) for j in (-1, 1) for i in (-1, 1)], dtype=float)
     corners = grid[[0, 1, 3, 2, 4, 5, 7, 6]]  # local node order: ring order per z face
     gauss = grid / np.sqrt(3.0)  # x fastest, then y, then z
@@ -271,9 +286,8 @@ def _hex_element_stiffness(res: float, young_kpa: float, nu: float) -> np.ndarra
     terms = 1.0 + gauss[:, None, :] * corners[None, :, :]  # (gauss point, node, axis)
     others = terms[:, :, [[1, 2], [0, 2], [0, 1]]].prod(axis=3)
     jac = res / 2.0
-    b = _strain_displacement(0.125 * corners * others / jac)  # d/dx = d/dxi * dxi/dx
-    d_mat = elasticity_matrix(young_kpa, nu)
-    return sum(bg.T @ d_mat @ bg * jac**3 for bg in b)
+    grads = 0.125 * corners * others / jac  # d/dx = d/dxi * dxi/dx
+    return np.einsum("qai,qbj->ijab", grads, grads) * jac**3
 
 
 def _hex_grid(cells: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +298,7 @@ def _hex_grid(cells: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     neighbouring nodes are at most one y-z node plane apart and K's band is
     3 * ((cy+1)(cz+1) + (cz+1) + 1) + 2 DOFs wide.  The table, shape
     (n_elements, 8), lists each cell's corners in ring order per z face, the
-    local order of `_hex_element_stiffness`.
+    local order of `_hex_unit_sums`.
     """
     cx, cy, cz = cells
     ids = np.arange((cx + 1) * (cy + 1) * (cz + 1)).reshape(cx + 1, cy + 1, cz + 1)
@@ -296,15 +310,17 @@ def _hex_grid(cells: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
 def _fea_system(spec: BeamSpec) -> LinearSystem:
     """The FEA's K u = f on the voxel-resolution hex grid, with the x = 0 node plane clamped.
 
-    The distributed load enters as consistent nodal loads of a uniform -z
-    body force.
+    K is the stiffness kernel's sum over the element-to-node table, each
+    element given the one cube's Gauss sums times E.  The distributed load
+    enters as consistent nodal loads of a uniform -z body force.
     """
     res = spec.resolution
     _, w_eff, h_eff = spec.snapped_extents()
     ids, conn = _hex_grid(spec.cells())
 
-    ke = _hex_element_stiffness(res, spec.E, _NU)
-    K = assemble_blocks(conn, np.broadcast_to(ke, (len(conn), 24, 24)), ids.size)
+    p = spec.E * _hex_unit_sums(res)
+    K = _isotropic_stiffness(_pair_pattern(conn),
+                             lambda i, j: np.broadcast_to(p[i, j], (len(conn), 8, 8)), _NU, ids.size)
 
     # Uniform body force -q/(w*h) per mm^3; each corner takes V_e/8 of its element.
     f = np.zeros(3 * ids.size)

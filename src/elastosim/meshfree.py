@@ -5,13 +5,15 @@ stages.  Lloyd-relaxed Voronoi sampling picks the DOF node positions inside
 the mask.  Inverse-distance-squared Shepard functions over the k nearest
 nodes give each voxel center a partition-of-unity weight set with analytic
 gradients.  Mass and stiffness are then assembled with one integration point
-per voxel: lumped M and K = sum of B^T D B * V_voxel.  K is summed per node
-pair in closed form, without forming B or any voxel's block, over a
-node-pair pattern computed once per shape map, so that a model and its
-atlas-stiffness twin share it.  The Rayleigh damping C = alpha*M + beta*K
-is held as its two coefficients.  A model archive
-stores no Shepard weights, raw gradients or M: `load_model` recomputes them
-with the code the build runs, so a loaded model equals the built one.
+per voxel: lumped M and K = sum of B^T D B * V_voxel.  One kernel,
+`_isotropic_stiffness`, sums K per node pair in closed form, without forming
+B or any element's block; it serves both discretizations, the voxels here
+and the hex FEA of `beam`.  The node-pair pattern of a shape map is
+computed once, so that a model and its atlas-stiffness twin share it.  The
+Rayleigh damping C = alpha*M + beta*K is held as its two coefficients.  A
+model archive stores no Shepard weights, raw gradients or M: `load_model`
+recomputes them with the code the build runs, so a loaded model equals the
+built one.
 
 Units are a consistent mm / tonne / second system: lengths mm, mass tonnes,
 force N, stress N/mm^2.  Young's modulus enters in kPa (1 kPa = 1e-3 N/mm^2)
@@ -528,81 +530,27 @@ def shape_weights(dofs: DofSet, field: MaterialField, k: int = 8) -> ShapeMap:
     )
 
 
-def elasticity_matrix(young_kpa: float, nu: float) -> np.ndarray:
-    """Isotropic linear elasticity matrix D (6x6, Voigt engineering shear), N/mm^2."""
-    e = young_kpa * KPA_TO_N_PER_MM2
-    c = e / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    d = np.zeros((6, 6))
-    d[:3, :3] = c * nu
-    d[0, 0] = d[1, 1] = d[2, 2] = c * (1.0 - nu)
-    d[3, 3] = d[4, 4] = d[5, 5] = c * (1.0 - 2.0 * nu) / 2.0
-    return d
-
-
-def _strain_displacement(gradients: np.ndarray) -> np.ndarray:
-    """B matrices from weight gradients: (v, k, 3) -> (v, 6, 3k)."""
-    v, k, _ = gradients.shape
-    gx, gy, gz = gradients[..., 0], gradients[..., 1], gradients[..., 2]
-    b = np.zeros((v, 6, 3 * k))
-    cols = 3 * np.arange(k)
-    b[:, 0, cols + 0] = gx
-    b[:, 1, cols + 1] = gy
-    b[:, 2, cols + 2] = gz
-    b[:, 3, cols + 0] = gy
-    b[:, 3, cols + 1] = gx
-    b[:, 4, cols + 1] = gz
-    b[:, 4, cols + 2] = gy
-    b[:, 5, cols + 0] = gz
-    b[:, 5, cols + 2] = gx
-    return b
-
-
 def assemble_stiffness(shape: ShapeMap, field: MaterialField, n_nodes: int) -> sp.csr_matrix:
     """Assemble sparse K (N/mm) with one integration point per masked voxel.
 
     Each voxel contributes B^T D(E_voxel, nu) B * V_voxel at its center,
-    with B built from the first-order-consistent gradients g.  For the
-    isotropic D that sum has a closed form per node pair (a, b), so neither
-    B nor a voxel's (3k x 3k) block is ever formed:
-
-        P_ab = sum_v w_v g_a g_b^T,   K_ab = lam P_ab + mu P_ab^T + mu tr(P_ab) I
-
-    with w_v = E_v * V_voxel and lam, mu the Lame constants of D at unit E.
-    The nine components of P are summed one (v, k, k) array at a time over
-    the shape map's node-pair pattern, which is computed once per ShapeMap:
-    every K assembled on one shape map, such as an atlas twin's, shares it.
-    The result is explicitly symmetrized against roundoff.
+    with B built from the first-order-consistent gradients g: the voxel is
+    an element whose k support nodes are its shape map row, and
+    `_isotropic_stiffness` sums P_ab = sum_v E_v V_voxel g_a g_b^T per node
+    pair.  The pattern of those pairs is computed once per ShapeMap: every
+    K assembled on one shape map, such as an atlas twin's, shares it.
     """
     pattern = shape._pairs  # first: its temporaries are the call's largest
-    d_unit = elasticity_matrix(1.0, field.nu)  # D is linear in E
-    lam, mu = d_unit[0, 1], d_unit[3, 3]
     g = shape.corrected_gradients
     gw = g * (field.masked_young() * field.voxel_volume_mm3)[:, None, None]
-    p = _pair_sums(pattern, lambda i, j: gw[:, :, i, None] * g[:, None, :, j])
-    blocks = lam * p + mu * p.transpose(0, 2, 1)
-    diagonal = np.arange(3)
-    blocks[:, diagonal, diagonal] += mu * np.trace(p, axis1=1, axis2=2)[:, None]
-    return _symmetric_csr(pattern, blocks, n_nodes)
+    return _isotropic_stiffness(pattern, lambda i, j: gw[:, :, i, None] * g[:, None, :, j],
+                                field.nu, n_nodes)
 
 
-def assemble_blocks(nodes: np.ndarray, blocks: np.ndarray, n_nodes: int) -> sp.csr_matrix:
-    """Sum dense element blocks into one sparse matrix, symmetrized against roundoff.
-
-    Entries are summed per node pair, as 3x3 blocks: each distinct pair
-    (i, j) of nodes sharing an element gets one block, the sum of the
-    elements' (i, j) blocks in element order.
-
-    Args:
-        nodes: global node of each local node, shape (e, m).
-        blocks: element matrices, shape (e, 3m, 3m), rows and columns
-            node-major (local DOF 3a + c is component c of local node a);
-            block i lands on the three DOFs of each node in nodes[i].
-        n_nodes: node count; the assembled matrix is (3 n_nodes, 3 n_nodes).
-    """
-    e, m = np.shape(nodes)
-    parts = blocks.reshape(e, m, 3, m, 3)
-    pattern = _pair_pattern(nodes)
-    return _symmetric_csr(pattern, _pair_sums(pattern, lambda a, b: parts[:, :, a, :, b]), n_nodes)
+def _lame(nu: float) -> tuple[float, float]:
+    """Lame constants (lam, mu) in N/mm^2 of an isotropic material at E = 1 kPa."""
+    c = KPA_TO_N_PER_MM2 / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    return c * nu, c * (1.0 - 2.0 * nu) / 2.0
 
 
 class _PairPattern(NamedTuple):
@@ -641,21 +589,47 @@ def _pair_pattern(nodes: np.ndarray) -> _PairPattern:
     return _PairPattern(pairs=pairs, span=span, inverse=inverse, mirror=mirror)
 
 
-def _pair_sums(pattern: _PairPattern, entries) -> np.ndarray:
-    """Per-pair 3x3 sums, (pairs, 3, 3), of per-entry components.
+def _isotropic_stiffness(pattern: _PairPattern, sums, nu: float, n_nodes: int) -> sp.csr_matrix:
+    """Sum of B^T D B over weighted points, (3 n_nodes)^2 CSR, for an isotropic D.
 
-    entries(a, b) gives component (a, b) of every (element, a', b') entry
-    of the pattern's table, shape (e, m, m).  One component at a time
-    keeps temporaries at e*m^2.
+    sums(i, j) gives, for every (element, a, b) entry of the pattern's
+    table, sum_p w_p dN_a/dx_i dN_b/dx_j over the element's points p, shape
+    (e, m, m), with w_p the point's Young's modulus times its volume weight
+    (kPa mm^3).  B^T D B then has a closed form per node pair (a, b), so
+    neither B nor an element's (3m x 3m) block is ever formed:
+
+        P_ab = sum_p w_p grad N_a grad N_b^T,   K_ab = lam P_ab + mu P_ab^T + mu tr(P_ab) I
+
+    with lam, mu the Lame constants at unit E.  The result is explicitly
+    symmetrized against roundoff.
     """
+    # Passed inline, so that the blocks are freed once averaged with their
+    # mirrors.  Held through the CSR conversion too, they left the heap 10-20 MB
+    # larger when the slender beam's FEA factor is allocated, in every
+    # validate-beam of a process after its first.
+    return _symmetric_csr(pattern, _isotropic_blocks(pattern, sums, nu), n_nodes)
+
+
+def _isotropic_blocks(pattern: _PairPattern, sums, nu: float) -> np.ndarray:
+    """The per-pair blocks K_ab of `_isotropic_stiffness`, (pairs, 3, 3), before symmetrizing.
+
+    P is summed per pair one component at a time, so temporaries stay at
+    e*m^2, into a component-major (3, 3, pairs) array; K is formed from it
+    one component at a time.
+    """
+    lam, mu = _lame(nu)
     n_pairs = len(pattern.pairs)
-    data = np.empty((n_pairs, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            # Passed inline, so that each component is freed before the next is formed.
-            data[:, a, b] = np.bincount(pattern.inverse, weights=entries(a, b).ravel(),
-                                        minlength=n_pairs)
-    return data
+    p = np.empty((3, 3, n_pairs))
+    for i, j in np.ndindex(3, 3):
+        # Passed inline, so that each component is freed before the next is formed.
+        p[i, j] = np.bincount(pattern.inverse, weights=sums(i, j).ravel(), minlength=n_pairs)
+    trace = p[0, 0] + p[1, 1] + p[2, 2]
+    k = np.empty_like(p)
+    for i, j in np.ndindex(3, 3):
+        k[i, j] = lam * p[i, j] + mu * p[j, i]
+    for i in range(3):
+        k[i, i] += mu * trace
+    return k.transpose(2, 0, 1)
 
 
 def _symmetric_csr(pattern: _PairPattern, data: np.ndarray, n_nodes: int) -> sp.csr_matrix:

@@ -46,6 +46,13 @@ class VoxelVolume:
             raise VolumeFormatError(f"dims must be 3 positive integers, got {self.dims}")
         if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
             raise VolumeFormatError(f"spacing must be 3 positive lengths, got {self.spacing_mm}")
+        # Voxel volumes and squared distances across the grid must stay
+        # positive finite floats for assembly and the nearest-node search.
+        sx, sy, sz = spacing
+        diagonal2 = sum(d * s * (d * s) for d, s in zip(dims, spacing))
+        if not (0 < sx * sy * sz < math.inf and diagonal2 < math.inf):
+            raise VolumeFormatError(f"spacing {self.spacing_mm} gives a voxel volume or a squared "
+                                    f"grid diagonal outside the positive finite floats")
         if self.kind != "elastogram_shear_kPa":
             raise VolumeFormatError(f"unknown volume kind {self.kind!r}")
         # float32 matches the raw file format, so round-trips are bit-exact.
@@ -137,8 +144,9 @@ def load_volume(path: str | Path) -> VoxelVolume:
 
     Raises:
         FileNotFoundError: header or raw file missing.
-        VolumeFormatError: malformed header, bad kind, size mismatch, or a
-            non-finite voxel.
+        VolumeFormatError: malformed header, bad kind, size mismatch, a
+            spacing whose voxel volume or squared grid diagonal is not a
+            positive finite float, or a non-finite voxel.
     """
     path = Path(path)
     header_path = path if path.suffix == ".json" else path.with_suffix(".json")

@@ -12,8 +12,8 @@ from elastosim.beam import (
     BeamSpec,
     DeflectionCurve,
     _fea_system,
-    _hex_element_stiffness,
     _hex_grid,
+    _hex_unit_sums,
     _meshfree_system,
     _trilinear_sample,
     axis_samples,
@@ -26,7 +26,7 @@ from elastosim.beam import (
     theory_curve,
     write_beam_convergence_csv,
 )
-from elastosim.meshfree import elasticity_matrix
+from elastosim.meshfree import _isotropic_stiffness, _pair_pattern
 from elastosim.solver import (
     BandedCholesky,
     NonConvergenceError,
@@ -34,6 +34,8 @@ from elastosim.solver import (
     cg_solve,
     displace_landmarks,
 )
+
+from conftest import block_assembly, elasticity_matrix, hex_element_stiffness
 
 # Resolution 1.25 divides the benchmark box 50 x 10 x 10 exactly, so snapped
 # extents equal the nominal ones and hand-derived values apply unchanged.
@@ -131,6 +133,11 @@ class TestBeamSpec:
     def test_rejects_non_finite_field_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"beam {field} must be finite"):
             BeamSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["L", "w", "h_beam", "E", "q_load", "resolution"])
+    def test_int_past_every_float_is_rejected_by_name(self, field):
+        with pytest.raises(ValueError, match=f"beam {field} must be finite"):
+            BeamSpec(**{field: 10**400})
 
     def test_rejects_negative_load(self):
         with pytest.raises(ValueError, match="q_load"):
@@ -315,10 +322,17 @@ class TestHexElement:
     NODES = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
                       [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float)
 
+    @staticmethod
+    def element_stiffness(res, young, nu):
+        """The 24x24 K that the stiffness kernel gives for the one-element table [[0, ..., 7]]."""
+        p = young * _hex_unit_sums(res)
+        return _isotropic_stiffness(_pair_pattern(np.arange(8)[None]), lambda i, j: p[i, j][None],
+                                    nu, 8).toarray()
+
     @pytest.mark.parametrize("nu", [0.0, 0.3])
     def test_patch_linear_field_energy(self, nu):
         res, young = 1.25, 12.0
-        ke = _hex_element_stiffness(res, young, nu)
+        ke = self.element_stiffness(res, young, nu)
         grad = np.random.default_rng(5).standard_normal((3, 3))
         u = (self.NODES * res @ grad.T + [0.3, -0.2, 0.1]).ravel()
         strain = np.array([grad[0, 0], grad[1, 1], grad[2, 2], grad[0, 1] + grad[1, 0],
@@ -328,12 +342,44 @@ class TestHexElement:
 
     @pytest.mark.parametrize("nu", [0.0, 0.3])
     def test_symmetric_with_six_rigid_modes(self, nu):
-        ke = _hex_element_stiffness(1.25, 12.0, nu)
+        ke = self.element_stiffness(1.25, 12.0, nu)
         scale = np.abs(ke).max()
         assert np.abs(ke - ke.T).max() <= 1e-14 * scale
         eig = np.linalg.eigvalsh(ke)
         assert np.sum(np.abs(eig) <= 1e-10 * eig.max()) == 6
         assert eig.min() >= -1e-10 * eig.max()
+
+
+class TestFeaStiffness:
+    @pytest.mark.parametrize("spec", GRID_SPECS[:2], ids=["slender", "benchmark"])
+    def test_matches_the_dense_block_route(self, monkeypatch, spec):
+        # The stiffness kernel against the 24x24 element blocks summed per
+        # node pair, the route it replaced, on the two FEA grids validate-beam runs.
+        seen = []
+
+        def keep_stiffness(K, f, fixed):
+            seen.append((K, f, fixed))
+            return elastosim.solver.reduce_dirichlet(K, f, fixed)
+
+        monkeypatch.setattr(elastosim.beam, "reduce_dirichlet", keep_stiffness)
+        system = _fea_system(spec)
+        ((K, f, fixed),) = seen
+        ids, conn = _hex_grid(spec.cells())
+        blocks = np.broadcast_to(hex_element_stiffness(spec.resolution, spec.E, 0.0),
+                                 (len(conn), 24, 24))
+        ref = block_assembly(conn, blocks, ids.size)
+        scale = abs(ref).max()
+        assert abs(K - ref).max() <= 1e-13 * scale
+        # Identical blocks cancel to an exact zero in one summation order and
+        # to roundoff residues in another: only entries above roundoff keep
+        # their positions.
+        tol = 1e-13 * scale
+        assert ((abs(K) > tol) != (abs(ref) > tol)).nnz == 0
+        assert (K != K.T).nnz == 0
+        # The clamped system keeps the band that the factor's size is checked against.
+        band = [np.abs(A.row - A.col).max() for A in
+                (system.A.tocoo(), elastosim.solver.reduce_dirichlet(ref, f, fixed).A.tocoo())]
+        assert band[0] == band[1]
 
 
 class TestHexGrid:

@@ -85,6 +85,15 @@ class TestExitCodes:
         assert "data error: resolution 0.01 needs a" in capsys.readouterr().err
         assert not (tmp_path / "beam_convergence.csv").exists()
 
+    @pytest.mark.parametrize("value", ["1e-300", "5e-324"])
+    def test_beam_cell_count_past_every_float_is_data_error(self, capsys, tmp_path, value):
+        # 50 mm / 1e-300 mm is 5e301 cells; 50 mm / 5e-324 mm overflows to inf.
+        code = cli_main(["validate-beam", "--resolution", value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, err
+        assert f"data error: resolution {float(value)} spans L=50.0 with" in err
+        assert "Traceback" not in err
+
     def test_negative_beam_seed_names_the_seed(self, capsys, tmp_path):
         code = cli_main(["validate-beam", "--resolution", "2.5", "--nodes", "120",
                          "--seed", "-1", "--out", str(tmp_path)])
@@ -256,6 +265,11 @@ class TestNonFiniteFlags:
         (["synth-cohort", "--dims", "2,2,2"],
          "case_000: the ellipsoid mask selects no voxel of dims (2, 2, 2)"),
         (["cohort-run", "--synth-n", "1", "--voxel-mm", "0"], "voxel_ref_mm must be > 0, got 0.0"),
+        # Squared distances across the grid overflow; the voxel volume underflows to 0.
+        (["cohort-run", "--synth-n", "1", "--dims", "16,13,8", "--nodes", "40",
+          "--voxel-mm", "1e200"], "spacing (1e+200, 1e+200, 1e+200) gives a voxel volume"),
+        (["cohort-run", "--synth-n", "1", "--dims", "16,13,8", "--nodes", "40",
+          "--voxel-mm", "1e-300"], "spacing (1e-300, 1e-300, 1e-300) gives a voxel volume"),
     ])
     def test_degenerate_synthetic_grid_is_data_error(self, capsys, tmp_path, args, message):
         code = cli_main([*args, "--out", str(tmp_path)])

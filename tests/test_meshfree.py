@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from elastosim import meshfree
-from elastosim.beam import BeamSpec, _hex_element_stiffness, _hex_grid, build_beam_phantom
+from elastosim.beam import BeamSpec, _hex_grid, _hex_unit_sums, build_beam_phantom
 from elastosim.experiment import (
     RetractionConfig,
     SyntheticCohortSpec,
@@ -30,12 +30,12 @@ from elastosim.meshfree import (
     MaterialField,
     ShapeMap,
     SystemMatrices,
-    _strain_displacement,
-    assemble_blocks,
+    _isotropic_stiffness,
+    _lame,
+    _pair_pattern,
     assemble_mass,
     assemble_stiffness,
     build_model,
-    elasticity_matrix,
     load_model,
     sample_dofs,
     save_model,
@@ -43,6 +43,8 @@ from elastosim.meshfree import (
     shepard_weights,
 )
 from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume
+
+from conftest import block_assembly, elasticity_matrix, hex_element_stiffness, strain_displacement
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import _model_arrays, model_digest  # noqa: E402
@@ -796,7 +798,7 @@ def dense_scatter(nodes, blocks, n_nodes):
 
 
 def coo_assembly(nodes, blocks, n_nodes):
-    """Reference: the per-entry COO assembly that the node-pair block sum replaced."""
+    """Reference: the per-entry COO assembly that the node-pair sum replaced."""
     gdofs = element_dofs(nodes)
     w = gdofs.shape[1]
     rows = np.repeat(gdofs, w, axis=1).ravel()
@@ -817,7 +819,25 @@ def assert_same_pattern(K, ref):
     assert np.array_equal(K.indices, ref.indices)
 
 
+def kernel_stiffness(nodes, sums, nu, n_nodes):
+    """`_isotropic_stiffness` of per-entry sums given as one (3, 3, e, m, m) array."""
+    return _isotropic_stiffness(_pair_pattern(nodes), lambda i, j: sums[i, j], nu, n_nodes)
+
+
+def closed_form_blocks(sums, nu):
+    """Reference: each entry's block lam S + mu S^T + mu tr(S) I, as (e, 3m, 3m)."""
+    d = elasticity_matrix(1.0, nu)
+    lam, mu = d[0, 1], d[3, 3]
+    k = lam * sums + mu * sums.transpose(1, 0, 2, 3, 4)
+    for i in range(3):
+        k[i, i] += mu * np.trace(sums)
+    e, m = sums.shape[2:4]
+    return k.transpose(2, 3, 0, 4, 1).reshape(e, 3 * m, 3 * m)  # (e, a, i, b, j)
+
+
 class TestAssembleBlocks:
+    # `_isotropic_stiffness`, the one kernel of both stiffness matrices,
+    # against dense element blocks B^T D B built with the 6x6 D.
     def test_meshfree_stiffness_matches_references(self):
         field = ellipsoid_field(dims=(8, 7, 6))
         model = build_model(field, n_nodes=25, k=6, seed=1)
@@ -825,7 +845,7 @@ class TestAssembleBlocks:
         d = elasticity_matrix(1.0, field.nu)
         blocks = np.array([
             b.T @ d @ b * e * field.voxel_volume_mm3
-            for b, e in zip(_strain_displacement(shape.corrected_gradients), young)
+            for b, e in zip(strain_displacement(shape.corrected_gradients), young)
         ])
         K = model.matrices.K
         assert_matches_dense(K, shape.indices, blocks, 25)
@@ -836,8 +856,10 @@ class TestAssembleBlocks:
         ids, conn = _hex_grid((4, 3, 2))
         n_nodes = ids.size
         assert n_nodes == 5 * 4 * 3
-        blocks = np.broadcast_to(_hex_element_stiffness(0.8, 12.0, nu), (len(conn), 24, 24))
-        K = assemble_blocks(conn, blocks, n_nodes)
+        p = 12.0 * _hex_unit_sums(0.8)
+        K = _isotropic_stiffness(_pair_pattern(conn),
+                                 lambda i, j: np.broadcast_to(p[i, j], (len(conn), 8, 8)), nu, n_nodes)
+        blocks = np.broadcast_to(hex_element_stiffness(0.8, 12.0, nu), (len(conn), 24, 24))
         assert_matches_dense(K, conn, blocks, n_nodes)
         # Identical element blocks cancel exactly to zero in some summation
         # orders and to roundoff residues in others, so only the entries above
@@ -848,43 +870,46 @@ class TestAssembleBlocks:
 
     @settings(max_examples=60, deadline=None)
     @given(e=st.integers(1, 6), m=st.integers(1, 4), spare=st.integers(0, 4),
+           q=st.sampled_from([1, 2, 8]), nu=st.sampled_from([0.0, 0.3]),
            seed=st.integers(0, 2**32 - 1))
-    def test_random_node_tables_match_references(self, e, m, spare, seed):
+    def test_random_node_tables_match_references(self, e, m, spare, q, nu, seed):
         n_nodes = m + spare
         rng = np.random.default_rng(seed)
         nodes = rng.integers(0, n_nodes, size=(e, m))  # repeats within an element too
-        a = rng.standard_normal((e, 3 * m, 3 * m))
-        blocks = a + a.transpose(0, 2, 1)
-        K = assemble_blocks(nodes, blocks, n_nodes)
+        grads = rng.standard_normal((e, q, m, 3))  # q points per element
+        w = rng.uniform(0.1, 10.0, size=(e, q))
+        K = kernel_stiffness(nodes, np.einsum("ep,epai,epbj->ijeab", w, grads, grads), nu, n_nodes)
+        b = strain_displacement(grads.reshape(e * q, m, 3)).reshape(e, q, 6, 3 * m)
+        blocks = np.einsum("ep,epia,ij,epjb->eab", w, b, elasticity_matrix(1.0, nu), b)
         assert K.shape == (3 * n_nodes, 3 * n_nodes)
         assert_matches_dense(K, nodes, blocks, n_nodes)
         assert_same_pattern(K, coo_assembly(nodes, blocks, n_nodes))
 
-
     @settings(max_examples=60, deadline=None)
     @given(e=st.integers(1, 6), m=st.integers(1, 4), spare=st.integers(0, 4),
-           seed=st.integers(0, 2**32 - 1))
-    def test_non_symmetric_blocks_average_with_their_mirror(self, e, m, spare, seed):
+           nu=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+    def test_non_symmetric_blocks_average_with_their_mirror(self, e, m, spare, nu, seed):
         n_nodes = m + spare
         rng = np.random.default_rng(seed)
         nodes = rng.integers(0, n_nodes, size=(e, m))
-        blocks = rng.standard_normal((e, 3 * m, 3 * m))
-        K = assemble_blocks(nodes, blocks, n_nodes)
+        sums = rng.standard_normal((3, 3, e, m, m))  # (j, i, b, a) need not mirror (i, j, a, b)
+        K = kernel_stiffness(nodes, sums, nu, n_nodes)
+        blocks = closed_form_blocks(sums, nu)
         assert_matches_dense(K, nodes, blocks, n_nodes)  # 0.5 (D + D^T) of the dense scatter
         assert (K != K.T).nnz == 0
         assert_same_pattern(K, coo_assembly(nodes, blocks, n_nodes))
 
 
 def block_reference_stiffness(shape, field, n_nodes):
-    """Reference: every voxel's dense B^T D B block through `assemble_blocks`.
+    """Reference: every voxel's dense B^T D B block, summed per node pair.
 
     This is the route that the closed-form per-pair sum of
     `assemble_stiffness` replaced.
     """
-    b = _strain_displacement(shape.corrected_gradients)
+    b = strain_displacement(shape.corrected_gradients)
     ke = np.einsum("via,ij,vjb->vab", b, elasticity_matrix(1.0, field.nu), b, optimize=True)
     ke *= (field.masked_young() * field.voxel_volume_mm3)[:, None, None]
-    return assemble_blocks(shape.indices, ke, n_nodes)
+    return block_assembly(shape.indices, ke, n_nodes)
 
 
 @pytest.fixture(scope="module")
@@ -1232,11 +1257,18 @@ class TestArchiveRebuild:
 
 
 class TestElasticityMatrix:
+    # The isotropic law enters K only through `_lame`.
     def test_unit_young_structure(self):
-        d = elasticity_matrix(1.0, 0.0)
-        # nu = 0: D = E * diag(1,1,1,.5,.5,.5) in engineering shear, E in N/mm^2.
-        assert np.allclose(np.diag(d), [1e-3, 1e-3, 1e-3, 5e-4, 5e-4, 5e-4])
-        assert d[0, 1] == 0.0
+        # nu = 0: lam = 0 and mu = E / 2, E = 1 kPa = 1e-3 N/mm^2.
+        assert _lame(0.0) == (0.0, 5e-4)
+        for nu in (0.0, 0.3, 0.45):
+            d = elasticity_matrix(1.0, nu)
+            assert _lame(nu) == (d[0, 1], d[3, 3])  # bit for bit
+            assert d[0, 0] == pytest.approx(d[0, 1] + 2.0 * d[3, 3], rel=1e-15)
 
     def test_linear_in_young(self):
-        assert np.allclose(elasticity_matrix(4.0, 0.3), 4.0 * elasticity_matrix(1.0, 0.3))
+        # Scaling E by 4 scales every product and sum exactly.
+        field = ellipsoid_field(dims=(8, 7, 6))
+        model = build_model(field, n_nodes=25, k=6, seed=1)
+        K4 = assemble_stiffness(model.shape, field.with_young(4.0 * field.volume.data), 25)
+        assert np.array_equal(K4.data, 4.0 * model.matrices.K.data)

@@ -78,6 +78,24 @@ class TestVoxelVolume:
         with pytest.raises(VolumeFormatError, match="kind"):
             make_volume(kind="ct_hounsfield")
 
+    @pytest.mark.parametrize("dims, spacing", [
+        pytest.param((4, 4, 2), (1e-300, 1e-300, 1e-300), id="voxel-volume-underflows"),
+        pytest.param((4, 4, 2), (1e-300, 1.0, 1e-100), id="mixed-voxel-volume-underflows"),
+        pytest.param((4, 4, 2), (1e103, 1e103, 1e103), id="voxel-volume-overflows"),
+        pytest.param((16, 13, 8), (1e200, 1e-200, 1.0), id="grid-diagonal-squared-overflows"),
+    ])
+    def test_rejects_spacing_outside_the_float_range_by_name(self, dims, spacing):
+        with pytest.raises(VolumeFormatError, match=r"spacing \(.*\) gives a voxel volume"):
+            make_volume(dims=dims, spacing=spacing)
+
+    def test_load_rejects_a_header_spacing_whose_volume_underflows(self, tmp_path):
+        header = write_volume(make_volume(), tmp_path / "vol.json")
+        meta = json.loads(header.read_text())
+        meta["spacing_mm"] = [1e-300, 1e-300, 1e-300]
+        header.write_text(json.dumps(meta))
+        with pytest.raises(VolumeFormatError, match="spacing"):
+            load_volume(header)
+
     def test_voxel_centers_order_x_fastest(self):
         vol = make_volume(dims=(2, 2, 1), spacing=(2.0, 3.0, 10.0))
         expected = np.array(
