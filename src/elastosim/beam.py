@@ -23,8 +23,7 @@ FEA element is the same cube, so its 2x2x2 Gauss sum is formed once
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ from elastosim.solver import (
     displace_landmarks,
     reduce_dirichlet,
 )
-from elastosim.volume import RoiMask, VoxelVolume, _write_csv
+from elastosim.volume import RoiMask, VoxelVolume, _finite, _write_csv
 
 _NU = 0.0  # Poisson ratio of both discretizations; bending theory has no Poisson term
 _STATIC_CG_TOL = 1e-8  # true relative residual of both beam models' static solves
@@ -74,14 +73,9 @@ class BeamSpec:
     resolution: float = 1.64
 
     def __post_init__(self):
-        for f in fields(self):
-            if not abs(getattr(self, f.name)) <= sys.float_info.max:  # NaN, inf or a huge int
-                raise ValueError(f"beam {f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("L", "w", "h_beam", "E", "resolution"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"beam {name} must be > 0, got {getattr(self, name)}")
-        if self.q_load < 0:
-            raise ValueError(f"beam q_load must be >= 0, got {self.q_load}")
+            _finite(getattr(self, name), f"beam {name}", above=0)
+        _finite(self.q_load, "beam q_load", at_least=0)
         if self.L <= self.h_beam:
             raise ValueError(
                 f"beam must be slender (L > h), got L={self.L} h={self.h_beam}"
@@ -157,10 +151,10 @@ def second_moment_rect(w: float, h_beam: float) -> float:
     """Second moment of a rectangular section about its bending axis: w*h^3/12.
 
     Raises:
-        ValueError: non-positive dimensions.
+        ValueError: a dimension that is not finite and > 0.
     """
-    if w <= 0 or h_beam <= 0:
-        raise ValueError(f"section dimensions must be > 0, got w={w} h={h_beam}")
+    _finite(w, "w", above=0)
+    _finite(h_beam, "h_beam", above=0)
     return w * h_beam**3 / 12.0
 
 

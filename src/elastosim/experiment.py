@@ -14,8 +14,6 @@ statistics demonstrate the machinery rather than reproduce clinical rates.
 
 from __future__ import annotations
 
-import csv
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -33,7 +31,10 @@ from elastosim.solver import (
 from elastosim.volume import (
     CohortRecord,
     RoiMask,
+    VolumeFormatError,
     VoxelVolume,
+    _finite,
+    _read_csv,
     _write_csv,
     mean_shear_modulus,
     shear_to_young,
@@ -84,33 +85,28 @@ class RetractionConfig:
         """Reject a knob no run can use, naming its field.
 
         Raises:
-            ValueError: a non-finite number, or a number past the largest
-                float in a float field; h, v_tol, cg_tol, diameter,
-                voxel_ref_mm, atlas_e_kpa or a set liver_mass_kg not > 0;
-                cg_tol >= 1; significance_mm, alpha, beta or seed < 0; k,
-                cg_max or max_steps < 1.
+            ValueError: a value that is not a number, a non-finite number, or
+                a number past the largest float in a float field; h, v_tol,
+                cg_tol, diameter, voxel_ref_mm, atlas_e_kpa or a set
+                liver_mass_kg not > 0; cg_tol >= 1; significance_mm, alpha,
+                beta or seed < 0; k, cg_max or max_steps < 1.
         """
+        positive = ("h", "v_tol", "cg_tol", "diameter", "voxel_ref_mm", "atlas_e_kpa",
+                    "liver_mass_kg")
         for f in fields(self):
             value = getattr(self, f.name)
             # An int field may hold an int of any size.  A float field reaches
             # float arithmetic, so even a Python int there must fit a float.
             if value is None or (f.type == "int" and isinstance(value, int)):
                 continue
-            if not all(abs(x) <= sys.float_info.max for x in np.ravel(value)):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in ("h", "v_tol", "cg_tol", "diameter", "voxel_ref_mm", "atlas_e_kpa",
-                     "liver_mass_kg"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+            for x in np.ravel(value):
+                _finite(x, f.name, above=0 if f.name in positive else None,
+                        at_least=0 if f.name in ("significance_mm", "alpha", "beta") else None)
         if self.cg_tol >= 1:  # CG starts at relative residual 1, so it would solve nothing
             raise ValueError(f"cg_tol must be < 1, got {self.cg_tol}")
-        for name in ("significance_mm", "alpha", "beta", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("k", "cg_max", "max_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("seed", 0), ("k", 1), ("cg_max", 1), ("max_steps", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def measured_model(self, case: CohortCase) -> MeshFreeModel:
         """The case's measured-stiffness model."""
@@ -158,8 +154,7 @@ class RetractorSpec:
                 a finite 3-vector; a Python int past the largest float counts
                 as not finite.
         """
-        if not 0.0 < self.diameter <= sys.float_info.max:  # a Python int may exceed every float
-            raise ValueError(f"retractor diameter must be finite and > 0, got {self.diameter}")
+        _finite(self.diameter, "retractor diameter", above=0)
         center = _finite_3_vector(self.center, "retractor center")
         object.__setattr__(self, "center", tuple(center.tolist()))
 
@@ -206,16 +201,11 @@ class ComparisonReport:
             ValueError: threshold_mm, a landmark difference or a displacement
                 difference that is not finite and >= 0.
         """
-        if not 0.0 <= self.threshold_mm < np.inf:
-            raise ValueError(f"threshold_mm must be finite and >= 0, got {self.threshold_mm}")
-        marks = tuple((str(label), float(d)) for label, d in self.per_landmark)
-        for label, d in marks:
-            if not 0.0 <= d < np.inf:
-                raise ValueError(
-                    f"landmark difference of {label!r} must be finite and >= 0, got {d}")
-        for name in ("mean_volume_diff", "at_tool_diff"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("threshold_mm", "mean_volume_diff", "at_tool_diff"):
+            _finite(getattr(self, name), name, at_least=0)
+        marks = tuple((str(label), float(_finite(d, f"landmark difference of {str(label)!r}",
+                                                 at_least=0)))
+                      for label, d in self.per_landmark)
         object.__setattr__(self, "per_landmark", marks)
 
     @property
@@ -248,13 +238,8 @@ class SyntheticCohortSpec:
             raise ValueError(f"cohort size must be >= 0, got {self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("median_kpa", "log_sd"):
-            if not abs(getattr(self, name)) <= sys.float_info.max:  # NaN, inf or a huge int
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.median_kpa <= 0:
-            raise ValueError(f"median stiffness must be > 0, got {self.median_kpa}")
-        if self.log_sd < 0:
-            raise ValueError(f"log-sd must be >= 0, got {self.log_sd}")
+        _finite(self.median_kpa, "median_kpa", above=0)
+        _finite(self.log_sd, "log_sd", at_least=0)
         if not 0.0 <= self.heterogeneity < 1.0:
             raise ValueError(
                 f"heterogeneity must lie in [0, 1), got {self.heterogeneity}"
@@ -356,8 +341,7 @@ def synth_cohort(
         ValueError: voxel_mm not finite and > 0, or a case's ellipsoid
             selects no voxel of the grid.
     """
-    if not 0.0 < voxel_mm < np.inf:
-        raise ValueError(f"voxel_mm must be finite and > 0, got {voxel_mm}")
+    _finite(voxel_mm, "voxel_mm", above=0)
     master = np.random.default_rng(spec.seed)
     # One child stream per case so records and masks do not depend on the
     # heterogeneity setting (patterns draw extra numbers only when enabled).
@@ -395,8 +379,7 @@ def stiff_inclusion_case(contrast: float) -> CohortCase:
     exactly the region the tool displaces.  contrast = 1 reproduces the
     constant atlas volume.
     """
-    if contrast <= 0:
-        raise ValueError(f"inclusion contrast must be > 0, got {contrast}")
+    _finite(contrast, "inclusion contrast", above=0)
     dims, voxel_mm = SYNTH_DIMS, RetractionConfig.voxel_ref_mm
     g_atlas = RetractionConfig.atlas_e_kpa / shear_to_young(1.0, RetractionConfig.conversion_nu)
     extent = np.array(dims, dtype=float) * voxel_mm
@@ -630,24 +613,28 @@ def write_comparison_csv(reports, path: str | Path) -> Path:
 
 
 def load_comparison_csv(path: str | Path) -> list[dict]:
-    """Read rows written by write_comparison_csv back into dicts."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"comparison CSV not found: {path}")
+    """Read rows written by write_comparison_csv back into dicts.
+
+    Raises:
+        FileNotFoundError: CSV missing.
+        VolumeFormatError: a bad header, or a row that is not four fields
+            with finite, non-negative differences and a true or false flag;
+            the message names the file and the line.
+    """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["case", "mean_volume_diff_mm", "at_tool_diff_mm", "significant"]:
-            raise ValueError(f"unexpected comparison CSV header in {path}")
-        for row in reader:
-            if None in row or None in row.values() or row["significant"] not in ("true", "false"):
-                raise ValueError(f"malformed comparison CSV row in {path}: {row}")
-            rows.append(
-                {
-                    "case": row["case"],
-                    "mean_volume_diff_mm": float(row["mean_volume_diff_mm"]),
-                    "at_tool_diff_mm": float(row["at_tool_diff_mm"]),
-                    "significant": row["significant"] == "true",
-                }
-            )
+    for line, row in _read_csv(path, ["case", "mean_volume_diff_mm", "at_tool_diff_mm",
+                                      "significant"]):
+        case, mean_volume, at_tool, significant = row
+        try:
+            if significant not in ("true", "false"):
+                raise ValueError(f"significant must be true or false, got {significant!r}")
+            rows.append({
+                "case": case,
+                "mean_volume_diff_mm": _finite(float(mean_volume), "mean_volume_diff_mm",
+                                               at_least=0),
+                "at_tool_diff_mm": _finite(float(at_tool), "at_tool_diff_mm", at_least=0),
+                "significant": significant == "true",
+            })
+        except ValueError as exc:
+            raise VolumeFormatError(f"{path}, line {line}, row {row}: {exc}") from exc
     return rows

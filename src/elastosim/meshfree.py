@@ -27,7 +27,6 @@ import json
 import math
 import operator
 import struct
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -38,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume
+from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume, _finite
 
 KPA_TO_N_PER_MM2 = 1e-3
 KG_PER_M3_TO_T_PER_MM3 = 1e-12
@@ -90,8 +89,7 @@ class MaterialField:
             )
         if not 0.0 <= self.nu < 0.5:
             raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
-        if not 0 < self.density <= sys.float_info.max:  # a Python int may exceed every float
-            raise ValueError(f"density must be finite and > 0, got {self.density}")
+        _finite(self.density, "density", above=0)
         if self.mask.n_selected == 0:
             raise ValueError("mask selects no voxels")
         masked_E = self.volume.data[self.mask.flags]
@@ -208,9 +206,8 @@ class SystemMatrices:
     beta: float
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 0 <= value <= sys.float_info.max:  # a Python int may exceed every float
-                raise ValueError(f"damping {name} must be finite and >= 0, got {value}")
+        _finite(self.alpha, "damping alpha", at_least=0)
+        _finite(self.beta, "damping beta", at_least=0)
 
     @property
     def C(self) -> sp.csr_matrix:
@@ -503,9 +500,9 @@ def correct_gradients(gradients: np.ndarray, node_positions: np.ndarray) -> np.n
     centered = node_positions - node_positions.mean(axis=1, keepdims=True)
     moment = np.einsum("mka,mkb->mab", centered, centered)
     residual = np.eye(3) - np.einsum("mka,mkb->mab", gradients, node_positions)
-    det = np.linalg.det(moment)
-    scale = np.einsum("maa->m", moment) / 3.0
-    ok = det > scale**3 * 1e-9
+    scale = np.einsum("maa->m", moment) / 3.0  # mean eigenvalue; 0 if the support is one point
+    with np.errstate(invalid="ignore"):  # 0/0 gives a NaN determinant, which fails the test
+        ok = np.linalg.det(moment / scale[:, None, None]) > 1e-9  # unit-free: no overflow
     corrected = gradients.copy()
     if ok.any():
         shift = np.linalg.solve(moment[ok], residual[ok].transpose(0, 2, 1))
@@ -805,9 +802,6 @@ def load_model(path: str | Path) -> MeshFreeModel:
         for name in ("shape_indices", "K_indices", "K_indptr"):
             if arrays[name].dtype.kind not in "iu":
                 raise VolumeFormatError(f"array {name!r} must hold integers, not {arrays[name].dtype}")
-        for name in ("density", "alpha", "beta"):
-            if type(header[name]) not in (int, float):
-                raise VolumeFormatError(f"{name} must be a number, got {header[name]!r}")
         volume = VoxelVolume(dims=tuple(header["dims"]), spacing_mm=tuple(header["spacing_mm"]),
                              kind=header["kind"], data=arrays["volume_data"])
         mask = RoiMask(dims=volume.dims, flags=arrays["mask_flags"])

@@ -37,7 +37,6 @@ the consistent mm / tonne / second quantities built during assembly.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +46,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from elastosim.meshfree import MeshFreeModel, shepard_weights
-from elastosim.volume import _write_csv
+from elastosim.volume import _finite, _write_csv
 
 
 class NonConvergenceError(RuntimeError):
@@ -130,12 +129,9 @@ class LoadCase:
             (int(i), _finite_3_vector(f, f"point force on node {int(i)}"))
             for i, f in self.point_loads
         )
-        for i, k, _ in self.support_springs:
-            if not 0 <= k <= sys.float_info.max:  # a Python int may exceed every float
-                raise ValueError(
-                    f"spring stiffness must be finite and >= 0, got {k} on node {int(i)}")
         springs = tuple(
-            (int(i), float(k), _finite_3_vector(a, f"spring anchor of node {int(i)}"))
+            (int(i), float(_finite(k, f"spring stiffness of node {int(i)}", at_least=0)),
+             _finite_3_vector(a, f"spring anchor of node {int(i)}"))
             for i, k, a in self.support_springs
         )
         object.__setattr__(self, "gravity", tuple(gravity.tolist()))
@@ -295,12 +291,11 @@ def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
     """Assemble and factor the implicit-Euler matrix shared by every step of a settle.
 
     Raises:
-        ValueError: h <= 0, out-of-range load indices, or a system matrix
+        ValueError: h not finite and > 0, out-of-range load indices, or a system matrix
             that overflows to a non-finite entry.
         IndefiniteSystemError: the system matrix is singular or not positive definite.
     """
-    if h <= 0:
-        raise ValueError(f"step size must be > 0, got {h}")
+    _finite(h, "step size", above=0)
     f = external_force(model, loads)
     spring_diag, _ = _spring_terms(model, loads)
     mats = model.matrices

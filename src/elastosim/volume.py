@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,25 @@ MAX_HISTOGRAM_BINS = 10_000  # a finer bin width is an input error, not a larger
 
 class VolumeFormatError(ValueError):
     """Raised when a volume or cohort file violates the on-disk format."""
+
+
+def _finite(value, what: str, *, above=None, at_least=None):
+    """`value`, unchanged, if it is a finite int or float within the optional bound.
+
+    Numpy scalars pass; bools, other types and Python ints past the largest
+    float, which no float arithmetic can hold, do not.
+
+    Raises:
+        ValueError: `value` is not such a number; the message names `what`.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not (-sys.float_info.max <= value <= sys.float_info.max  # NaN fails both
+            and (above is None or value > above) and (at_least is None or value >= at_least)):
+        bound = (f" and > {above}" if above is not None
+                 else f" and >= {at_least}" if at_least is not None else "")
+        raise ValueError(f"{what} must be finite{bound}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -41,18 +61,20 @@ class VoxelVolume:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
-        spacing = tuple(float(s) for s in self.spacing_mm)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise VolumeFormatError(f"dims must be 3 positive integers, got {self.dims}")
-        if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
-            raise VolumeFormatError(f"spacing must be 3 positive lengths, got {self.spacing_mm}")
-        # Voxel volumes and squared distances across the grid must stay
-        # positive finite floats for assembly and the nearest-node search.
-        sx, sy, sz = spacing
-        diagonal2 = sum(d * s * (d * s) for d, s in zip(dims, spacing))
-        if not (0 < sx * sy * sz < math.inf and diagonal2 < math.inf):
-            raise VolumeFormatError(f"spacing {self.spacing_mm} gives a voxel volume or a squared "
-                                    f"grid diagonal outside the positive finite floats")
+        try:
+            spacing = tuple(float(_finite(s, "spacing_mm", above=0)) for s in self.spacing_mm)
+            if len(spacing) != 3:
+                raise ValueError(f"spacing_mm must hold 3 lengths, got {self.spacing_mm}")
+            # Voxel volumes and squared distances across the grid must stay
+            # positive finite floats for assembly and the nearest-node search.
+            sx, sy, sz = spacing
+            _finite(sx * sy * sz, f"spacing {spacing} gives a voxel volume, which", above=0)
+            _finite(sum(d * s * (d * s) for d, s in zip(dims, spacing)),
+                    f"spacing {spacing} gives a squared grid diagonal, which")
+        except ValueError as exc:
+            raise VolumeFormatError(str(exc)) from None
         if self.kind != "elastogram_shear_kPa":
             raise VolumeFormatError(f"unknown volume kind {self.kind!r}")
         # float32 matches the raw file format, so round-trips are bit-exact.
@@ -127,10 +149,8 @@ class CohortRecord:
     young_E: float
 
     def __post_init__(self):
-        for name, value in (("mean shear modulus", self.mean_shear_G),
-                            ("Young's modulus", self.young_E)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        _finite(self.mean_shear_G, "mean shear modulus", at_least=0)
+        _finite(self.young_E, "Young's modulus", at_least=0)
 
 
 def load_volume(path: str | Path) -> VoxelVolume:
@@ -145,8 +165,9 @@ def load_volume(path: str | Path) -> VoxelVolume:
     Raises:
         FileNotFoundError: header or raw file missing.
         VolumeFormatError: malformed header, bad kind, size mismatch, a
-            spacing whose voxel volume or squared grid diagonal is not a
-            positive finite float, or a non-finite voxel.
+            spacing entry that is not a finite number > 0, a spacing whose
+            voxel volume or squared grid diagonal is not a positive finite
+            float, or a non-finite voxel.
     """
     path = Path(path)
     header_path = path if path.suffix == ".json" else path.with_suffix(".json")
@@ -168,7 +189,6 @@ def load_volume(path: str | Path) -> VoxelVolume:
         if not isinstance(header["dims"], list) or not isinstance(header["spacing_mm"], list):
             raise TypeError("dims and spacing_mm must be lists")
         dims = tuple(operator.index(d) for d in header["dims"])
-        spacing = tuple(float(s) for s in header["spacing_mm"])
     except (TypeError, ValueError) as exc:
         raise VolumeFormatError(f"malformed volume header {header_path}: {exc}") from exc
     expected = math.prod(dims) if len(dims) == 3 else -1
@@ -180,7 +200,7 @@ def load_volume(path: str | Path) -> VoxelVolume:
         )
     return VoxelVolume(
         dims=dims,
-        spacing_mm=spacing,
+        spacing_mm=header["spacing_mm"],
         kind=header["kind"],
         data=np.fromfile(raw_path, dtype="<f4"),
     )
@@ -220,10 +240,9 @@ def shear_to_young(G: float, nu: float = 0.5) -> float:
     """Isotropic conversion E = 2*G*(1 + nu); nu defaults to 0.5 (incompressible).
 
     Raises:
-        ValueError: G negative or nu outside [0, 0.5].
+        ValueError: G not finite and >= 0, or nu outside [0, 0.5].
     """
-    if G < 0:
-        raise ValueError(f"shear modulus must be >= 0, got {G}")
+    _finite(G, "shear modulus", at_least=0)
     if not 0.0 <= nu <= 0.5:
         raise ValueError(f"Poisson ratio must lie in [0, 0.5], got {nu}")
     return 2.0 * G * (1.0 + nu)
@@ -244,8 +263,7 @@ def stiffness_histogram(
     """
     if not records:
         raise ValueError("cohort is empty")
-    if not 0.0 < bin_width < math.inf:
-        raise ValueError(f"bin width must be finite and > 0, got {bin_width}")
+    _finite(bin_width, "bin width", above=0)
     values = np.array([r.young_E for r in records], dtype=float)
     top = np.floor(float(values.max()) / bin_width)  # a float division overflows to inf quietly
     if top >= MAX_HISTOGRAM_BINS:
@@ -266,8 +284,7 @@ def cohort_stats(records: list[CohortRecord], atlas_E: float = 2.1) -> tuple[flo
     """
     if not records:
         raise ValueError("cohort is empty")
-    if not 0.0 < atlas_E < math.inf:
-        raise ValueError(f"atlas stiffness must be finite and > 0, got {atlas_E}")
+    _finite(atlas_E, "atlas stiffness", above=0)
     n = len(records)
     over_plus1 = sum(1 for r in records if r.young_E > atlas_E + 1.0)
     over_double = sum(1 for r in records if r.young_E > 2.0 * atlas_E)
@@ -292,6 +309,26 @@ def _write_csv(path: str | Path, header: list[str], rows) -> Path:
     return path
 
 
+def _read_csv(path: str | Path, header: list[str]):
+    """Yield (line number, row) for each row of a CSV file written under `header`.
+
+    Raises:
+        FileNotFoundError: the file is missing.
+        VolumeFormatError: a header other than `header`, or a row of another
+            width; the message names the file, and the line of a bad row.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise VolumeFormatError(f"{path}: expected the CSV header {header}, got {found}")
+        for row in reader:
+            if len(row) != len(header):
+                raise VolumeFormatError(f"{path}, line {reader.line_num}: row {row} "
+                                        f"does not have {len(header)} fields")
+            yield reader.line_num, row
+
+
 def write_cohort_csv(records: list[CohortRecord], path: str | Path) -> Path:
     """Write a cohort as CSV `id,G_kPa,E_kPa` with a header row."""
     return _write_csv(path, ["id", "G_kPa", "E_kPa"],
@@ -306,21 +343,11 @@ def load_cohort_csv(path: str | Path) -> list[CohortRecord]:
         VolumeFormatError: a bad header, or a row that is not three fields
             with finite, non-negative moduli; the message names the row.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"cohort CSV not found: {path}")
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "G_kPa", "E_kPa"]:
-            raise VolumeFormatError(f"unexpected cohort CSV header: {header}")
-        for row in reader:
-            if len(row) != 3:
-                raise VolumeFormatError(f"malformed cohort CSV row: {row}")
-            try:
-                g, e = float(row[1]), float(row[2])
-                records.append(CohortRecord(id=row[0], mean_shear_G=g, young_E=e))
-            except ValueError as exc:
-                raise VolumeFormatError(f"{path}, line {reader.line_num}, row {row}: {exc}") from exc
+    for line, row in _read_csv(path, ["id", "G_kPa", "E_kPa"]):
+        try:
+            records.append(CohortRecord(id=row[0], mean_shear_G=float(row[1]),
+                                        young_E=float(row[2])))
+        except ValueError as exc:
+            raise VolumeFormatError(f"{path}, line {line}, row {row}: {exc}") from exc
     return records

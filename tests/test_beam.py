@@ -109,11 +109,18 @@ class TestSecondMoment:
         assert second_moment_rect(12.0, 1.0) == pytest.approx(1.0)
 
     def test_rejects_zero_height(self):
-        with pytest.raises(ValueError, match="must be > 0"):
+        with pytest.raises(ValueError, match="h_beam must be finite and > 0"):
             second_moment_rect(10.0, 0.0)
 
+    @pytest.mark.parametrize("w, h_beam, named", [
+        (float("nan"), 1.0, "w"), (1.0, float("inf"), "h_beam"), (10**400, 1.0, "w"),
+    ])
+    def test_rejects_non_finite_dimension_by_name(self, w, h_beam, named):
+        with pytest.raises(ValueError, match=f"^{named} must be finite and > 0"):
+            second_moment_rect(w, h_beam)
+
     def test_rejects_negative_width(self):
-        with pytest.raises(ValueError, match="must be > 0"):
+        with pytest.raises(ValueError, match="w must be finite and > 0"):
             second_moment_rect(-1.0, 2.0)
 
     @given(w=st.floats(0.1, 100.0), h=st.floats(0.1, 100.0))
@@ -123,9 +130,9 @@ class TestSecondMoment:
 
 class TestBeamSpec:
     def test_rejects_nonpositive_dimensions(self):
-        with pytest.raises(ValueError, match="must be > 0"):
+        with pytest.raises(ValueError, match="beam L must be finite and > 0"):
             BeamSpec(L=0.0)
-        with pytest.raises(ValueError, match="must be > 0"):
+        with pytest.raises(ValueError, match="beam E must be finite and > 0"):
             BeamSpec(E=-1.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

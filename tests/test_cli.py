@@ -138,6 +138,22 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    def test_header_spacing_past_every_float_is_data_error(self, capsys, tmp_path):
+        # JSON reads a 400-digit integer as a Python int, which no float can hold.
+        cohort = tmp_path / "cohort"
+        assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
+        header_path = cohort / "case_000.json"
+        header = json.loads(header_path.read_text())
+        header["spacing_mm"][1] = 10**400
+        header_path.write_text(json.dumps(header))
+        capsys.readouterr()
+        for argv in (["cohort-stats", "--volumes", str(cohort), "--out", str(tmp_path / "stats")],
+                     ["build-model", "--volume", str(header_path),
+                      "--out", str(tmp_path / "model.esm")]):
+            assert cli_main(argv) == EXIT_DATA
+            assert "spacing_mm must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "stats").exists() and not (tmp_path / "model.esm").exists()
+
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "elastosim"], capture_output=True)
         assert proc.returncode == EXIT_USAGE
@@ -264,7 +280,7 @@ class TestNonFiniteFlags:
         (["synth-cohort", "--voxel-mm", "0"], "voxel_mm must be finite and > 0, got 0.0"),
         (["synth-cohort", "--dims", "2,2,2"],
          "case_000: the ellipsoid mask selects no voxel of dims (2, 2, 2)"),
-        (["cohort-run", "--synth-n", "1", "--voxel-mm", "0"], "voxel_ref_mm must be > 0, got 0.0"),
+        (["cohort-run", "--synth-n", "1", "--voxel-mm", "0"], "voxel_ref_mm must be finite and > 0, got 0.0"),
         # Squared distances across the grid overflow; the voxel volume underflows to 0.
         (["cohort-run", "--synth-n", "1", "--dims", "16,13,8", "--nodes", "40",
           "--voxel-mm", "1e200"], "spacing (1e+200, 1e+200, 1e+200) gives a voxel volume"),
@@ -468,6 +484,8 @@ class TestCorruptModelArchive:
         ("density", float("nan"), "density"),
         pytest.param("density", 10**400, "density must be finite and > 0",
                      id="density-int_past_every_float"),
+        pytest.param("spacing_mm", [2.0, 10**400, 2.0], "spacing_mm must be finite and > 0",
+                     id="spacing_mm-int_past_every_float"),
     ])
     def test_bad_header_scalar_is_data_error(self, capsys, tmp_path, archive, field, value, named):
         header, payload = split_archive(archive)

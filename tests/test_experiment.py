@@ -39,7 +39,14 @@ from elastosim.solver import (
     run_to_steady_state,
     step,
 )
-from elastosim.volume import CohortRecord, RoiMask, VoxelVolume, mean_shear_modulus, shear_to_young
+from elastosim.volume import (
+    CohortRecord,
+    RoiMask,
+    VolumeFormatError,
+    VoxelVolume,
+    mean_shear_modulus,
+    shear_to_young,
+)
 
 
 def small_model(young=2.1, n_nodes=24, k=6, seed=0):
@@ -144,7 +151,7 @@ class TestComparisonReport:
             ComparisonReport(case_id="c", per_landmark=(("a", -1.0),),
                              mean_volume_diff=0.0, at_tool_diff=0.0)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 10**400])
     @pytest.mark.parametrize("field", ["mean_volume_diff", "at_tool_diff"])
     def test_rejects_non_finite_differences_by_name(self, field, value):
         diffs = {"mean_volume_diff": 0.0, "at_tool_diff": 0.0, field: value}
@@ -181,7 +188,7 @@ class TestSyntheticCohortSpec:
             SyntheticCohortSpec(n=1, seed=-1)
         with pytest.raises(ValueError, match="median"):
             SyntheticCohortSpec(n=1, median_kpa=0.0)
-        with pytest.raises(ValueError, match="log-sd"):
+        with pytest.raises(ValueError, match="log_sd"):
             SyntheticCohortSpec(n=1, log_sd=-0.1)
         with pytest.raises(ValueError, match="heterogeneity"):
             SyntheticCohortSpec(n=1, heterogeneity=1.0)
@@ -189,12 +196,12 @@ class TestSyntheticCohortSpec:
     @pytest.mark.parametrize("name", ["median_kpa", "log_sd"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_field_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >=? 0, got {value}"):
             SyntheticCohortSpec(n=1, **{name: value})
 
     @pytest.mark.parametrize("name", ["median_kpa", "log_sd"])
     def test_int_past_every_float_is_rejected_by_name(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be finite, got 1000"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >=? 0, got 1000"):
             SyntheticCohortSpec(n=1, **{name: 10**400})
 
 
@@ -202,7 +209,7 @@ class TestSynthCohort:
     def test_empty_cohort(self):
         assert synth_cohort(SyntheticCohortSpec(n=0, seed=3)) == []
 
-    @pytest.mark.parametrize("voxel_mm", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("voxel_mm", [0.0, -1.0, np.nan, np.inf, 10**400])
     def test_rejects_voxel_pitch_not_finite_and_positive(self, voxel_mm):
         with pytest.raises(ValueError, match="voxel_mm must be finite and > 0"):
             synth_cohort(SyntheticCohortSpec(n=0), voxel_mm=voxel_mm)
@@ -281,6 +288,11 @@ class TestStiffInclusion:
     def test_rejects_nonpositive_contrast(self):
         with pytest.raises(ValueError, match="contrast"):
             stiff_inclusion_case(0.0)
+
+    @pytest.mark.parametrize("contrast", [np.nan, np.inf])
+    def test_rejects_non_finite_contrast_by_name(self, contrast):
+        with pytest.raises(ValueError, match="inclusion contrast must be finite and > 0"):
+            stiff_inclusion_case(contrast)
 
 
 class TestYoungMaterialField:
@@ -399,7 +411,7 @@ class TestRetractionConfig:
 
     @pytest.mark.parametrize("voxel_ref_mm", [0.0, -2.0])
     def test_rejects_voxel_pitch_not_positive(self, voxel_ref_mm):
-        with pytest.raises(ValueError, match="voxel_ref_mm must be > 0"):
+        with pytest.raises(ValueError, match="voxel_ref_mm must be finite and > 0"):
             RetractionConfig(voxel_ref_mm=voxel_ref_mm)
 
     def test_density_past_every_float_is_a_value_error(self):
@@ -411,7 +423,7 @@ class TestRetractionConfig:
 
     @pytest.mark.parametrize("name, value", FLOAT_FIELDS_PAST_EVERY_FLOAT)
     def test_float_field_past_every_float_is_rejected_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite, got"):
+        with pytest.raises(ValueError, match=f"{name} must be finite( and >=? 0)?, got"):
             RetractionConfig(**{name: value})
 
     def test_every_float_field_has_an_overflow_row(self):
@@ -620,3 +632,15 @@ class TestComparisonCsv:
         p.write_text("foo,bar\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             load_comparison_csv(p)
+
+    @pytest.mark.parametrize("mean, at_tool, field", [
+        ("nan", "1.5", "mean_volume_diff_mm"), ("0.25", "inf", "at_tool_diff_mm"),
+        ("0.25", "-inf", "at_tool_diff_mm"), ("-0.5", "1.5", "mean_volume_diff_mm"),
+    ])
+    def test_load_rejects_a_difference_not_finite_and_non_negative(self, tmp_path, mean,
+                                                                    at_tool, field):
+        path = write_comparison_csv(self.reports(), tmp_path / "comparison.csv")
+        path.write_text(path.read_text() + f"case_002,{mean},{at_tool},false\n")
+        with pytest.raises(VolumeFormatError, match=rf"comparison\.csv, line 4, row \['case_002'.*"
+                                                    rf"{field} must be finite and >= 0"):
+            load_comparison_csv(path)

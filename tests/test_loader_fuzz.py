@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 from conftest import join_archive, make_field, split_archive
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from elastosim.experiment import ComparisonReport, load_comparison_csv, write_comparison_csv
@@ -31,8 +31,9 @@ DOCUMENTED = (FileNotFoundError, VolumeFormatError, ValueError)
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
+# A JSON integer past the largest float loads as a Python int that no float can hold.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-10, 10**6)
+    st.none() | st.booleans() | st.integers(-10, 10**6) | st.sampled_from([10**400, -10**400])
     | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
@@ -87,6 +88,7 @@ class TestLoadVolume:
     @FUZZ
     @given(key=st.sampled_from(["dims", "spacing_mm", "kind"]), value=json_values,
            drop=st.booleans())
+    @example(key="spacing_mm", value=[2.0, 10**400, 2.0], drop=False)
     def test_header_field_of_any_json_type(self, tmp_path, volume_files, key, value, drop):
         header = json.loads(volume_files[0])
         if drop:
@@ -145,6 +147,15 @@ class TestLoadModel:
         assert math.isfinite(model.field.density) and model.field.density > 0
         assert np.isfinite(model.matrices.M).all()  # assembled from the header's density
         assert 0 <= model.field.nu < 0.5
+
+    @FUZZ
+    @given(axis=st.integers(0, 2), value=json_values)
+    @example(axis=1, value=10**400)
+    def test_header_spacing_entry_of_any_json_type(self, tmp_path, archive, axis, value):
+        header, payload = split_archive(archive)
+        header["spacing_mm"][axis] = value
+        (tmp_path / "m.esm").write_bytes(join_archive(header, payload))
+        expect_documented(load_model, tmp_path / "m.esm")
 
     @FUZZ
     @given(data=st.data())

@@ -36,6 +36,7 @@ from elastosim.meshfree import (
     assemble_mass,
     assemble_stiffness,
     build_model,
+    correct_gradients,
     load_model,
     sample_dofs,
     save_model,
@@ -645,6 +646,20 @@ class TestShepardWeights:
         assert np.all(w >= 0)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9
         assert np.max(np.abs(gw.sum(axis=1))) <= 1e-7
+
+
+class TestCorrectGradients:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e60])
+    def test_linear_fields_are_exact_at_any_length_scale(self, scale):
+        # det(C) is in length^6, so at 1e60 mm it overflows unless C is made unit-free.
+        rng = np.random.default_rng(0)
+        nodes = rng.uniform(0.0, 20.0, size=(12, 3)) * scale
+        points = rng.uniform(0.0, 20.0, size=(30, 3)) * scale
+        idx, _, raw = shepard_weights(points, nodes, k=6)
+        corrected = correct_gradients(raw, nodes[idx])
+        identity = np.einsum("mka,mkb->mab", corrected, nodes[idx])
+        assert np.abs(identity - np.eye(3)).max() <= 1e-12
 
 
 def hand_stiffness_single_voxel(center, nodes, young_kpa, nu, v_mm3):

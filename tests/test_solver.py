@@ -100,8 +100,13 @@ class TestImplicitSystem:
 
     def test_rejects_nonpositive_h(self):
         for h in (0.0, -0.1):
-            with pytest.raises(ValueError, match="step size must be > 0"):
+            with pytest.raises(ValueError, match="step size must be finite and > 0"):
                 point_settle(h=h)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 10**400])
+    def test_rejects_non_finite_h_by_name(self, h):
+        with pytest.raises(ValueError, match="step size must be finite and > 0"):
+            point_settle(h=h)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="state has 6 DOFs, settle has 3"):
@@ -129,7 +134,7 @@ class TestLoadCase:
 
     @pytest.mark.parametrize("k", [np.nan, np.inf, -1.0])
     def test_unusable_spring_stiffness_names_the_node(self, k):
-        with pytest.raises(ValueError, match=f"spring stiffness must be finite and >= 0, got {k} on node 2"):
+        with pytest.raises(ValueError, match=f"spring stiffness of node 2 must be finite and >= 0, got {k}"):
             LoadCase(support_springs=[(2, k, np.zeros(3))])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -141,7 +146,7 @@ class TestLoadCase:
         ({"gravity": (10**400, 0, 0)}, "gravity must be finite"),
         ({"point_loads": [(3, (10**400, 0, 0))]}, "point force on node 3 must be finite"),
         ({"support_springs": [(2, 10**400, (0, 0, 0))]},
-         "spring stiffness must be finite and >= 0, got 1000"),
+         "spring stiffness of node 2 must be finite and >= 0, got 1000"),
         ({"support_springs": [(4, 1.0, (0, 10**400, 0))]},
          "spring anchor of node 4 must be finite"),
     ], ids=["gravity", "point force", "spring stiffness", "spring anchor"])

@@ -85,8 +85,17 @@ class TestVoxelVolume:
         pytest.param((16, 13, 8), (1e200, 1e-200, 1.0), id="grid-diagonal-squared-overflows"),
     ])
     def test_rejects_spacing_outside_the_float_range_by_name(self, dims, spacing):
-        with pytest.raises(VolumeFormatError, match=r"spacing \(.*\) gives a voxel volume"):
+        with pytest.raises(VolumeFormatError, match=r"spacing \(.*\) gives a (voxel volume|squared grid diagonal), which must be finite"):
             make_volume(dims=dims, spacing=spacing)
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, "2.0", True, None])
+    def test_load_rejects_a_header_spacing_that_is_not_a_finite_number(self, tmp_path, value):
+        header = write_volume(make_volume(), tmp_path / "vol.json")
+        meta = json.loads(header.read_text())
+        meta["spacing_mm"][1] = value
+        header.write_text(json.dumps(meta))
+        with pytest.raises(VolumeFormatError, match="spacing_mm must be"):
+            load_volume(header)
 
     def test_load_rejects_a_header_spacing_whose_volume_underflows(self, tmp_path):
         header = write_volume(make_volume(), tmp_path / "vol.json")
@@ -228,6 +237,11 @@ class TestShearToYoung:
         with pytest.raises(ValueError, match="shear modulus"):
             shear_to_young(-0.1, 0.4)
 
+    @pytest.mark.parametrize("G", [np.nan, np.inf, 10**400])
+    def test_rejects_non_finite_G_by_name(self, G):
+        with pytest.raises(ValueError, match="shear modulus must be finite and >= 0"):
+            shear_to_young(G, 0.4)
+
     @given(
         g=st.floats(1e-3, 50.0, allow_nan=False),
         nu=st.floats(0.0, 0.5, allow_nan=False),
@@ -353,6 +367,13 @@ class TestCohortCsv:
         path.write_text(f"id,G_kPa,E_kPa\nok,0.7,2.1\nbad,{g},{e}\n")
         with pytest.raises(VolumeFormatError, match=r"line 3, row \['bad'"):
             load_cohort_csv(path)
+
+    @pytest.mark.parametrize("field, named", [("mean_shear_G", "mean shear modulus"),
+                                              ("young_E", "Young's modulus")])
+    def test_int_past_every_float_is_rejected_by_name(self, field, named):
+        moduli = {"mean_shear_G": 0.7, "young_E": 2.1, field: 10**400}
+        with pytest.raises(ValueError, match=f"{named} must be finite and >= 0"):
+            CohortRecord(id="big", **moduli)
 
     def test_zero_moduli_accepted(self):
         assert CohortRecord(id="z", mean_shear_G=0.0, young_E=0.0).young_E == 0.0
