@@ -197,12 +197,7 @@ class BeamPhantom:
     spec: BeamSpec
 
 
-def build_beam_phantom(
-    spec: BeamSpec,
-    n_nodes: int = 300,
-    k: int = 8,
-    seed: int = 0,
-) -> BeamPhantom:
+def build_beam_phantom(spec: BeamSpec, n_nodes: int, k: int, seed: int) -> BeamPhantom:
     """Voxelize the beam, build the mesh-free model, and find the clamped face.
 
     Nodes whose Voronoi cells own any x = 0 voxel are clamped;

@@ -106,13 +106,6 @@ def _knob(p: argparse.ArgumentParser, flag: str, dest: str, type, help: str,
                    help=f"{help} (default %(default)s)", **kwargs)
 
 
-def _seconds_from_ms(text: str) -> float:
-    try:
-        return float(text) / 1000.0
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"time step must be milliseconds, got {text!r}")
-
-
 def _add_model_flags(p: argparse.ArgumentParser):
     _knob(p, "--nodes", "n_nodes", int, "DOF node count")
     _knob(p, "--k", "k", int, "shape-function support size")
@@ -121,21 +114,12 @@ def _add_model_flags(p: argparse.ArgumentParser):
     _knob(p, "--conversion-nu", "conversion_nu", float,
           "Poisson ratio for the E = 2G(1+nu) conversion")
     _knob(p, "--density", "density", float, "tissue density in kg/m^3")
-    _knob(p, "--alpha", "alpha", float, "mass-proportional damping")
-    _knob(p, "--beta", "beta", float, "stiffness-proportional damping")
 
 
 def _add_retraction_flags(p: argparse.ArgumentParser):
     _knob(p, "--support-k", "abdomen_k", float, "abdomen support spring stiffness in N/mm")
     _knob(p, "--mass-kg", "liver_mass_kg", float,
           "hoisted mass in kg; unset takes the masked volume x density")
-    # A string default goes through `type` like a typed value, so the help
-    # shows milliseconds while RetractionConfig.h stays in seconds.
-    p.add_argument("--h-ms", dest="h", type=_seconds_from_ms, metavar="H_MS",
-                   default=f"{RetractionConfig.h * 1000.0:g}",
-                   help="implicit time step in milliseconds (default %(default)s)")
-    _knob(p, "--v-tol", "v_tol", float, "steady-state velocity tolerance in mm/s")
-    _knob(p, "--max-steps", "max_steps", int, "step budget before declaring non-convergence")
     _knob(p, "--cg-tol", "cg_tol", float, "CG relative residual tolerance, in (0, 1)")
     _knob(p, "--cg-max", "cg_max", int, "CG iteration cap per solve")
     _knob(p, "--tool-center", "tool_center", _point,
@@ -266,10 +250,8 @@ def cmd_cohort_run(args) -> int:
 def cmd_validate_beam(args) -> int:
     slender = args.slender
     resolution = args.resolution if args.resolution is not None else (0.625 if slender else 1.64)
-    if slender:
-        spec = BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=resolution)
-    else:
-        spec = BeamSpec(L=50.0, w=10.0, h_beam=10.0, E=12.0, q_load=1e-4, resolution=resolution)
+    spec = (BeamSpec(h_beam=2.5, q_load=6e-8, resolution=resolution) if slender
+            else BeamSpec(resolution=resolution))
     n_nodes = args.nodes if args.nodes is not None else (2441 if slender else 500)
 
     theory = theory_curve(spec, axis_samples(spec))

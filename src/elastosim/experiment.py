@@ -54,6 +54,9 @@ class RetractionConfig:
     The measured run and its atlas twin are built, hoisted and settled from
     the same config, so the two differ only in stiffness.  The CLI flags and
     the keyword defaults of the pipeline functions read their defaults here.
+    The CLI has no flag for the settle's time step h, damping alpha and beta,
+    or stopping rule v_tol and max_steps.  They change how the settle reaches
+    its steady state, not the state itself, so they are set here alone.
 
     liver_mass_kg None derives the hoisted mass from the masked volume and
     density; tool_center None places the retractor at the +x pole of each
@@ -568,9 +571,7 @@ def compare_case(case: CohortCase, config: RetractionConfig) -> ComparisonReport
     )
 
 
-def run_cohort_retractions(
-    cases: list[CohortCase], config: RetractionConfig | None = None
-) -> CohortRunResult:
+def run_cohort_retractions(cases: list[CohortCase], config: RetractionConfig) -> CohortRunResult:
     """Compare every cohort case against its atlas twin, skipping failures.
 
     Cases whose model build or simulation fails are recorded in ``skipped``
@@ -584,7 +585,6 @@ def run_cohort_retractions(
     """
     if not cases:
         raise ValueError("cohort is empty")
-    config = RetractionConfig() if config is None else config
     reports = []
     skipped = []
     solver_failures = 0

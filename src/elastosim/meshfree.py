@@ -261,7 +261,7 @@ class MeshFreeModel:
         return replace(self, field=field, matrices=replace(self.matrices, K=K))
 
 
-def sample_dofs(field: MaterialField, n_nodes: int, seed: int = 0) -> DofSet:
+def sample_dofs(field: MaterialField, n_nodes: int, seed: int) -> DofSet:
     """Pick DOF nodes by Lloyd-relaxed Voronoi sampling of masked voxel centers.
 
     Seeds are drawn without replacement from the masked voxel centers, then
@@ -510,7 +510,7 @@ def correct_gradients(gradients: np.ndarray, node_positions: np.ndarray) -> np.n
     return corrected
 
 
-def shape_weights(dofs: DofSet, field: MaterialField, k: int = 8) -> ShapeMap:
+def shape_weights(dofs: DofSet, field: MaterialField, k: int) -> ShapeMap:
     """Build the per-voxel ShapeMap over the field's masked voxel centers.
 
     Raises:
@@ -657,7 +657,7 @@ def assemble_mass(shape: ShapeMap, field: MaterialField, n_nodes: int) -> np.nda
 
 def build_model(
     field: MaterialField,
-    n_nodes: int = 200,
+    n_nodes: int,
     k: int = 8,
     alpha: float = 0.1,
     beta: float = 0.01,

@@ -39,8 +39,19 @@ def _finite(value, what: str, *, above=None, at_least=None):
             and (above is None or value > above) and (at_least is None or value >= at_least)):
         bound = (f" and > {above}" if above is not None
                  else f" and >= {at_least}" if at_least is not None else "")
-        raise ValueError(f"{what} must be finite{bound}, got {value}")
+        raise ValueError(f"{what} must be finite{bound}, got {_shown(value)}")
     return value
+
+
+def _shown(value):
+    """`value` for a message; an int past the float range by its first digits and its
+    length, since str() of an int past 4300 digits raises."""
+    if not (isinstance(value, int) and abs(value) > sys.float_info.max):
+        return value
+    size = abs(value)
+    digits = int(math.log10(size)) + 1
+    digits += (size >= 10**digits) - (size < 10 ** (digits - 1))  # log10 rounds near a power of 10
+    return f"{'-' * (value < 0)}{size // 10 ** (digits - 4)}... ({digits} digits)"
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,7 @@ def load_volume(path: str | Path) -> VoxelVolume:
         VolumeFormatError: malformed header, bad kind, size mismatch, a
             spacing entry that is not a finite number > 0, a spacing whose
             voxel volume or squared grid diagonal is not a positive finite
-            float, or a non-finite voxel.
+            float, or a non-finite voxel; the message names the file.
     """
     path = Path(path)
     header_path = path if path.suffix == ".json" else path.with_suffix(".json")
@@ -184,7 +195,7 @@ def load_volume(path: str | Path) -> VoxelVolume:
         raise VolumeFormatError(f"volume header {header_path} is not a JSON object")
     for key in ("dims", "spacing_mm", "kind"):
         if key not in header:
-            raise VolumeFormatError(f"volume header missing field {key!r}")
+            raise VolumeFormatError(f"volume header {header_path} missing field {key!r}")
     try:
         if not isinstance(header["dims"], list) or not isinstance(header["spacing_mm"], list):
             raise TypeError("dims and spacing_mm must be lists")
@@ -198,12 +209,15 @@ def load_volume(path: str | Path) -> VoxelVolume:
             f"raw file {raw_path} holds {n_bytes} bytes ({n_bytes // 4} scalars), "
             f"header dims {list(dims)} require {expected}"
         )
-    return VoxelVolume(
-        dims=dims,
-        spacing_mm=header["spacing_mm"],
-        kind=header["kind"],
-        data=np.fromfile(raw_path, dtype="<f4"),
-    )
+    try:
+        return VoxelVolume(
+            dims=dims,
+            spacing_mm=header["spacing_mm"],
+            kind=header["kind"],
+            data=np.fromfile(raw_path, dtype="<f4"),
+        )
+    except VolumeFormatError as exc:
+        raise VolumeFormatError(f"{header_path}: {exc}") from None
 
 
 def write_volume(volume: VoxelVolume, path: str | Path) -> Path:
@@ -249,7 +263,7 @@ def shear_to_young(G: float, nu: float = 0.5) -> float:
 
 
 def stiffness_histogram(
-    records: list[CohortRecord], bin_width: float = 1.0
+    records: list[CohortRecord], bin_width: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of cohort Young's moduli in left-closed bins [0, w), [w, 2w), ...
 
@@ -276,7 +290,7 @@ def stiffness_histogram(
     return edges, counts
 
 
-def cohort_stats(records: list[CohortRecord], atlas_E: float = 2.1) -> tuple[float, float]:
+def cohort_stats(records: list[CohortRecord], atlas_E: float) -> tuple[float, float]:
     """Fractions of records stiffer than atlas_E + 1 kPa and than 2 * atlas_E.
 
     Raises:

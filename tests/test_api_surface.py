@@ -13,6 +13,11 @@ matched by the called name alone, so a same-named function elsewhere can
 keep a parameter alive; that errs toward passing, never toward a false
 failure.
 
+Its mirror asks the opposite: a default that every call overrides is never
+used, so the parameter should be required.  Each optional parameter must be
+left unset by at least one call in `src/`, `perfbench/`, `demos/` or
+`tests/`; a splat counts as setting it.
+
 The second check does the same for names: every public function, class,
 method and property must be read somewhere in `src/` outside its own
 definition, or in `perfbench/` or `demos/`.  A read is a bare name or an
@@ -21,7 +26,7 @@ again matched alone, so a same-named attribute of another object counts.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,11 +64,29 @@ def _public_defs(tree: ast.Module, module: str):
                     yield f"{module}.{node.name}.{item.name}", item, not static
 
 
+def _called_name(node: ast.AST) -> str | None:
+    """The bare name a call calls (``f`` of ``f()`` and of ``x.f()``), else None."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def _slots(call: ast.Call):
+    """(slot, value) of each argument of a call.
+
+    The slot is a position, a keyword, ``"*"`` for a ``*args`` splat or
+    ``"**"`` for a ``**kwargs`` splat; a splat's value is None.
+    """
+    for i, arg in enumerate(call.args):
+        yield ("*", None) if isinstance(arg, ast.Starred) else (i, arg)
+    for kw in call.keywords:
+        yield ("**", None) if kw.arg is None else (kw.arg, kw.value)
+
+
 def _arguments(tree: ast.Module, owners: dict, optional: dict):
     """(called name, slot, forwarded parameter) of every call argument in a tree.
 
-    The slot is a position, a keyword, ``"*"`` for a ``*args`` splat or
-    ``"**"`` for a ``**kwargs`` splat; a splat fills every slot of its kind.
+    The slot is as `_slots` gives it; a splat fills every slot of its kind.
     The forwarded parameter is (qualified name, parameter) when the argument
     is a bare optional parameter of the enclosing public function, else None.
     """
@@ -71,21 +94,13 @@ def _arguments(tree: ast.Module, owners: dict, optional: dict):
 
     def visit(node, owner):
         owner = owners.get(id(node), owner)
-        name = None
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        if name is not None:
+        if name := _called_name(node):
             own = {p for _, p in optional.get(owner, ())}
 
             def forwarded(expr):
                 return (owner, expr.id) if isinstance(expr, ast.Name) and expr.id in own else None
 
-            for i, arg in enumerate(node.args):
-                out.append((name, "*", None) if isinstance(arg, ast.Starred)
-                           else (name, i, forwarded(arg)))
-            for kw in node.keywords:
-                out.append((name, "**", None) if kw.arg is None
-                           else (name, kw.arg, forwarded(kw.value)))
+            out.extend((name, slot, forwarded(value)) for slot, value in _slots(node))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -157,6 +172,58 @@ def test_every_optional_parameter_has_a_caller_that_sets_it():
     assert not orphans, (
         "optional parameters that no call in src/, perfbench/ or demos/ sets; "
         "fold each into a constant or pass it from a caller:\n  " + "\n  ".join(orphans)
+    )
+
+
+def unused_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Optional parameters of the package that every call sets, as ``module.name(param=...)``.
+
+    A splat sets every parameter, and a function that nothing calls leaves
+    none of its parameters unset.
+
+    Args:
+        package: module name -> source of each package module; its calls count too.
+        callers: sources of the other calling files.
+    """
+    trees = {module: ast.parse(src) for module, src in package.items()}
+    calls = defaultdict(list)  # called name -> the slots of each call of it
+    for tree in list(trees.values()) + [ast.parse(src) for src in callers]:
+        for node in ast.walk(tree):
+            if name := _called_name(node):
+                calls[name].append({slot for slot, _ in _slots(node)})
+    return [f"{qualname}({param}=...)"
+            for module, tree in trees.items()
+            for qualname, node, bound in _public_defs(tree, module)
+            for position, param in _optional_params(node, bound)
+            if all(slots & {position, param, "*", "**"} for slots in calls[node.name])]
+
+
+def test_mirror_scanner_counts_splats_positions_and_uncalled_functions():
+    package = {"m": (
+        "def f(a, b=1, c=2):\n"
+        "    return f(a, c=3)\n"
+        "def g(x=0):\n"
+        "    pass\n"
+        "def h(y=0):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def m(self, p=1, q=2):\n"
+        "        pass\n"
+        "    def _private(self, w=0):\n"
+        "        pass\n"
+    )}
+    callers = ["f(0, 5, c=1)\ng(**options)\nK().m(1)\nK().m(q=2)\n"]
+    assert unused_defaults(package, callers) == ["m.f(c=...)", "m.g(x=...)", "m.h(y=...)"]
+
+
+def test_every_optional_parameter_has_a_caller_that_leaves_it_unset():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text() for top in CALLER_DIRS + ("tests",)
+               for p in sorted((ROOT / top).rglob("*.py"))]
+    unused = unused_defaults(package, callers)
+    assert not unused, (
+        "defaults that every call in src/, perfbench/, demos/ or tests/ overrides; "
+        "make each parameter required:\n  " + "\n  ".join(unused)
     )
 
 

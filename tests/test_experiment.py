@@ -421,6 +421,15 @@ class TestRetractionConfig:
         with pytest.raises(ValueError, match="density must be finite, got"):
             compare_case(tiny_case(), RetractionConfig(density=10**400))
 
+    @pytest.mark.parametrize("name, value", [("max_steps", 0)] + [
+        (name, value) for name in ("h", "v_tol", "alpha", "beta")
+        for value in (float("nan"), float("inf"), -1.0)
+    ])
+    def test_bad_settle_knob_is_rejected_by_name(self, name, value):
+        # The settle's stepping and damping have no CLI flag; only the config checks them.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            RetractionConfig(**{name: value})
+
     @pytest.mark.parametrize("name, value", FLOAT_FIELDS_PAST_EVERY_FLOAT)
     def test_float_field_past_every_float_is_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite( and >=? 0)?, got"):

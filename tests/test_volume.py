@@ -1,6 +1,7 @@
 """Tests for voxel volume IO, voxel masks, and cohort statistics."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from elastosim.volume import (
     RoiMask,
     VolumeFormatError,
     VoxelVolume,
+    _finite,
     _write_csv,
     cohort_stats,
     load_cohort_csv,
@@ -104,6 +106,15 @@ class TestVoxelVolume:
         header.write_text(json.dumps(meta))
         with pytest.raises(VolumeFormatError, match="spacing"):
             load_volume(header)
+
+    def test_int_too_long_to_print_is_rejected_by_name(self):
+        # str() of an int past 4300 digits raises its own ValueError, naming no field.
+        with pytest.raises(ValueError, match=re.escape(
+                "density must be finite and > 0, got 1000... (5001 digits)")):
+            _finite(10**5000, "density", above=0)
+        for value, shown in ((10**400 - 1, "9999... (400 digits)"), (-(10**400), "-1000...")):
+            with pytest.raises(ValueError, match=re.escape(f"got {shown}")):
+                _finite(value, "density")
 
     def test_voxel_centers_order_x_fastest(self):
         vol = make_volume(dims=(2, 2, 1), spacing=(2.0, 3.0, 10.0))
