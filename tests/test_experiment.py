@@ -421,13 +421,23 @@ class TestRetractionConfig:
         with pytest.raises(ValueError, match="density must be finite, got"):
             compare_case(tiny_case(), RetractionConfig(density=10**400))
 
-    @pytest.mark.parametrize("name, value", [("max_steps", 0)] + [
-        (name, value) for name in ("h", "v_tol", "alpha", "beta")
-        for value in (float("nan"), float("inf"), -1.0)
+    @pytest.mark.parametrize("name, value", [
+        ("max_steps", 0), ("h", float("nan")), ("h", float("inf")), ("h", -1.0),
+        ("v_tol", -1.0), ("alpha", float("nan")), ("alpha", -1.0), ("beta", -1.0),
     ])
     def test_bad_settle_knob_is_rejected_by_name(self, name, value):
         # The settle's stepping and damping have no CLI flag; only the config checks them.
         with pytest.raises(ValueError, match=f"^{name} must be"):
+            RetractionConfig(**{name: value})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in ("h", "v_tol", "alpha", "beta")
+        for value in (float("nan"), float("inf"))
+    ])
+    def test_non_finite_settle_knob_is_a_value_error(self, name, value):
+        # Rejected before any arithmetic: warnings are errors, so none may come first.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
             RetractionConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", FLOAT_FIELDS_PAST_EVERY_FLOAT)

@@ -1059,6 +1059,14 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="at least 4"):
             build_model(make_field(), n_nodes=3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in ("alpha", "beta") for value in (float("nan"), float("inf"))
+    ])
+    def test_rejects_non_finite_damping_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"damping {name} must be finite and >= 0"):
+            build_model(make_field(), n_nodes=4, k=4, seed=0, **{name: value})
+
     def test_homogeneous_cube_invariants(self):
         field = make_field(dims=(5, 5, 5), young=3.0)
         model = build_model(field, n_nodes=15, k=8, seed=7)
