@@ -1,14 +1,17 @@
 """Cantilever validation: closed-form bending vs FEA vs the mesh-free model.
 
 A clamped beam under distributed load has an exact Euler-Bernoulli deflection
-curve, which makes it the standard accuracy yardstick. Two geometries:
+curve, which makes it the standard accuracy yardstick.  The demo runs the two
+beams of `validate-beam`, from the table in `elastosim.beam`:
 
 * slender (50 x 10 x 2.5 mm): bending theory is essentially exact, so solver
   error is measured directly against it;
-* stocky (50 x 10 x 10 mm, L/h = 5): shear deformation that bending theory
-  ignores becomes visible, so both solvers sit off the curve by model form.
+* benchmark (50 x 10 x 10 mm, L/h = 5): shear deformation that bending
+  theory ignores becomes visible, so both solvers sit off the curve by model
+  form.
 
-Writes demos/out/beam_convergence.csv for the slender run.
+Writes demos/out/beam_convergence.csv for the slender run, the same file as
+`elastosim validate-beam --slender`.
 
 Run from the repository root:  python3 demos/beam_validation.py
 """
@@ -16,48 +19,51 @@ Run from the repository root:  python3 demos/beam_validation.py
 from pathlib import Path
 
 from elastosim import (
-    BeamSpec,
     build_beam_phantom,
     convergence_error,
     fea_baseline,
     simulate_beam,
     theory_curve,
 )
-from elastosim.beam import axis_samples, write_beam_convergence_csv
+from elastosim.beam import (
+    VALIDATION_BEAMS,
+    VALIDATION_K,
+    VALIDATION_SEED,
+    axis_samples,
+    write_beam_convergence_csv,
+)
 
 OUT = Path(__file__).parent / "out"
 
 
-def run(name: str, spec: BeamSpec, n_nodes: int, csv_name: str | None = None):
+def run(name: str):
+    """Solve the table's beam `name` three ways; the slender one also writes its curve table."""
+    spec, n_nodes = VALIDATION_BEAMS[name]
     theory = theory_curve(spec, axis_samples(spec))
     fea = fea_baseline(spec)
-    mesh = simulate_beam(build_beam_phantom(spec, n_nodes=n_nodes, k=6, seed=0))
+    mesh = simulate_beam(build_beam_phantom(spec, n_nodes=n_nodes, k=VALIDATION_K,
+                                            seed=VALIDATION_SEED))
     err_fea = convergence_error(fea, theory)
     err_mesh = convergence_error(mesh, theory)
-    print(f"{name}: analytic tip {theory.tip_deflection:.4f} mm")
+    print(f"\n{name} beam (L/h = {spec.L / spec.h_beam:g}): "
+          f"analytic tip {theory.tip_deflection:.4f} mm")
     print(f"  FEA       tip {fea.tip_deflection:.4f} mm, "
           f"max_abs err {err_fea['max_abs']:.5f} mm")
     print(f"  mesh-free tip {mesh.tip_deflection:.4f} mm, "
           f"max_abs err {err_mesh['max_abs']:.5f} mm ({n_nodes} nodes)")
-    if csv_name:
+    if name == "slender":
         OUT.mkdir(exist_ok=True)
-        path = write_beam_convergence_csv(theory, fea, mesh, OUT / csv_name)
+        path = write_beam_convergence_csv(theory, fea, mesh, OUT / "beam_convergence.csv")
         print(f"  curve table -> {path}")
 
 
 def main():
-    slender = BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0,
-                       q_load=6e-8, resolution=0.625)
-    run("slender beam (h = 2.5 mm)", slender, n_nodes=2441,
-        csv_name="beam_convergence.csv")
-
-    stocky = BeamSpec(L=50.0, w=10.0, h_beam=10.0, E=12.0,
-                      q_load=1e-4, resolution=1.64)
-    run("\nstocky beam (L/h = 5)", stocky, n_nodes=500)
-    print("\nOn the stocky beam both solvers deflect past the bending-only"
-          "\ncurve; that extra deflection is real shear compliance, not"
-          "\nsolver error, which is why the tight gate runs on the slender"
-          "\ngeometry.")
+    for name in VALIDATION_BEAMS:
+        run(name)
+    print("\nOn the stocky benchmark beam both solvers deflect past the"
+          "\nbending-only curve; that extra deflection is real shear"
+          "\ncompliance, not solver error, which is why the tight gate runs"
+          "\non the slender geometry.")
 
 
 if __name__ == "__main__":

@@ -10,14 +10,10 @@ Run from the repository root:  python3 demos/build_and_settle.py
 
 import numpy as np
 
-from elastosim import (
-    build_model,
-    displace_landmarks,
-    simulate_retraction,
-    synth_cohort,
-    young_material_field,
-)
+from elastosim import displace_landmarks, simulate_retraction, synth_cohort
 from elastosim.experiment import (
+    STANDARD_G_M_S2,
+    RetractionConfig,
     SyntheticCohortSpec,
     default_landmarks,
     default_retractor,
@@ -29,16 +25,15 @@ def main():
     print(f"case {case.record.id}: mean shear {case.record.mean_shear_G:.2f} kPa, "
           f"{case.mask.n_selected} tissue voxels")
 
-    field = young_material_field(case.volume, case.mask)
-    model = build_model(field, n_nodes=300, k=8, seed=0)
+    model = RetractionConfig().measured_model(case)
     print(f"model: {model.n_nodes} nodes / {model.n_dofs} DOFs, "
           f"mass {model.total_mass_kg * 1000:.0f} g, "
           f"K has {model.matrices.K.nnz} nonzeros")
 
-    retractor = default_retractor(field)
+    retractor = default_retractor(model.field)
     region = retractor.map_region(model.dofs.nodes)
     print(f"retractor at {np.round(retractor.center, 1)} mm grabs "
-          f"{len(region)} nodes; hoist force {model.total_mass_kg * 9.81:.3f} N")
+          f"{len(region)} nodes; hoist force {model.total_mass_kg * STANDARD_G_M_S2:.3f} N")
 
     state = simulate_retraction(model, retractor)
     print(f"steady state at t = {state.t:.2f} s, "

@@ -125,6 +125,13 @@ class BeamSpec:
         return cx * self.resolution, cy * self.resolution, cz * self.resolution
 
 
+# The cantilevers `validate-beam` runs (L/h = 5 and the gated L/h = 20), with their node counts.
+VALIDATION_BEAMS = {"benchmark": (BeamSpec(), 500),
+                    "slender": (BeamSpec(h_beam=2.5, q_load=6e-8, resolution=0.625), 2441)}
+VALIDATION_K = 6  # mesh-free support size of both beams
+VALIDATION_SEED = 0  # Lloyd seed of both beams
+
+
 @dataclass(frozen=True)
 class DeflectionCurve:
     """Centerline deflection samples (x strictly increasing, w in load direction)."""

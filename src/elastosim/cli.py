@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from elastosim.beam import (
-    BeamSpec,
+    VALIDATION_BEAMS,
+    VALIDATION_K,
+    VALIDATION_SEED,
     axis_samples,
     build_beam_phantom,
     convergence_error,
@@ -248,25 +250,23 @@ def cmd_cohort_run(args) -> int:
 
 
 def cmd_validate_beam(args) -> int:
-    slender = args.slender
-    resolution = args.resolution if args.resolution is not None else (0.625 if slender else 1.64)
-    spec = (BeamSpec(h_beam=2.5, q_load=6e-8, resolution=resolution) if slender
-            else BeamSpec(resolution=resolution))
-    n_nodes = args.nodes if args.nodes is not None else (2441 if slender else 500)
+    label = "slender" if args.slender else "benchmark"
+    spec, n_nodes = VALIDATION_BEAMS[label]
+    spec = spec if args.resolution is None else replace(spec, resolution=args.resolution)
+    n_nodes = n_nodes if args.nodes is None else args.nodes
 
     theory = theory_curve(spec, axis_samples(spec))
     fea = fea_baseline(spec)
-    phantom = build_beam_phantom(spec, n_nodes=n_nodes, k=args.k, seed=args.seed)
+    phantom = build_beam_phantom(spec, n_nodes=n_nodes, k=VALIDATION_K, seed=args.seed)
     mesh = simulate_beam(phantom)
     err_fea = convergence_error(fea, theory)
     err_mesh = convergence_error(mesh, theory)
     path = write_beam_convergence_csv(theory, fea, mesh, Path(args.out) / "beam_convergence.csv")
 
-    label = "slender" if slender else "benchmark"
-    print(f"{label} beam at {resolution} mm: analytic tip {theory.tip_deflection:.4f} mm")
+    print(f"{label} beam at {spec.resolution} mm: analytic tip {theory.tip_deflection:.4f} mm")
     print(f"FEA        max_abs {err_fea['max_abs']:.5f} mm, rms {err_fea['rms']:.5f} mm")
     print(f"mesh-free  max_abs {err_mesh['max_abs']:.5f} mm, rms {err_mesh['rms']:.5f} mm "
-          f"({n_nodes} nodes, k={args.k})")
+          f"({n_nodes} nodes, k={VALIDATION_K})")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -332,15 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-beam",
                        help="cantilever benchmark: analytic theory vs FEA vs mesh-free")
+    (bench, bench_nodes), (slender, slender_nodes) = (VALIDATION_BEAMS["benchmark"],
+                                                      VALIDATION_BEAMS["slender"])
     p.add_argument("--resolution", type=float, default=None,
-                   help="voxel/element edge in mm (default 1.64; 0.625 with --slender)")
+                   help=f"voxel/element edge in mm (default {bench.resolution}; "
+                        f"{slender.resolution} with --slender)")
     p.add_argument("--slender", action="store_true",
-                   help="thin-beam variant (h=2.5 mm) where bending theory is exact")
+                   help=f"thin-beam variant (h={slender.h_beam} mm) where bending theory is exact")
     p.add_argument("--nodes", type=int, default=None,
-                   help="mesh-free node count (default 500; 2441 with --slender)")
-    p.add_argument("--k", type=int, default=6,
-                   help="shape-function support size (default 6)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+                   help=f"mesh-free node count (default {bench_nodes}; "
+                        f"{slender_nodes} with --slender)")
+    p.add_argument("--seed", type=int, default=VALIDATION_SEED,
+                   help="Lloyd seed (default %(default)s)")
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_validate_beam)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from elastosim.meshfree import MaterialField, MeshFreeModel, build_model
+from elastosim.meshfree import RAYLEIGH_ALPHA, RAYLEIGH_BETA, MaterialField, MeshFreeModel, build_model
 from elastosim.solver import (
     LoadCase,
     NonConvergenceError,
@@ -41,8 +41,8 @@ from elastosim.volume import (
     voxel_centers,
 )
 
-GRAVITY_MM_S2 = (0.0, 0.0, -9810.0)
 STANDARD_G_M_S2 = 9.81  # hoist force per kg, in N
+GRAVITY_MM_S2 = (0.0, 0.0, -STANDARD_G_M_S2 * 1000.0)
 SYNTH_DIMS = (32, 26, 16)  # synthetic volume grid (nx, ny, nz)
 INCLUSION_RADIUS_MM = 9.0  # stiff_inclusion_case's sphere under the tool
 
@@ -75,8 +75,8 @@ class RetractionConfig:
     liver_mass_kg: float | None = None
     tool_center: tuple[float, float, float] | None = None
     diameter: float = 10.0
-    alpha: float = 0.1
-    beta: float = 0.01
+    alpha: float = RAYLEIGH_ALPHA
+    beta: float = RAYLEIGH_BETA
     h: float = 0.05
     v_tol: float = 1e-6
     max_steps: int = 5000
@@ -92,7 +92,7 @@ class RetractionConfig:
                 a number past the largest float in a float field; h, v_tol,
                 cg_tol, diameter, voxel_ref_mm, atlas_e_kpa or a set
                 liver_mass_kg not > 0; cg_tol >= 1; significance_mm, alpha,
-                beta or seed < 0; k, cg_max or max_steps < 1.
+                beta or seed < 0; k < 2; cg_max or max_steps < 1.
         """
         positive = ("h", "v_tol", "cg_tol", "diameter", "voxel_ref_mm", "atlas_e_kpa",
                     "liver_mass_kg")
@@ -107,20 +107,16 @@ class RetractionConfig:
                         at_least=0 if f.name in ("significance_mm", "alpha", "beta") else None)
         if self.cg_tol >= 1:  # CG starts at relative residual 1, so it would solve nothing
             raise ValueError(f"cg_tol must be < 1, got {self.cg_tol}")
-        for name, least in (("seed", 0), ("k", 1), ("cg_max", 1), ("max_steps", 1)):
+        for name, least in (("seed", 0), ("k", 2), ("cg_max", 1), ("max_steps", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def measured_model(self, case: CohortCase) -> MeshFreeModel:
         """The case's measured-stiffness model."""
-        field = young_material_field(
-            case.volume, case.mask,
-            conversion_nu=self.conversion_nu, sim_nu=self.sim_nu, density=self.density,
-        )
-        return build_model(
-            field, n_nodes=self.n_nodes, k=self.k, alpha=self.alpha, beta=self.beta,
-            seed=self.seed,
-        )
+        field = young_material_field(case.volume, case.mask, conversion_nu=self.conversion_nu,
+                                     sim_nu=self.sim_nu, density=self.density)
+        return build_model(field, n_nodes=self.n_nodes, k=self.k, seed=self.seed,
+                           alpha=self.alpha, beta=self.beta)
 
     def retractor(self, field: MaterialField) -> RetractorSpec:
         """The tool of ``diameter`` at ``tool_center``, or at the field's +x pole."""
@@ -227,7 +223,8 @@ class SyntheticCohortSpec:
         median_kpa: median of the log-normal mean shear modulus G.
         log_sd: standard deviation of log G.
         heterogeneity: spatial variation amplitude within each volume, as a
-            fraction of the case's G; 0 gives constant volumes.
+            fraction of the case's G.  At 0 the first masked voxel takes up
+            the float32 rounding of the mean, so each volume holds two values.
     """
 
     n: int
@@ -337,8 +334,8 @@ def synth_cohort(
 
     Each case draws a mean shear modulus G from the log-normal distribution,
     jitters the ellipsoid shape, optionally adds smooth spatial variation,
-    and enforces that the masked mean of the stored volume equals G within
-    1e-9 relative so the record and the volume never disagree.
+    and pins the masked mean of the stored volume to G within 1e-9 relative,
+    not exactly: a statistic of the volumes can differ from the records'.
 
     Raises:
         ValueError: voxel_mm not finite and > 0, or a case's ellipsoid
@@ -365,9 +362,8 @@ def synth_cohort(
         else:
             values = np.full(mask.n_selected, g)
         volume = _exact_mean_volume(dims, voxel_mm, mask, values, g)
-        record = CohortRecord(
-            id=f"case_{i:03d}", mean_shear_G=g, young_E=shear_to_young(g)
-        )
+        record = CohortRecord(id=f"case_{i:03d}", mean_shear_G=g,
+                              young_E=shear_to_young(g, RetractionConfig.conversion_nu))
         cases.append(CohortCase(record=record, volume=volume, mask=mask))
     return cases
 
@@ -479,7 +475,7 @@ def simulate_retraction(
 ) -> SimState:
     """Hoist the retractor region against gravity and settle to steady state.
 
-    The hoisting force equals the liver weight (mass x 9.81 N/kg), split
+    The hoisting force equals the liver weight (mass x STANDARD_G_M_S2), split
     equally over the application-region nodes; gravity acts on every node
     and spring supports under the inferior third resist rigid sinking.
 

@@ -37,10 +37,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume, _finite
+from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume, _finite, voxel_centers
 
 KPA_TO_N_PER_MM2 = 1e-3
 KG_PER_M3_TO_T_PER_MM3 = 1e-12
+RAYLEIGH_ALPHA = 0.1  # 1/s, the default mass-proportional damping
+RAYLEIGH_BETA = 0.01  # s, the default stiffness-proportional damping
 
 # Squared distance below which a voxel center and node are treated as
 # coincident: the Shepard weight saturates at 1 and its gradient at 0.
@@ -79,8 +81,8 @@ class MaterialField:
 
     volume: VoxelVolume
     mask: RoiMask
-    nu: float = 0.45
-    density: float = 1000.0
+    nu: float
+    density: float
 
     def __post_init__(self):
         if self.mask.dims != self.volume.dims:
@@ -105,7 +107,7 @@ class MaterialField:
 
     def masked_centers(self) -> np.ndarray:
         """Centers of masked-in voxels in mm, shape (n_masked, 3), x fastest."""
-        return self.volume.voxel_centers()[self.mask.flags]
+        return voxel_centers(self.volume.dims, self.volume.spacing_mm)[self.mask.flags]
 
     def masked_young(self) -> np.ndarray:
         """Young's modulus (kPa) of masked-in voxels as float64."""
@@ -655,21 +657,17 @@ def assemble_mass(shape: ShapeMap, field: MaterialField, n_nodes: int) -> np.nda
     return np.repeat(node_mass, 3)
 
 
-def build_model(
-    field: MaterialField,
-    n_nodes: int,
-    k: int = 8,
-    alpha: float = 0.1,
-    beta: float = 0.01,
-    seed: int = 0,
-) -> MeshFreeModel:
+def build_model(field: MaterialField, n_nodes: int, *, k: int, seed: int,
+                alpha: float = RAYLEIGH_ALPHA, beta: float = RAYLEIGH_BETA) -> MeshFreeModel:
     """Build a complete mesh-free model from a material field.
 
     Raises:
-        ValueError: n_nodes < 4, or any component precondition fails.
+        ValueError: n_nodes < 4, k < 2 (K would be empty), or any component precondition fails.
     """
     if n_nodes < 4:
         raise ValueError(f"a 3D model needs at least 4 nodes, got {n_nodes}")
+    if k < 2:
+        raise ValueError(f"support size k must be >= 2, got {k}")
     dofs = sample_dofs(field, n_nodes=n_nodes, seed=seed)
     shape = shape_weights(dofs, field, k=k)
     K = assemble_stiffness(shape, field, n_nodes=dofs.n_nodes)
@@ -790,7 +788,7 @@ def load_model(path: str | Path) -> MeshFreeModel:
         VolumeFormatError: bad magic, a truncated or malformed header, a
             missing array, an array whose bytes or shape disagree with the
             manifest, the mask, the support size or the model's DOF count,
-            a support size outside [1, node count], a shape_indices entry
+            a support size outside [2, node count], a shape_indices entry
             outside [0, node count), or a density, alpha or beta of the wrong
             type or range.
     """
@@ -813,8 +811,8 @@ def load_model(path: str | Path) -> MeshFreeModel:
         # The owners are the first column, copied; empty if k = 0, which is rejected next.
         dofs = DofSet(nodes=arrays["nodes"], owner=indices[:, :1].flatten())
         k, n, n_dofs = indices.shape[1], dofs.n_nodes, 3 * dofs.n_nodes
-        if not 1 <= k <= n:
-            raise VolumeFormatError(f"support size k={k} must lie in [1, {n}], the node count")
+        if not 2 <= k <= n:
+            raise VolumeFormatError(f"support size k={k} must lie in [2, {n}], the node count")
         if not 0 <= indices.min() <= indices.max() < n:
             raise VolumeFormatError(f"array 'shape_indices' holds a node index outside [0, {n})")
         if arrays["shape_corrected"].shape != (m, k, 3):

@@ -108,10 +108,6 @@ class VoxelVolume:
         nx, ny, nz = self.dims
         return nx * ny * nz
 
-    def voxel_centers(self) -> np.ndarray:
-        """Physical centers of all voxels, shape (n_voxels, 3), x fastest, in mm."""
-        return voxel_centers(self.dims, self.spacing_mm)
-
 
 def voxel_centers(dims: tuple[int, int, int], spacing_mm: tuple[float, float, float]) -> np.ndarray:
     """Physical centers of a grid's voxels, shape (nx*ny*nz, 3), x fastest, in mm."""
@@ -250,8 +246,8 @@ def mean_shear_modulus(volume: VoxelVolume, mask: RoiMask) -> float:
     return float(volume.data[mask.flags].astype(np.float64).mean())
 
 
-def shear_to_young(G: float, nu: float = 0.5) -> float:
-    """Isotropic conversion E = 2*G*(1 + nu); nu defaults to 0.5 (incompressible).
+def shear_to_young(G: float, nu: float) -> float:
+    """Isotropic conversion E = 2*G*(1 + nu); nu = 0.5 is incompressible.
 
     Raises:
         ValueError: G not finite and >= 0, or nu outside [0, 0.5].

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import join_archive, split_archive
 
+from elastosim.beam import VALIDATION_BEAMS
 from elastosim.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -349,6 +350,17 @@ class TestModelAndRetract:
         assert "data error: support size k=8 must lie in [1, 5]" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_support_size_one_is_data_error(self, capsys, tmp_path):
+        # A lone support node has zero gradients, so K would store no entry.
+        cohort = tmp_path / "cohort"
+        assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
+        model_path = tmp_path / "model.esm"
+        code = cli_main(["build-model", "--volume", str(cohort / "case_000.json"),
+                         "--nodes", "40", "--k", "1", "--out", str(model_path)])
+        assert code == EXIT_DATA
+        assert "data error: k must be >= 2, got 1" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_capped_cg_is_exit_3(self, capsys, tmp_path):
         cohort = tmp_path / "cohort"
         assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
@@ -428,6 +440,15 @@ def _owner_past_nodes(header, payload):
     return payload[:offset] + struct.pack("<q", n_nodes) + payload[offset + 8:]
 
 
+def _support_width_one(header, payload):
+    """shape_indices and shape_corrected read as their first column's worth of entries."""
+    for name, row_bytes in (("shape_indices", 8), ("shape_corrected", 3 * 8)):
+        item = _entry(header, name)
+        item["shape"][1] = 1
+        item["nbytes"] = item["shape"][0] * row_bytes
+    return payload
+
+
 def _column_index_past_dofs(header, payload):
     offset = _entry(header, "K_indices")["offset"]
     n_dofs = 3 * _entry(header, "nodes")["shape"][0]
@@ -465,6 +486,7 @@ class TestCorruptModelArchive:
         (_indices_flat, "'shape_indices' has shape (1488,); 248 masked voxels need (248, k)"),
         (_column_index_past_dofs, "indices must be"),
         (_owner_past_nodes, "'shape_indices' holds a node index outside [0, 40)"),
+        (_support_width_one, "support size k=1 must lie in [2, 40], the node count"),
     ])
     def test_bad_manifest_is_data_error(self, capsys, tmp_path, archive, corrupt, named):
         header, payload = split_archive(archive)
@@ -614,6 +636,13 @@ class TestCohortRunCommand:
                          "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    def test_support_size_one_is_data_error_before_any_settle(self, capsys, tmp_path):
+        # K would store no entry, so every settle would fall freely to its step cap.
+        code = cli_main(["cohort-run", "--seed", "7", "--k", "1", "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "data error: k must be >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "comparison.csv").exists()
+
     def test_every_case_capped_is_solver_error(self, capsys, tmp_path):
         code = cli_main(["cohort-run", "--synth-n", "2", "--seed", "7", *FAST_SYNTH,
                          "--cg-max", "1", "--cg-tol", "1e-30", "--out", str(tmp_path)])
@@ -633,6 +662,21 @@ class TestValidateBeamCommand:
         assert len(lines) == 1 + 30 + 2  # header, clamp datum, 30 centers, tip
         out = capsys.readouterr().out
         assert "analytic tip 7.8125 mm" in out
+
+    def test_support_size_has_no_flag(self, capsys, tmp_path):
+        assert cli_main(["validate-beam", "--k", "6", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "unrecognized arguments: --k 6" in capsys.readouterr().err
+        assert not (tmp_path / "beam_convergence.csv").exists()
+
+    def test_help_prints_the_table_defaults(self, capsys):
+        assert cli_main(["validate-beam", "--help"]) == EXIT_OK
+        help_text = capsys.readouterr().out
+        assert "--k" not in help_text
+        (benchmark, bench_nodes), (slender, slender_nodes) = (VALIDATION_BEAMS["benchmark"],
+                                                              VALIDATION_BEAMS["slender"])
+        for value in (benchmark.resolution, slender.resolution, slender.h_beam,
+                      bench_nodes, slender_nodes):
+            assert str(value) in help_text
 
     def test_coarse_run_row_count(self, capsys, tmp_path):
         code = cli_main(["validate-beam", "--resolution", "2.5", "--nodes", "120",

@@ -63,7 +63,7 @@ def tiny_case(g=0.7, dims=(10, 9, 8), voxel_mm=2.0):
     vol = VoxelVolume(dims=dims, spacing_mm=(voxel_mm,) * 3,
                       kind="elastogram_shear_kPa", data=data)
     record = CohortRecord(id="tiny", mean_shear_G=float(mean_shear_modulus(vol, mask)),
-                          young_E=shear_to_young(g))
+                          young_E=shear_to_young(g, RetractionConfig.conversion_nu))
     return CohortCase(record=record, volume=vol, mask=mask)
 
 
@@ -449,6 +449,12 @@ class TestRetractionConfig:
         float_fields = {f.name for f in fields(RetractionConfig) if f.type != "int"}
         assert float_fields == {"density"} | {name for name, _ in FLOAT_FIELDS_PAST_EVERY_FLOAT}
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_support_size_below_two_is_rejected_by_name(self, k):
+        # A lone support node has zero gradients, so the model's K would be empty.
+        with pytest.raises(ValueError, match=f"^k must be >= 2, got {k}$"):
+            RetractionConfig(k=k)
+
     def test_integer_knobs_of_any_size_pass_the_finite_check(self):
         assert RetractionConfig(seed=2**70, cg_max=10**30).seed == 2**70
 
@@ -458,6 +464,9 @@ class TestRetractionConfig:
         defaults = inspect.signature(simulate_retraction).parameters
         for name in ("liver_mass_kg", "abdomen_k", "h", "v_tol", "max_steps", "cg_max", "cg_tol"):
             assert defaults[name].default == getattr(config, name), name
+        # build_model reads its damping from the module constants the config reads.
+        build = inspect.signature(build_model).parameters
+        assert (build["alpha"].default, build["beta"].default) == (config.alpha, config.beta)
         # The settle below simulate_retraction has no defaults of its own.
         for fn, names in ((run_to_steady_state, ("h", "max_steps", "v_tol", "N_max", "tol")),
                           (step, ("N_max", "tol"))):

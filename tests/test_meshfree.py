@@ -16,7 +16,15 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from elastosim import meshfree
-from elastosim.beam import BeamSpec, _hex_grid, _hex_unit_sums, build_beam_phantom
+from elastosim.beam import (
+    VALIDATION_BEAMS,
+    VALIDATION_K,
+    VALIDATION_SEED,
+    BeamSpec,
+    _hex_grid,
+    _hex_unit_sums,
+    build_beam_phantom,
+)
 from elastosim.experiment import (
     RetractionConfig,
     SyntheticCohortSpec,
@@ -43,7 +51,7 @@ from elastosim.meshfree import (
     shape_weights,
     shepard_weights,
 )
-from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume
+from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume, voxel_centers
 
 from conftest import block_assembly, elasticity_matrix, hex_element_stiffness, strain_displacement
 
@@ -67,7 +75,7 @@ class TestMaterialField:
                           kind="elastogram_shear_kPa", data=np.array([0.0, 1.0]))
         mask = RoiMask(dims=(2, 1, 1), flags=np.array([True, True]))
         with pytest.raises(ValueError, match="Young"):
-            MaterialField(volume=vol, mask=mask)
+            MaterialField(volume=vol, mask=mask, nu=0.45, density=1000.0)
 
     def test_rejects_non_finite_young_in_mask(self):
         # The volume checks its data on construction; a later in-place edit
@@ -77,13 +85,13 @@ class TestMaterialField:
         vol.data[0] = np.nan
         mask = RoiMask(dims=(2, 1, 1), flags=np.array([True, True]))
         with pytest.raises(ValueError, match="finite"):
-            MaterialField(volume=vol, mask=mask)
+            MaterialField(volume=vol, mask=mask, nu=0.45, density=1000.0)
 
     def test_zero_young_outside_mask_ok(self):
         vol = VoxelVolume(dims=(2, 1, 1), spacing_mm=(1.0, 1.0, 1.0),
                           kind="elastogram_shear_kPa", data=np.array([0.0, 1.0]))
         mask = RoiMask(dims=(2, 1, 1), flags=np.array([False, True]))
-        field = MaterialField(volume=vol, mask=mask)
+        field = MaterialField(volume=vol, mask=mask, nu=0.45, density=1000.0)
         assert field.masked_young().tolist() == [1.0]
 
     @pytest.mark.parametrize("density", [0.0, -1.0, float("nan"), float("inf"),
@@ -233,8 +241,8 @@ def tolerance_stop_sample_dofs(field, n_nodes, seed):
 def ellipsoid_field(dims=(14, 11, 9), spacing=(0.7, 1.1, 1.3)):
     n = dims[0] * dims[1] * dims[2]
     field = make_field(dims=dims, spacing=spacing)
-    rel = (field.volume.voxel_centers() - field.volume.voxel_centers().mean(axis=0)) / (
-        0.45 * np.array(dims) * np.array(spacing))
+    centers = voxel_centers(dims, spacing)
+    rel = (centers - centers.mean(axis=0)) / (0.45 * np.array(dims) * np.array(spacing))
     flags = (rel**2).sum(axis=1) <= 1.0
     young = np.random.default_rng(4).uniform(1.0, 5.0, n)
     return make_field(dims=dims, spacing=spacing, mask_flags=flags).with_young(young)
@@ -937,8 +945,8 @@ def cohort_seed_7_model():
 @pytest.fixture(scope="module")
 def slender_beam_model():
     """The mesh-free model of `validate-beam --slender`."""
-    spec = BeamSpec(L=50.0, w=10.0, h_beam=2.5, E=12.0, q_load=6e-8, resolution=0.625)
-    return build_beam_phantom(spec, n_nodes=2441, k=6, seed=0).model
+    spec, n_nodes = VALIDATION_BEAMS["slender"]
+    return build_beam_phantom(spec, n_nodes=n_nodes, k=VALIDATION_K, seed=VALIDATION_SEED).model
 
 
 class TestClosedFormStiffness:
@@ -1057,7 +1065,13 @@ class TestAssembleDamping:
 class TestBuildModel:
     def test_rejects_small_node_count(self):
         with pytest.raises(ValueError, match="at least 4"):
-            build_model(make_field(), n_nodes=3)
+            build_model(make_field(), n_nodes=3, k=2, seed=0)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_rejects_support_size_below_two(self, k):
+        # A lone support node has zero gradients, so K would store no entry.
+        with pytest.raises(ValueError, match=f"support size k must be >= 2, got {k}"):
+            build_model(make_field(), n_nodes=4, k=k, seed=0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name, value", [
@@ -1126,7 +1140,7 @@ class TestOwnerIsFirstSupportNode:
             field = MaterialField(
                 volume=VoxelVolume(dims=dims, spacing_mm=tuple(rng.uniform(0.8, 2.2, size=3)),
                                    kind="elastogram_shear_kPa", data=data),
-                mask=RoiMask(dims=dims, flags=flags),
+                mask=RoiMask(dims=dims, flags=flags), nu=0.45, density=1000.0,
             )
             n_nodes = int(rng.integers(6, min(24, field.mask.n_selected) + 1))
             k = int(rng.integers(4, min(8, n_nodes) + 1))
@@ -1198,7 +1212,7 @@ class TestModelArchive:
         assert back.field.density == 2000.0
         assert np.array_equal(back.matrices.M, 2.0 * model.matrices.M)
 
-    @pytest.mark.parametrize("k", [0, 7])
+    @pytest.mark.parametrize("k", [0, 1, 7])
     def test_support_size_outside_node_count_rejected(self, tmp_path, k):
         model = build_model(make_field(dims=(4, 4, 3)), n_nodes=6, k=5, seed=9)
         cols = np.arange(k) % 5  # shape arrays that all hold k columns
@@ -1206,7 +1220,7 @@ class TestModelArchive:
                          gradients=model.shape.gradients[:, cols],
                          corrected_gradients=model.shape.corrected_gradients[:, cols])
         path = save_model(replace(model, shape=shape), tmp_path / "model.esim")
-        with pytest.raises(VolumeFormatError, match=rf"support size k={k} must lie in \[1, 6\]"):
+        with pytest.raises(VolumeFormatError, match=rf"support size k={k} must lie in \[2, 6\]"):
             load_model(path)
 
     def test_flat_shape_indices_rejected(self, tmp_path):
