@@ -22,7 +22,7 @@ from elastosim import (
     synth_cohort,
     write_volume,
 )
-from elastosim.experiment import SyntheticCohortSpec
+from elastosim.experiment import RetractionConfig, SyntheticCohortSpec
 
 OUT = Path(__file__).parent / "out"
 
@@ -32,7 +32,7 @@ def main():
 
     # A 20x16x8 elastogram at 1.64 mm: a block of tissue at a constant
     # 0.7 kPa shear stiffness, which is exactly the 2.1 kPa atlas Young's
-    # modulus at nu = 0.5, inside a zero background.
+    # modulus at the conversion's Poisson ratio, inside a zero background.
     dims = (20, 16, 8)
     grid = np.zeros(dims[::-1], dtype=np.float32)
     grid[2:6, 2:14, 2:18] = 0.7
@@ -46,7 +46,7 @@ def main():
     print(f"tissue mask selects {mask.n_selected} voxels")
 
     g = mean_shear_modulus(vol, mask)
-    e = shear_to_young(g, nu=0.5)
+    e = shear_to_young(g, nu=RetractionConfig.conversion_nu)
     print(f"mean shear G = {g:.4f} kPa -> Young E = 2G(1+nu) = {e:.4f} kPa")
 
     # The same summary over a whole synthetic cohort.

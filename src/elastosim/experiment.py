@@ -405,9 +405,9 @@ def young_material_field(
 ) -> MaterialField:
     """Material field with Young's modulus converted voxelwise from shear.
 
-    The conversion uses the incompressible-limit ratio E = 2 G (1 + nu) with
-    nu = 0.5 (the imaging-side assumption); the simulation itself then runs
-    at a numerically safe sim_nu < 0.5.
+    The conversion uses E = 2 G (1 + conversion_nu), by default at
+    `RetractionConfig.conversion_nu` (the imaging side's incompressible
+    limit); the simulation itself then runs at a numerically safe sim_nu < 0.5.
     """
     factor = shear_to_young(1.0, conversion_nu)
     young = VoxelVolume(

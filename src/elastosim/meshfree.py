@@ -291,12 +291,11 @@ def sample_dofs(field: MaterialField, n_nodes: int, seed: int) -> DofSet:
     step would decide it, bit for bit.
 
     Raises:
-        ValueError: n_nodes < 1, more nodes than masked voxels, or seed < 0.
+        ValueError: n_nodes < 4, more nodes than masked voxels, or seed < 0.
     """
     centers = field.masked_centers()
     n_vox = len(centers)
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    _check_node_count(n_nodes)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if n_nodes > n_vox:
@@ -305,8 +304,7 @@ def sample_dofs(field: MaterialField, n_nodes: int, seed: int) -> DofSet:
     rng = np.random.default_rng(seed)
     nodes = centers[rng.choice(n_vox, size=n_nodes, replace=False)].copy()
 
-    k = min(2, n_nodes)
-    owner, nearest_d2, bound = _owners(centers, nodes, k)
+    owner, nearest_d2, bound = _owners(centers, nodes)
     voxel_tree = cKDTree(centers)
     for _ in range(_LLOYD_MAX_ITERS - 1):
         new_nodes = _centroids(centers, owner, nearest_d2, n_nodes)
@@ -320,7 +318,7 @@ def sample_dofs(field: MaterialField, n_nodes: int, seed: int) -> DofSet:
         np.minimum(bound, radius, out=bound)
         _lower_bounds(voxel_tree, centers, nodes, moved, owner, radius, bound)
         rows = np.flatnonzero(~(reach < bound))
-        owner[rows], nearest_d2[rows], bound[rows] = _owners(centers[rows], nodes, k)
+        owner[rows], nearest_d2[rows], bound[rows] = _owners(centers[rows], nodes)
     return DofSet(nodes=nodes, owner=owner)
 
 
@@ -342,15 +340,20 @@ def _lower_bounds(voxel_tree, centers, nodes, moved, owner, radius, bound) -> No
         np.minimum.at(bound, voxels, np.sqrt(d2[:, 0]))
 
 
-def _owners(points: np.ndarray, nodes: np.ndarray, k: int):
-    """Nearest node of each point, its d^2, and the distance to its second nearest.
+def _owners(points: np.ndarray, nodes: np.ndarray):
+    """Nearest node of each point, its d^2, and the distance to its second nearest."""
+    idx, d2 = _nearest_nodes(points, nodes, 2)
+    return idx[:, 0].copy(), d2[:, 0].copy(), np.sqrt(d2[:, 1])
 
-    k is 2, or 1 for a single node, whose points have no second nearest
-    (distance inf).
-    """
-    idx, d2 = _nearest_nodes(points, nodes, k)
-    bound = np.sqrt(d2[:, 1]) if k > 1 else np.full(len(points), np.inf)
-    return idx[:, 0].copy(), d2[:, 0].copy(), bound
+
+def _check_node_count(n_nodes: int) -> None:
+    if n_nodes < 4:
+        raise ValueError(f"a 3D model needs at least 4 nodes, got {n_nodes}")
+
+
+def _check_support_size(k: int, n_nodes: int) -> None:
+    if not 2 <= k <= n_nodes:  # at k = 1 every Shepard gradient is 0, so K would be empty
+        raise ValueError(f"support size k={k} must lie in [2, {n_nodes}], the node count")
 
 
 def _centroids(points: np.ndarray, owner: np.ndarray, nearest_d2: np.ndarray, n_nodes: int):
@@ -435,15 +438,14 @@ def shepard_weights(points: np.ndarray, nodes: np.ndarray, k: int):
     Args:
         points: query positions, shape (m, 3).
         nodes: node positions, shape (n, 3).
-        k: support size, 1 <= k <= n.
+        k: support size, 2 <= k <= n.
 
     Returns:
         (indices, weights, gradients) with shapes (m, k), (m, k), (m, k, 3).
     """
     points = np.asarray(points, dtype=np.float64)
     nodes = np.asarray(nodes, dtype=np.float64)
-    if not 1 <= k <= len(nodes):
-        raise ValueError(f"support size k={k} must lie in [1, {len(nodes)}]")
+    _check_support_size(k, len(nodes))
     idx, _ = _nearest_nodes(points, nodes, k)
     return (idx, *_shepard(points, nodes, idx))
 
@@ -516,7 +518,7 @@ def shape_weights(dofs: DofSet, field: MaterialField, k: int) -> ShapeMap:
     """Build the per-voxel ShapeMap over the field's masked voxel centers.
 
     Raises:
-        ValueError: k out of [1, n_nodes].
+        ValueError: k out of [2, n_nodes].
     """
     centers = field.masked_centers()
     indices, weights, gradients = shepard_weights(centers, dofs.nodes, k)
@@ -662,12 +664,8 @@ def build_model(field: MaterialField, n_nodes: int, *, k: int, seed: int,
     """Build a complete mesh-free model from a material field.
 
     Raises:
-        ValueError: n_nodes < 4, k < 2 (K would be empty), or any component precondition fails.
+        ValueError: a model-size rule (`sample_dofs`, `shepard_weights`) or a precondition fails.
     """
-    if n_nodes < 4:
-        raise ValueError(f"a 3D model needs at least 4 nodes, got {n_nodes}")
-    if k < 2:
-        raise ValueError(f"support size k must be >= 2, got {k}")
     dofs = sample_dofs(field, n_nodes=n_nodes, seed=seed)
     shape = shape_weights(dofs, field, k=k)
     K = assemble_stiffness(shape, field, n_nodes=dofs.n_nodes)
@@ -788,9 +786,9 @@ def load_model(path: str | Path) -> MeshFreeModel:
         VolumeFormatError: bad magic, a truncated or malformed header, a
             missing array, an array whose bytes or shape disagree with the
             manifest, the mask, the support size or the model's DOF count,
-            a support size outside [2, node count], a shape_indices entry
-            outside [0, node count), or a density, alpha or beta of the wrong
-            type or range.
+            a node count or support size that a build would reject, a
+            shape_indices entry outside [0, node count), a K unequal to its
+            transpose, or a density, alpha or beta of the wrong type or range.
     """
     path = Path(path)
     if not path.exists():
@@ -811,8 +809,8 @@ def load_model(path: str | Path) -> MeshFreeModel:
         # The owners are the first column, copied; empty if k = 0, which is rejected next.
         dofs = DofSet(nodes=arrays["nodes"], owner=indices[:, :1].flatten())
         k, n, n_dofs = indices.shape[1], dofs.n_nodes, 3 * dofs.n_nodes
-        if not 2 <= k <= n:
-            raise VolumeFormatError(f"support size k={k} must lie in [2, {n}], the node count")
+        _check_node_count(n)
+        _check_support_size(k, n)
         if not 0 <= indices.min() <= indices.max() < n:
             raise VolumeFormatError(f"array 'shape_indices' holds a node index outside [0, {n})")
         if arrays["shape_corrected"].shape != (m, k, 3):
@@ -829,6 +827,8 @@ def load_model(path: str | Path) -> MeshFreeModel:
         K = sp.csr_matrix((arrays["K_data"], arrays["K_indices"], arrays["K_indptr"]),
                           shape=(n_dofs, n_dofs))
         K.check_format(full_check=True)  # column indices come from outside
+        if (K != K.T).nnz:  # every K the build assembles equals its transpose bit for bit
+            raise VolumeFormatError("K differs from its transpose")
         matrices = SystemMatrices(M=assemble_mass(shape, field, n_nodes=n), K=K,
                                   alpha=header["alpha"], beta=header["beta"])
         return MeshFreeModel(field=field, dofs=dofs, shape=shape, matrices=matrices)

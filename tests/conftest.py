@@ -5,18 +5,18 @@ import json
 import struct
 
 import numpy as np
+import scipy.sparse as sp
 
 from elastosim.meshfree import (
     KPA_TO_N_PER_MM2,
+    DofSet,
     MaterialField,
     MeshFreeModel,
+    ShapeMap,
     SystemMatrices,
     _pair_pattern,
     _symmetric_csr,
     assemble_mass,
-    assemble_stiffness,
-    sample_dofs,
-    shape_weights,
 )
 from elastosim.volume import RoiMask, VoxelVolume
 
@@ -44,15 +44,19 @@ def make_field(dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0), young=2.1, nu=0.45,
 
 
 def make_point_model(spacing=10.0, density=1000.0, alpha=0.0, beta=0.0):
-    """One-node model on a single voxel: K is exactly zero (coincident node)."""
+    """One-node model on a single voxel, built by hand (a build needs 4 nodes).
+
+    The node sits on the voxel center, so the voxel's one Shepard weight is 1,
+    its gradients are 0 and K is exactly zero: a free point mass.
+    """
     field = make_field(dims=(1, 1, 1), spacing=(spacing,) * 3, density=density)
-    dofs = sample_dofs(field, n_nodes=1, seed=0)
-    shape = shape_weights(dofs, field, k=1)
-    K = assemble_stiffness(shape, field, n_nodes=1)
+    dofs = DofSet(nodes=field.masked_centers(), owner=np.zeros(1, dtype=np.int64))
+    shape = ShapeMap(indices=np.zeros((1, 1), dtype=np.int64), weights=np.ones((1, 1)),
+                     gradients=np.zeros((1, 1, 3)), corrected_gradients=np.zeros((1, 1, 3)))
     M = assemble_mass(shape, field, n_nodes=1)
     return MeshFreeModel(
         field=field, dofs=dofs, shape=shape,
-        matrices=SystemMatrices(M=M, K=K, alpha=alpha, beta=beta),
+        matrices=SystemMatrices(M=M, K=sp.csr_matrix((3, 3)), alpha=alpha, beta=beta),
     )
 
 

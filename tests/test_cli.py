@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import join_archive, split_archive
+from conftest import join_archive, make_field, split_archive
 
 from elastosim.beam import VALIDATION_BEAMS
 from elastosim.cli import (
@@ -23,6 +23,18 @@ from elastosim.cli import (
     cli_main,
 )
 from elastosim.experiment import load_comparison_csv
+from elastosim.meshfree import (
+    DofSet,
+    MeshFreeModel,
+    ShapeMap,
+    SystemMatrices,
+    _nearest_nodes,
+    _shepard,
+    assemble_mass,
+    assemble_stiffness,
+    correct_gradients,
+    save_model,
+)
 from elastosim.volume import VoxelVolume, load_cohort_csv, write_volume
 
 try:
@@ -347,7 +359,8 @@ class TestModelAndRetract:
         code = cli_main(["build-model", "--volume", str(cohort / "case_000.json"),
                          "--nodes", "5", "--k", "8", "--out", str(model_path)])
         assert code == EXIT_DATA
-        assert "data error: support size k=8 must lie in [1, 5]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error: support size k=8 must lie in [2, 5], the node count" in err
         assert not model_path.exists()
 
     def test_support_size_one_is_data_error(self, capsys, tmp_path):
@@ -449,6 +462,34 @@ def _support_width_one(header, payload):
     return payload
 
 
+def _scale_off_diagonal_k(raw, factor):
+    """Archive with the first off-diagonal K_data entry of row 0 scaled by factor."""
+    header, payload = split_archive(raw)
+    columns = np.frombuffer(payload, np.int64, 4, _entry(header, "K_indices")["offset"])
+    at = _entry(header, "K_data")["offset"] + 8 * int(np.flatnonzero(columns)[0])
+    (value,) = struct.unpack_from("<d", payload, at)
+    return join_archive(header, payload[:at] + struct.pack("<d", value * factor) + payload[at + 8:])
+
+
+def _three_node_model():
+    """A 3-node model of a 4x4x4 field, built by hand from the build's own parts.
+
+    `build_model` refuses fewer than 4 nodes, so the nodes are three voxel
+    centers and the shape map is the build's, at support size 2.
+    """
+    field = make_field(dims=(4, 4, 4))
+    centers = field.masked_centers()
+    nodes = centers[[0, 21, 63]]
+    indices, _ = _nearest_nodes(centers, nodes, 2)
+    weights, gradients = _shepard(centers, nodes, indices)
+    shape = ShapeMap(indices=indices, weights=weights, gradients=gradients,
+                     corrected_gradients=correct_gradients(gradients, nodes[indices]))
+    matrices = SystemMatrices(M=assemble_mass(shape, field, n_nodes=3),
+                              K=assemble_stiffness(shape, field, n_nodes=3), alpha=0.1, beta=0.01)
+    return MeshFreeModel(field=field, dofs=DofSet(nodes=nodes, owner=indices[:, 0].copy()),
+                         shape=shape, matrices=matrices)
+
+
 def _column_index_past_dofs(header, payload):
     offset = _entry(header, "K_indices")["offset"]
     n_dofs = 3 * _entry(header, "nodes")["shape"][0]
@@ -516,6 +557,20 @@ class TestCorruptModelArchive:
         assert self.retract(tmp_path, join_archive(header, payload)) == EXIT_DATA
         err = capsys.readouterr().err
         assert "bad.esm" in err and named in err
+
+    @pytest.mark.parametrize("factor", [1.5, -1000.0])
+    def test_k_unequal_to_its_transpose_is_data_error(self, capsys, tmp_path, archive, factor):
+        # A corrupt K settled silently (x1.5) or failed as a solver fault (x-1000).
+        assert self.retract(tmp_path, _scale_off_diagonal_k(archive, factor)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad.esm: K differs from its transpose" in err
+
+    def test_three_node_archive_is_data_error(self, capsys, tmp_path):
+        # Loaded models pass the node-count rule that built ones do.
+        raw = save_model(_three_node_model(), tmp_path / "three.esm").read_bytes()
+        assert self.retract(tmp_path, raw) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad.esm: a 3D model needs at least 4 nodes, got 3" in err
 
     @pytest.mark.parametrize("name", ["K_data", "shape_corrected", "nodes"])
     def test_nan_array_is_data_error(self, capsys, tmp_path, archive, name):

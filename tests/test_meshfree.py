@@ -110,12 +110,10 @@ class TestMaterialField:
 
 
 class TestSampleDofs:
-    def test_single_node_lands_on_centroid(self):
-        field = make_field(dims=(5, 4, 3))
-        dofs = sample_dofs(field, n_nodes=1, seed=3)
-        centroid = field.masked_centers().mean(axis=0)
-        assert np.allclose(dofs.nodes[0], centroid, atol=1e-9)
-        assert np.all(dofs.owner == 0)
+    @pytest.mark.parametrize("n_nodes", [0, 1, 3])
+    def test_fewer_than_four_nodes_rejected_by_name(self, n_nodes):
+        with pytest.raises(ValueError, match=f"^a 3D model needs at least 4 nodes, got {n_nodes}$"):
+            sample_dofs(make_field(), n_nodes=n_nodes, seed=0)
 
     def test_eight_nodes_on_eight_voxels(self):
         field = make_field(dims=(2, 2, 2))
@@ -392,15 +390,12 @@ class TestIncrementalLloyd:
         for _ in range(60):
             dims = tuple(int(d) for d in rng.integers(2, 8, 3))
             flags = rng.random(int(np.prod(dims))) < rng.uniform(0.3, 1.0)
-            if flags.sum() < 3:
+            if flags.sum() < 4:
                 continue
             spacing = tuple(float(h) for h in rng.choice([0.5, 0.7, 1.0, 1.3], 3))
             field = make_field(dims=dims, spacing=spacing, mask_flags=flags)
-            n_nodes = int(rng.integers(1, flags.sum() + 1))
+            n_nodes = int(rng.integers(4, flags.sum() + 1))
             assert_matches_full_query(field, n_nodes, int(rng.integers(0, 100)))
-
-    def test_single_node(self):
-        assert_matches_full_query(ellipsoid_field(), 1, 2)
 
     def test_as_many_nodes_as_voxels(self):
         field = make_field(dims=(4, 3, 2))
@@ -643,6 +638,13 @@ class TestShepardWeights:
         nodes = np.zeros((3, 3))
         with pytest.raises(ValueError, match="support size"):
             shepard_weights(np.zeros((1, 3)), nodes, k=4)
+
+    def test_rejects_support_size_one_by_name(self):
+        # A lone support node has zero gradients, so K would store no entry.
+        nodes = np.random.default_rng(0).uniform(0.0, 10.0, size=(5, 3))
+        with pytest.raises(ValueError,
+                           match=r"^support size k=1 must lie in \[2, 5\], the node count$"):
+            shepard_weights(np.zeros((1, 3)), nodes, k=1)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n_nodes=st.integers(4, 20), k=st.integers(2, 8))
@@ -1064,13 +1066,14 @@ class TestAssembleDamping:
 
 class TestBuildModel:
     def test_rejects_small_node_count(self):
-        with pytest.raises(ValueError, match="at least 4"):
+        with pytest.raises(ValueError, match="^a 3D model needs at least 4 nodes, got 3$"):
             build_model(make_field(), n_nodes=3, k=2, seed=0)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_rejects_support_size_below_two(self, k):
         # A lone support node has zero gradients, so K would store no entry.
-        with pytest.raises(ValueError, match=f"support size k must be >= 2, got {k}"):
+        with pytest.raises(ValueError,
+                           match=rf"^support size k={k} must lie in \[2, 4\], the node count$"):
             build_model(make_field(), n_nodes=4, k=k, seed=0)
 
     @pytest.mark.filterwarnings("error")
@@ -1291,6 +1294,33 @@ class TestArchiveRebuild:
     def test_validate_beam_phantoms(self, tmp_path, spec, n_nodes):
         phantom = build_beam_phantom(spec, n_nodes=n_nodes, k=6, seed=0)
         assert_loads_as_built(phantom.model, tmp_path / "beam.esm")
+
+
+class TestStiffnessEqualsItsTranspose:
+    # `load_model` rejects a K that differs from its transpose, so every K the
+    # build assembles must equal its transpose bit for bit: `_symmetric_csr`
+    # averages each block with its mirror's transpose.
+    @pytest.mark.parametrize("source", ["cohort-run --seed 7", "inclusion 4x", "build workload"])
+    def test_pipeline_models_and_their_atlas_twins(self, source):
+        if source == "cohort-run --seed 7":
+            config, cases = RetractionConfig(seed=7), synth_cohort(SyntheticCohortSpec(n=3, seed=7))
+        elif source == "inclusion 4x":
+            config, cases = RetractionConfig(), [stiff_inclusion_case(4.0)]
+        else:
+            # `synth-cohort --n 8 --seed 1 --heterogeneity 0.3`, then `build-model --seed 1`.
+            config = RetractionConfig(seed=1)
+            cases = [case_from_volume(case.volume, case.record.id)
+                     for case in synth_cohort(SyntheticCohortSpec(n=8, seed=1, heterogeneity=0.3))]
+        for case in cases:
+            model = config.measured_model(case)
+            for K in (model.matrices.K, model.with_constant_young(config.atlas_e_kpa).matrices.K):
+                assert (K != K.T).nnz == 0, case.record.id
+
+    @pytest.mark.parametrize("name", sorted(VALIDATION_BEAMS))
+    def test_validation_beams(self, name):
+        spec, n_nodes = VALIDATION_BEAMS[name]
+        model = build_beam_phantom(spec, n_nodes=n_nodes, k=VALIDATION_K, seed=VALIDATION_SEED).model
+        assert (model.matrices.K != model.matrices.K.T).nnz == 0
 
 
 class TestElasticityMatrix:

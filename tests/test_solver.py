@@ -639,15 +639,16 @@ class TestDisplaceLandmarks:
     def test_midpoint_landmark_averages_two_nodes(self):
         field = make_field(dims=(2, 1, 1), spacing=(2.0, 2.0, 2.0))
         from elastosim.meshfree import (
+            DofSet,
             MeshFreeModel,
             SystemMatrices,
             assemble_mass,
             assemble_stiffness,
-            sample_dofs,
             shape_weights,
         )
 
-        dofs = sample_dofs(field, n_nodes=2, seed=0)
+        # A node on each voxel center, placed by hand: `sample_dofs` needs 4 nodes.
+        dofs = DofSet(nodes=field.masked_centers(), owner=np.arange(2))
         shape = shape_weights(dofs, field, k=2)
         K = assemble_stiffness(shape, field, n_nodes=2)
         M = assemble_mass(shape, field, n_nodes=2)
