@@ -502,15 +502,15 @@ def correct_gradients(gradients: np.ndarray, node_positions: np.ndarray) -> np.n
         Corrected gradients, shape (m, k, 3).
     """
     centered = node_positions - node_positions.mean(axis=1, keepdims=True)
-    moment = np.einsum("mka,mkb->mab", centered, centered)
-    residual = np.eye(3) - np.einsum("mka,mkb->mab", gradients, node_positions)
+    moment = centered.transpose(0, 2, 1) @ centered
+    residual = np.eye(3) - gradients.transpose(0, 2, 1) @ node_positions
     scale = np.einsum("maa->m", moment) / 3.0  # mean eigenvalue; 0 if the support is one point
     with np.errstate(invalid="ignore"):  # 0/0 gives a NaN determinant, which fails the test
         ok = np.linalg.det(moment / scale[:, None, None]) > 1e-9  # unit-free: no overflow
     corrected = gradients.copy()
     if ok.any():
         shift = np.linalg.solve(moment[ok], residual[ok].transpose(0, 2, 1))
-        corrected[ok] += np.einsum("mka,mab->mkb", centered[ok], shift)
+        corrected[ok] += centered[ok] @ shift
     return corrected
 
 

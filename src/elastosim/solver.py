@@ -24,7 +24,7 @@ cantilever's static solves go through the same factored CG.
 `BandedCholesky` is the one factor behind every SPD solve, the settle's and
 the FEA baseline's: it renumbers the rows by reverse Cuthill-McKee (Cuthill
 & McKee, 1969), unless the matrix's own numbering gives a narrower band,
-and runs LAPACK's band Cholesky on the upper band (George & Liu, Computer
+and runs LAPACK's band Cholesky on the lower band (George & Liu, Computer
 Solution of Large Sparse Positive Definite Systems, 1981).  Both kinds of
 matrix are SPD and, once ordered, nearly banded.
 
@@ -158,9 +158,10 @@ class LinearSystem:
 class BandedCholesky:
     """Cholesky factor of a sparse SPD matrix, held as a band in a reordered numbering.
 
-    Row r of the factor is row `perm[r]` of the matrix.  `band` is the upper
-    band of the factor in LAPACK's layout: `band[w + r - s, s]` holds entry
-    (r, s) for r <= s <= r + w, where w + 1 is the band's row count.
+    Row r of the factor is row `perm[r]` of the matrix.  `band` is the lower
+    band of the factor L, A[perm][:, perm] = L L^T, in LAPACK's layout:
+    `band[r - s, s]` holds entry (r, s) of L for s <= r <= s + w, where
+    w + 1 is the band's row count.
 
     Attributes:
         perm: the ordering, a permutation of the matrix's rows.
@@ -175,33 +176,38 @@ class BandedCholesky:
         """Factor A in reverse Cuthill-McKee order, or in its own numbering if
         that gives a band no wider.
 
-        Only the upper triangle of the ordered matrix is read, so A must be
+        Only the lower triangle of the ordered matrix is read, so A must be
         symmetric.
 
         Raises:
             IndefiniteSystemError: A is singular or not positive definite.
         """
         A = sp.csr_array(A)
-        A.sum_duplicates()
+        A.sum_duplicates()  # also sorts each row's columns
         n = A.shape[0]
-        rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-        cols = A.indices
+        counts = np.diff(A.indptr)
+        rows = np.flatnonzero(counts)
+        # A sorted row's first column is its farthest reach below the diagonal.
+        w = int((rows - A.indices[A.indptr[rows]]).max(initial=0))
         perm = reverse_cuthill_mckee(A, symmetric_mode=True)
         rank = np.empty_like(perm)
         rank[perm] = np.arange(n, dtype=perm.dtype)
-        r, c = rank[rows], rank[cols]
-        # A symmetric pattern has as wide a band above the diagonal as below it.
-        if (c - r).max(initial=0) >= (cols - rows).max(initial=0):
-            perm, r, c = np.arange(n), rows, cols
-        del rows, cols, rank
-        upper = r <= c
-        r, c, data = r[upper], c[upper], A.data[upper]
-        w = int((c - r).max(initial=0))
+        cols = rank.take(A.indices)
+        below = np.repeat(rank, counts)  # each entry's distance below the diagonal
+        below -= cols
+        w_rcm = int(below.max(initial=0))
+        if w_rcm < w:
+            w = w_rcm
+        else:
+            perm, cols = np.arange(n), A.indices
+            below = np.repeat(np.arange(n, dtype=cols.dtype), counts)
+            below -= cols
+        lower = np.flatnonzero(below >= 0)
         # LAPACK reads a Fortran-ordered band in place; a C-ordered one it would copy.
         band = np.zeros((w + 1, n), order="F")
-        band[w + r - c, c] = data
+        band[below.take(lower), cols.take(lower)] = A.data.take(lower)
         try:
-            band = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+            band = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
         except LinAlgError as exc:
             raise IndefiniteSystemError(
                 f"system matrix is singular or not positive definite: {exc}"
@@ -210,7 +216,7 @@ class BandedCholesky:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b, by the two triangular band solves in the factor's numbering."""
-        y = cho_solve_banded((self.band, False), b[self.perm], overwrite_b=True,
+        y = cho_solve_banded((self.band, True), b[self.perm], overwrite_b=True,
                              check_finite=False)
         x = np.empty_like(y)
         x[self.perm] = y
@@ -230,13 +236,17 @@ class CgResult:
 def reduce_dirichlet(A: sp.csr_matrix, b: np.ndarray, fixed: np.ndarray) -> LinearSystem:
     """Hold the fixed DOFs at zero: their rows and columns of A become identity, their b zero.
 
-    The reduced system stays SPD and keeps its size.
+    The reduced system stays SPD and keeps its size.  The entries are zeroed
+    on one copy of A, so the reduction makes no temporary larger than A.
     """
     keep = np.ones(len(b))
     keep[fixed] = 0.0
-    P = sp.diags(keep)
-    A = (P @ A @ P + sp.diags(1.0 - keep)).tocsr()
+    held = keep == 0.0
+    A = A.tocsr(copy=True)
     A.sum_duplicates()
+    A.data[np.repeat(held, np.diff(A.indptr)) | held[A.indices]] = 0.0
+    A[fixed, fixed] = 1.0  # a stored diagonal is set in place, a missing one inserted
+    A.eliminate_zeros()
     return LinearSystem(A=A, b=b * keep)
 
 

@@ -1,11 +1,15 @@
 """Shared builders for small test fields, degenerate point models and model archives,
-and the dense stiffness references that the closed-form kernel replaced."""
+the dense stiffness references that the closed-form kernel replaced, and the
+upper-band factor, product Dirichlet reduction and einsum gradient correction
+that faster paths replaced."""
 
 import json
 import struct
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from elastosim.meshfree import (
     KPA_TO_N_PER_MM2,
@@ -130,3 +134,69 @@ def block_assembly(nodes, blocks, n_nodes):
         data[:, a, b] = np.bincount(pattern.inverse, weights=parts[:, :, a, :, b].ravel(),
                                     minlength=n_pairs)
     return _symmetric_csr(pattern, data, n_nodes)
+
+
+def upper_band_solve(A, b):
+    """Reference: x with A x = b, by LAPACK's band Cholesky on the upper band.
+
+    The factor `BandedCholesky` used before it switched to the lower band:
+    the same ordering rule (reverse Cuthill-McKee unless the matrix's own
+    numbering gives a band no wider), the upper triangle scattered to
+    `band[w + r - c, c]`.
+    """
+    A = sp.csr_array(A)
+    A.sum_duplicates()
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    cols = A.indices
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(n, dtype=perm.dtype)
+    r, c = rank[rows], rank[cols]
+    if (c - r).max(initial=0) >= (cols - rows).max(initial=0):
+        perm, r, c = np.arange(n), rows, cols
+    upper = r <= c
+    r, c, data = r[upper], c[upper], A.data[upper]
+    w = int((c - r).max(initial=0))
+    band = np.zeros((w + 1, n), order="F")
+    band[w + r - c, c] = data
+    band = cholesky_banded(band, check_finite=False)
+    x = np.empty(n)
+    x[perm] = cho_solve_banded((band, False), b[perm], check_finite=False)
+    return x
+
+
+def product_dirichlet(A, b, fixed):
+    """Reference: the Dirichlet reduction as P A P + diag(1 - keep), P = diag(keep)."""
+    keep = np.ones(len(b))
+    keep[fixed] = 0.0
+    P = sp.diags(keep)
+    A = (P @ A @ P + sp.diags(1.0 - keep)).tocsr()
+    A.sum_duplicates()
+    return A, b * keep
+
+
+def assert_same_csr(got, want):
+    """The two CSR matrices hold the same indptr, indices and data, dtypes included."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def einsum_corrected_gradients(gradients, node_positions):
+    """Reference: `correct_gradients` with its products written as einsums.
+
+    Returns the corrected gradients and the mask of points whose support
+    spans three directions (the others keep their raw gradients).
+    """
+    centered = node_positions - node_positions.mean(axis=1, keepdims=True)
+    moment = np.einsum("mka,mkb->mab", centered, centered)
+    residual = np.eye(3) - np.einsum("mka,mkb->mab", gradients, node_positions)
+    scale = np.einsum("maa->m", moment) / 3.0
+    with np.errstate(invalid="ignore"):
+        ok = np.linalg.det(moment / scale[:, None, None]) > 1e-9
+    corrected = gradients.copy()
+    if ok.any():
+        shift = np.linalg.solve(moment[ok], residual[ok].transpose(0, 2, 1))
+        corrected[ok] += np.einsum("mka,mab->mkb", centered[ok], shift)
+    return corrected, ok

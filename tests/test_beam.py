@@ -35,7 +35,13 @@ from elastosim.solver import (
     displace_landmarks,
 )
 
-from conftest import block_assembly, elasticity_matrix, hex_element_stiffness
+from conftest import (
+    assert_same_csr,
+    block_assembly,
+    elasticity_matrix,
+    hex_element_stiffness,
+    product_dirichlet,
+)
 
 # Resolution 1.25 divides the benchmark box 50 x 10 x 10 exactly, so snapped
 # extents equal the nominal ones and hand-derived values apply unchanged.
@@ -387,6 +393,20 @@ class TestFeaStiffness:
         band = [np.abs(A.row - A.col).max() for A in
                 (system.A.tocoo(), elastosim.solver.reduce_dirichlet(ref, f, fixed).A.tocoo())]
         assert band[0] == band[1]
+
+    def test_clamped_system_equals_the_product_reduction(self, monkeypatch):
+        seen = []
+
+        def keep_inputs(K, f, fixed):
+            seen.append((K, f, fixed))
+            return elastosim.solver.reduce_dirichlet(K, f, fixed)
+
+        monkeypatch.setattr(elastosim.beam, "reduce_dirichlet", keep_inputs)
+        system = _fea_system(GRID_SPECS[0])
+        ((K, f, fixed),) = seen
+        A_ref, b_ref = product_dirichlet(K, f, fixed)
+        assert_same_csr(system.A, A_ref)
+        assert np.array_equal(system.b, b_ref)
 
 
 class TestHexGrid:

@@ -53,7 +53,13 @@ from elastosim.meshfree import (
 )
 from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume, voxel_centers
 
-from conftest import block_assembly, elasticity_matrix, hex_element_stiffness, strain_displacement
+from conftest import (
+    block_assembly,
+    einsum_corrected_gradients,
+    elasticity_matrix,
+    hex_element_stiffness,
+    strain_displacement,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import _model_arrays, model_digest  # noqa: E402
@@ -670,6 +676,28 @@ class TestCorrectGradients:
         corrected = correct_gradients(raw, nodes[idx])
         identity = np.einsum("mka,mkb->mab", corrected, nodes[idx])
         assert np.abs(identity - np.eye(3)).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e60])
+    def test_matches_the_einsum_reference_on_degenerate_supports(self, scale):
+        # Spanning supports, points on a node (raw gradients 0), coplanar
+        # supports and supports of one repeated point (the last two keep
+        # their raw gradients).
+        rng = np.random.default_rng(1)
+        nodes = rng.uniform(0.0, 20.0, size=(12, 3)) * scale
+        points = np.vstack([rng.uniform(0.0, 20.0, size=(30, 3)) * scale, nodes[:3]])
+        idx, _, raw = shepard_weights(points, nodes, k=6)
+        spanning = nodes[idx]
+        coplanar = spanning.copy()
+        coplanar[..., 2] = 5.0 * scale
+        one_point = np.broadcast_to(spanning[:, :1], spanning.shape)
+        gradients = np.concatenate([raw] * 3)
+        positions = np.concatenate([spanning, coplanar, one_point])
+        corrected = correct_gradients(gradients, positions)
+        want, ok = einsum_corrected_gradients(gradients, positions)
+        assert np.array_equal(ok, np.arange(len(ok)) < len(raw))
+        assert np.array_equal(corrected[~ok], gradients[~ok])
+        assert np.abs(corrected - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def hand_stiffness_single_voxel(center, nodes, young_kpa, nu, v_mm3):

@@ -6,12 +6,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import make_field, make_point_model
+from conftest import (
+    assert_same_csr,
+    make_field,
+    make_point_model,
+    product_dirichlet,
+    upper_band_solve,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu, spsolve
 
+from elastosim.beam import (
+    VALIDATION_BEAMS,
+    VALIDATION_K,
+    VALIDATION_SEED,
+    _fea_system,
+    _meshfree_system,
+    build_beam_phantom,
+)
 from elastosim.experiment import (
     SyntheticCohortSpec,
     default_retractor,
@@ -117,6 +131,41 @@ class TestImplicitSystem:
         sys1 = reduce_dirichlet(K, np.array([5.0, 7.0]), np.array([0]))
         assert np.array_equal(sys1.A.toarray(), [[1.0, 0.0], [0.0, 3.0]])
         assert np.array_equal(sys1.b, [0.0, 7.0])
+
+
+@st.composite
+def csr_with_duplicates(draw):
+    """A square CSR matrix whose rows may repeat a column, hold explicit zeros,
+    cancel to zero or lack their diagonal, with a set of fixed DOFs."""
+    n = draw(st.integers(1, 10))
+    value = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                      st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    # At most 16 stored entries a row: scipy sorts a longer row unstably
+    # before it sums duplicates, so three or more duplicates there add up in
+    # another order, and round differently, than the product's storage order.
+    rows = [draw(st.lists(st.tuples(st.integers(0, n - 1), value), max_size=16))
+            for _ in range(n)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([c for r in rows for c, _ in r], dtype=np.int32)
+    data = np.array([v for r in rows for _, v in r], dtype=float)
+    fixed = np.array(draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n)), fixed
+
+
+class TestReduceDirichlet:
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(case=csr_with_duplicates())
+    def test_equals_the_product_reference_array_for_array(self, case):
+        A, fixed = case
+        b = np.arange(1.0, A.shape[0] + 1.0)
+        before = (A.indptr.copy(), A.indices.copy(), A.data.copy())
+        system = reduce_dirichlet(A, b, fixed)
+        A_ref, b_ref = product_dirichlet(A, b, fixed)
+        assert_same_csr(system.A, A_ref)
+        assert np.array_equal(system.b, b_ref)
+        assert all(np.array_equal(x, y) for x, y in zip(before, (A.indptr, A.indices, A.data))), \
+            "the caller's matrix is left as it was"
 
 
 class TestLoadCase:
@@ -370,6 +419,34 @@ class TestBandedCholesky:
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
         assert np.array_equal(x[fixed], b[fixed]), "an identity row passes its b entry through"
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), density=st.floats(0.0, 0.3), fixed_frac=st.floats(0.0, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, density=0.0, fixed_frac=0.0, seed=0)
+    def test_lower_band_is_the_factor_of_the_ordered_matrix(self, n, density, fixed_frac, seed):
+        rng = np.random.default_rng(seed)
+        fixed = rng.choice(n, size=int(fixed_frac * n), replace=False)
+        A = sparse_spd(n, density, fixed, seed)
+        factor = BandedCholesky.of(A)
+        band = factor.band
+        assert band.flags.f_contiguous
+        assert np.all(band[0] > 0)
+        L = sum(np.diag(band[k, :n - k], -k) for k in range(band.shape[0]))
+        ordered = A.toarray()[np.ix_(factor.perm, factor.perm)]
+        assert np.linalg.norm(L @ L.T - ordered) <= 1e-12 * np.linalg.norm(ordered)
+
+    @pytest.mark.parametrize("name", ["slender_fea", "slender_meshfree", "settle"])
+    def test_matches_the_upper_band_factor_and_spsolve(self, name, request):
+        A = request.getfixturevalue(f"{name}_matrix")
+        b = np.random.default_rng(5).standard_normal(A.shape[0])
+        x = BandedCholesky.of(A).solve(b)
+        x_upper = upper_band_solve(A, b)
+        x_direct = spsolve(A.tocsc(), b)
+        assert np.linalg.norm(x - x_upper) <= 1e-10 * np.linalg.norm(x_upper)
+        # A direct solve of the mesh-free beam is only this close to any
+        # other: the upper-band factor and spsolve differ by 1.6e-10 there.
+        assert np.linalg.norm(x - x_direct) <= 1e-9 * np.linalg.norm(x_direct)
+
     def test_settle_matrix_matches_spsolve(self, retraction_case):
         model, loads, h, _ = retraction_case
         A = prepare_settle(model, loads, h).A
@@ -413,6 +490,26 @@ def retraction_case():
     field = young_material_field(case.volume, case.mask)
     model = build_model(field, n_nodes=300, k=8, seed=0)
     return model, retraction_load_case(model, default_retractor(field)), 0.05, 1e-6
+
+
+@pytest.fixture(scope="module")
+def slender_fea_matrix():
+    """The clamped K of `validate-beam --slender`'s FEA, in its own numbering."""
+    return _fea_system(VALIDATION_BEAMS["slender"][0]).A
+
+
+@pytest.fixture(scope="module")
+def slender_meshfree_matrix():
+    """The clamped mesh-free K of `validate-beam --slender`, ordered by RCM."""
+    spec, n_nodes = VALIDATION_BEAMS["slender"]
+    phantom = build_beam_phantom(spec, n_nodes, VALIDATION_K, VALIDATION_SEED)
+    return _meshfree_system(phantom).A
+
+
+@pytest.fixture(scope="module")
+def settle_matrix(retraction_case):
+    model, loads, h, _ = retraction_case
+    return prepare_settle(model, loads, h).A
 
 
 class TestPreparedSettle:
