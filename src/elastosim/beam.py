@@ -273,7 +273,8 @@ def _hex_unit_sums(res: float) -> np.ndarray:
     """P[i, j, a, b] = sum_q dN_a/dx_i dN_b/dx_j det J of a trilinear cube of edge res.
 
     The sum over the 2x2x2 Gauss points (unit weights) at E = 1, shape
-    (3, 3, 8, 8): what `_isotropic_stiffness` sums per element.
+    (3, 3, 8, 8): what `_isotropic_stiffness` sums per element.  It is made
+    to equal P[j, i, b, a] bit for bit, as the kernel requires.
     """
     grid = np.array([[i, j, k] for k in (-1, 1) for j in (-1, 1) for i in (-1, 1)], dtype=float)
     corners = grid[[0, 1, 3, 2, 4, 5, 7, 6]]  # local node order: ring order per z face
@@ -283,7 +284,8 @@ def _hex_unit_sums(res: float) -> np.ndarray:
     others = terms[:, :, [[1, 2], [0, 2], [0, 1]]].prod(axis=3)
     jac = res / 2.0
     grads = 0.125 * corners * others / jac  # d/dx = d/dxi * dxi/dx
-    return np.einsum("qai,qbj->ijab", grads, grads) * jac**3
+    p = np.einsum("qai,qbj->ijab", grads, grads) * jac**3
+    return (p + p.transpose(1, 0, 3, 2)) * 0.5
 
 
 def _hex_grid(cells: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:

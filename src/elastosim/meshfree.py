@@ -543,9 +543,16 @@ def assemble_stiffness(shape: ShapeMap, field: MaterialField, n_nodes: int) -> s
     """
     pattern = shape._pairs  # first: its temporaries are the call's largest
     g = shape.corrected_gradients
-    gw = g * (field.masked_young() * field.voxel_volume_mm3)[:, None, None]
-    return _isotropic_stiffness(pattern, lambda i, j: gw[:, :, i, None] * g[:, None, :, j],
-                                field.nu, n_nodes)
+    w = field.masked_young() * field.voxel_volume_mm3
+
+    def sums(i, j):
+        # The product before the weight, so that sums(j, i)[v, b, a] equals
+        # sums(i, j)[v, a, b] bit for bit and K equals its transpose.
+        s = g[:, :, i, None] * g[:, None, :, j]
+        s *= w[:, None, None]
+        return s
+
+    return _isotropic_stiffness(pattern, sums, field.nu, n_nodes)
 
 
 def _lame(nu: float) -> tuple[float, float]:
@@ -560,13 +567,12 @@ class _PairPattern(NamedTuple):
     pairs holds each distinct (row node, column node) pair once, as the
     sorted key row * span + column.  inverse maps every (element, a, b)
     entry of the element-to-node table, shape (e, m), to its pair, in that
-    order; mirror maps each pair (i, j) to (j, i).
+    order.
     """
 
     pairs: np.ndarray
     span: int
     inverse: np.ndarray
-    mirror: np.ndarray
 
 
 def _pair_pattern(nodes: np.ndarray) -> _PairPattern:
@@ -586,8 +592,7 @@ def _pair_pattern(nodes: np.ndarray) -> _PairPattern:
     rank -= 1
     inverse = np.empty_like(order)
     inverse[order] = rank
-    mirror = np.searchsorted(pairs, pairs % span * span + pairs // span)
-    return _PairPattern(pairs=pairs, span=span, inverse=inverse, mirror=mirror)
+    return _PairPattern(pairs=pairs, span=span, inverse=inverse)
 
 
 def _isotropic_stiffness(pattern: _PairPattern, sums, nu: float, n_nodes: int) -> sp.csr_matrix:
@@ -601,47 +606,34 @@ def _isotropic_stiffness(pattern: _PairPattern, sums, nu: float, n_nodes: int) -
 
         P_ab = sum_p w_p grad N_a grad N_b^T,   K_ab = lam P_ab + mu P_ab^T + mu tr(P_ab) I
 
-    with lam, mu the Lame constants at unit E.  The result is explicitly
-    symmetrized against roundoff.
-    """
-    # Passed inline, so that the blocks are freed once averaged with their
-    # mirrors.  Held through the CSR conversion too, they left the heap 10-20 MB
-    # larger when the slender beam's FEA factor is allocated, in every
-    # validate-beam of a process after its first.
-    return _symmetric_csr(pattern, _isotropic_blocks(pattern, sums, nu), n_nodes)
+    with lam, mu the Lame constants at unit E.  P is summed per pair one
+    component at a time, so temporaries stay at e*m^2.
 
-
-def _isotropic_blocks(pattern: _PairPattern, sums, nu: float) -> np.ndarray:
-    """The per-pair blocks K_ab of `_isotropic_stiffness`, (pairs, 3, 3), before symmetrizing.
-
-    P is summed per pair one component at a time, so temporaries stay at
-    e*m^2, into a component-major (3, 3, pairs) array; K is formed from it
-    one component at a time.
+    K equals K^T bit for bit, with no symmetrizing step, when
+    sums(j, i)[e, b, a] == sums(i, j)[e, a, b] exactly and no table row
+    repeats a node: the sum of pair (a, b) then adds the same products in
+    the same element order as the sum of pair (b, a).  The k-nearest-node
+    supports and the hex corners both hold distinct nodes.
     """
     lam, mu = _lame(nu)
-    n_pairs = len(pattern.pairs)
+    pairs, span = pattern.pairs, pattern.span
+    n_pairs = len(pairs)
     p = np.empty((3, 3, n_pairs))
     for i, j in np.ndindex(3, 3):
         # Passed inline, so that each component is freed before the next is formed.
         p[i, j] = np.bincount(pattern.inverse, weights=sums(i, j).ravel(), minlength=n_pairs)
     trace = p[0, 0] + p[1, 1] + p[2, 2]
-    k = np.empty_like(p)
+    blocks = np.empty((n_pairs, 3, 3))
     for i, j in np.ndindex(3, 3):
-        k[i, j] = lam * p[i, j] + mu * p[j, i]
+        blocks[:, i, j] = lam * p[i, j] + mu * p[j, i]
     for i in range(3):
-        k[i, i] += mu * trace
-    return k.transpose(2, 0, 1)
-
-
-def _symmetric_csr(pattern: _PairPattern, data: np.ndarray, n_nodes: int) -> sp.csr_matrix:
-    """The (3 n_nodes)^2 CSR matrix of per-pair 3x3 blocks, symmetrized against roundoff.
-
-    Each block is averaged with its mirror pair's transpose: (K + K^T) / 2 by blocks.
-    """
-    pairs, span = pattern.pairs, pattern.span
-    data = (data + data[pattern.mirror].transpose(0, 2, 1)) * 0.5
+        blocks[:, i, i] += mu * trace
+    # Held through the CSR conversion, P left the heap 10-20 MB larger when the
+    # slender beam's FEA factor is allocated, in every validate-beam of a
+    # process after its first.
+    del p, trace
     indptr = np.searchsorted(pairs, np.arange(n_nodes + 1) * span)
-    K = sp.bsr_matrix((data, pairs % span, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
+    K = sp.bsr_matrix((blocks, pairs % span, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
     K.eliminate_zeros()
     return K
 

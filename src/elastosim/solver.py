@@ -182,8 +182,10 @@ class BandedCholesky:
         Raises:
             IndefiniteSystemError: A is singular or not positive definite.
         """
-        A = sp.csr_array(A)
-        A.sum_duplicates()  # also sorts each row's columns
+        A = sp.csr_array(A)  # shares a CSR input's arrays
+        if not A.has_canonical_format:
+            A = A.copy()  # sum_duplicates sorts and sums in place
+            A.sum_duplicates()
         n = A.shape[0]
         counts = np.diff(A.indptr)
         rows = np.flatnonzero(counts)

@@ -19,7 +19,6 @@ from elastosim.meshfree import (
     ShapeMap,
     SystemMatrices,
     _pair_pattern,
-    _symmetric_csr,
     assemble_mass,
 )
 from elastosim.volume import RoiMask, VoxelVolume
@@ -133,7 +132,12 @@ def block_assembly(nodes, blocks, n_nodes):
     for a, b in np.ndindex(3, 3):
         data[:, a, b] = np.bincount(pattern.inverse, weights=parts[:, :, a, :, b].ravel(),
                                     minlength=n_pairs)
-    return _symmetric_csr(pattern, data, n_nodes)
+    pairs, span = pattern.pairs, pattern.span
+    indptr = np.searchsorted(pairs, np.arange(n_nodes + 1) * span)
+    K = sp.bsr_matrix((data, pairs % span, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
+    K = (K + K.T) * 0.5
+    K.eliminate_zeros()
+    return K
 
 
 def upper_band_solve(A, b):

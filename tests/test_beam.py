@@ -353,6 +353,12 @@ class TestHexElement:
         want = strain @ elasticity_matrix(young, nu) @ strain * res**3
         assert u @ ke @ u == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("res", [0.3, 0.625, 0.8, 1.25, 1.64])
+    def test_unit_sums_equal_their_mirror_bit_for_bit(self, res):
+        # The stiffness kernel's precondition for a K equal to its transpose.
+        p = _hex_unit_sums(res)
+        assert np.array_equal(p, p.transpose(1, 0, 3, 2))
+
     @pytest.mark.parametrize("nu", [0.0, 0.3])
     def test_symmetric_with_six_rigid_modes(self, nu):
         ke = self.element_stiffness(1.25, 12.0, nu)

@@ -877,17 +877,6 @@ def kernel_stiffness(nodes, sums, nu, n_nodes):
     return _isotropic_stiffness(_pair_pattern(nodes), lambda i, j: sums[i, j], nu, n_nodes)
 
 
-def closed_form_blocks(sums, nu):
-    """Reference: each entry's block lam S + mu S^T + mu tr(S) I, as (e, 3m, 3m)."""
-    d = elasticity_matrix(1.0, nu)
-    lam, mu = d[0, 1], d[3, 3]
-    k = lam * sums + mu * sums.transpose(1, 0, 2, 3, 4)
-    for i in range(3):
-        k[i, i] += mu * np.trace(sums)
-    e, m = sums.shape[2:4]
-    return k.transpose(2, 3, 0, 4, 1).reshape(e, 3 * m, 3 * m)  # (e, a, i, b, j)
-
-
 class TestAssembleBlocks:
     # `_isotropic_stiffness`, the one kernel of both stiffness matrices,
     # against dense element blocks B^T D B built with the 6x6 D.
@@ -940,17 +929,25 @@ class TestAssembleBlocks:
 
     @settings(max_examples=60, deadline=None)
     @given(e=st.integers(1, 6), m=st.integers(1, 4), spare=st.integers(0, 4),
-           nu=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
-    def test_non_symmetric_blocks_average_with_their_mirror(self, e, m, spare, nu, seed):
+           q=st.sampled_from([1, 2, 8]), nu=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_mirror_exact_sums_give_K_equal_to_its_transpose(self, e, m, spare, q, nu, seed):
+        # The kernel's contract: rows of distinct nodes and sums that form each
+        # product before its weight, as `assemble_stiffness` does.
         n_nodes = m + spare
         rng = np.random.default_rng(seed)
-        nodes = rng.integers(0, n_nodes, size=(e, m))
-        sums = rng.standard_normal((3, 3, e, m, m))  # (j, i, b, a) need not mirror (i, j, a, b)
+        nodes = rng.permuted(np.tile(np.arange(n_nodes), (e, 1)), axis=1)[:, :m]
+        grads = rng.standard_normal((e, q, m, 3))
+        w = rng.uniform(0.1, 10.0, size=(e, q))
+        sums = np.zeros((3, 3, e, m, m))
+        for p in range(q):
+            g = grads[:, p].transpose(2, 0, 1)  # (i, e, a)
+            sums += g[:, None, :, :, None] * g[None, :, :, None, :] * w[:, p, None, None]
         K = kernel_stiffness(nodes, sums, nu, n_nodes)
-        blocks = closed_form_blocks(sums, nu)
-        assert_matches_dense(K, nodes, blocks, n_nodes)  # 0.5 (D + D^T) of the dense scatter
+        b = strain_displacement(grads.reshape(e * q, m, 3)).reshape(e, q, 6, 3 * m)
+        blocks = np.einsum("ep,epia,ij,epjb->eab", w, b, elasticity_matrix(1.0, nu), b)
         assert (K != K.T).nnz == 0
-        assert_same_pattern(K, coo_assembly(nodes, blocks, n_nodes))
+        assert_matches_dense(K, nodes, blocks, n_nodes)
 
 
 def block_reference_stiffness(shape, field, n_nodes):
@@ -1326,8 +1323,8 @@ class TestArchiveRebuild:
 
 class TestStiffnessEqualsItsTranspose:
     # `load_model` rejects a K that differs from its transpose, so every K the
-    # build assembles must equal its transpose bit for bit: `_symmetric_csr`
-    # averages each block with its mirror's transpose.
+    # build assembles must equal its transpose bit for bit: `_isotropic_stiffness`
+    # gets mirror-exact sums over rows of distinct nodes.
     @pytest.mark.parametrize("source", ["cohort-run --seed 7", "inclusion 4x", "build workload"])
     def test_pipeline_models_and_their_atlas_twins(self, source):
         if source == "cohort-run --seed 7":

@@ -435,6 +435,20 @@ class TestBandedCholesky:
         ordered = A.toarray()[np.ix_(factor.perm, factor.perm)]
         assert np.linalg.norm(L @ L.T - ordered) <= 1e-12 * np.linalg.norm(ordered)
 
+    def test_leaves_a_non_canonical_matrix_as_it_was(self):
+        # Row 0's columns are unsorted and row 1 stores column 1 twice:
+        # A sums to [[4, 1], [1, 5]].
+        A = sp.csr_matrix((np.array([1.0, 4.0, 2.0, 1.0, 3.0]), np.array([1, 0, 1, 0, 1]),
+                           np.array([0, 2, 5])), shape=(2, 2))
+        indices, data = A.indices.copy(), A.data.copy()
+        b = np.array([1.0, -2.0])
+        x = BandedCholesky.of(A).solve(b)
+        assert np.array_equal(A.indices, indices)
+        assert np.array_equal(A.data, data)
+        assert A.nnz == 5
+        x_ref = np.linalg.solve(np.array([[4.0, 1.0], [1.0, 5.0]]), b)
+        assert np.linalg.norm(x - x_ref) <= 1e-14 * np.linalg.norm(x_ref)
+
     @pytest.mark.parametrize("name", ["slender_fea", "slender_meshfree", "settle"])
     def test_matches_the_upper_band_factor_and_spsolve(self, name, request):
         A = request.getfixturevalue(f"{name}_matrix")
