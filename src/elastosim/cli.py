@@ -12,7 +12,9 @@ Subcommands cover the three study stages plus plumbing:
 * ``validate-beam``: cantilever benchmark against analytic theory and FEA.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 solver
-non-convergence. All outputs are deterministic for a fixed ``--seed``.
+non-convergence. All outputs are byte-deterministic for a fixed ``--seed`` at
+one BLAS thread count; another thread count moves them by rounding (up to
+4.4e-12 mm between 1 and 2 OpenBLAS threads).
 """
 
 from __future__ import annotations

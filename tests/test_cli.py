@@ -337,16 +337,22 @@ class TestModelAndRetract:
     def test_build_retract_pipeline(self, capsys, tmp_path):
         cohort = tmp_path / "cohort"
         assert cli_main(synth_args(cohort, n=1)) == EXIT_OK
-        model_path = tmp_path / "model.esm"
-        code = cli_main(["build-model", "--volume", str(cohort / "case_000.json"),
-                         "--nodes", "40", "--k", "6", "--out", str(model_path)])
-        assert code == EXIT_OK
-        assert model_path.exists()
+        # Two builds (Lloyd sampling included) write the same archive, and two
+        # settles of it the same landmarks, byte for byte.
+        models = [tmp_path / "model.esm", tmp_path / "model2.esm"]
+        for model_path in models:
+            code = cli_main(["build-model", "--volume", str(cohort / "case_000.json"),
+                             "--nodes", "40", "--k", "6", "--out", str(model_path)])
+            assert code == EXIT_OK
+        assert models[0].read_bytes() == models[1].read_bytes()
 
-        code = cli_main(["retract", "--model", str(model_path), "--out", str(tmp_path)])
-        assert code == EXIT_OK
-        rest = (tmp_path / "landmarks_rest.csv").read_text().splitlines()
-        moved = (tmp_path / "landmarks.csv").read_text().splitlines()
+        runs = [tmp_path / "run", tmp_path / "run2"]
+        for run in runs:
+            assert cli_main(["retract", "--model", str(models[0]), "--out", str(run)]) == EXIT_OK
+        landmarks = [(run / "landmarks.csv").read_bytes() for run in runs]
+        assert landmarks[0] == landmarks[1]
+        rest = (runs[0] / "landmarks_rest.csv").read_text().splitlines()
+        moved = landmarks[0].decode().splitlines()
         assert rest[0] == "label,x_mm,y_mm,z_mm"
         assert [r.split(",")[0] for r in rest] == ["label", "tool", "interior", "inferior"]
         assert len(moved) == 4
@@ -710,9 +716,14 @@ class TestCohortRunCommand:
 
 class TestValidateBeamCommand:
     def test_benchmark_resolution_run(self, capsys, tmp_path):
-        code = cli_main(["validate-beam", "--resolution", "1.64", "--out", str(tmp_path)])
-        assert code == EXIT_OK
-        lines = (tmp_path / "beam_convergence.csv").read_text().splitlines()
+        # Two runs write the same table, byte for byte.
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            code = cli_main(["validate-beam", "--resolution", "1.64", "--out", str(run)])
+            assert code == EXIT_OK
+        tables = [(run / "beam_convergence.csv").read_bytes() for run in runs]
+        assert tables[0] == tables[1]
+        lines = tables[0].decode().splitlines()
         assert lines[0] == "x_mm,w_theory_mm,w_fea_mm,w_meshfree_mm,err_fea_mm,err_meshfree_mm"
         assert len(lines) == 1 + 30 + 2  # header, clamp datum, 30 centers, tip
         out = capsys.readouterr().out
