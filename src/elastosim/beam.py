@@ -273,8 +273,9 @@ def _hex_unit_sums(res: float) -> np.ndarray:
     """P[i, j, a, b] = sum_q dN_a/dx_i dN_b/dx_j det J of a trilinear cube of edge res.
 
     The sum over the 2x2x2 Gauss points (unit weights) at E = 1, shape
-    (3, 3, 8, 8): what `_isotropic_stiffness` sums per element.  It is made
-    to equal P[j, i, b, a] bit for bit, as the kernel requires.
+    (3, 3, 8, 8): what `_isotropic_stiffness` sums per element, read at the
+    upper entries of the column-sorted table.  It is made to equal
+    P[j, i, b, a] bit for bit, as the kernel requires.
     """
     grid = np.array([[i, j, k] for k in (-1, 1) for j in (-1, 1) for i in (-1, 1)], dtype=float)
     corners = grid[[0, 1, 3, 2, 4, 5, 7, 6]]  # local node order: ring order per z face
@@ -309,16 +310,22 @@ def _fea_system(spec: BeamSpec) -> LinearSystem:
     """The FEA's K u = f on the voxel-resolution hex grid, with the x = 0 node plane clamped.
 
     K is the stiffness kernel's sum over the element-to-node table, each
-    element given the one cube's Gauss sums times E.  The distributed load
-    enters as consistent nodal loads of a uniform -z body force.
+    element given the one cube's Gauss sums times E.  The kernel takes rows
+    of ascending nodes, so the table's columns are permuted once into that
+    order, and the sums with them.  The distributed load enters as
+    consistent nodal loads of a uniform -z body force.
     """
     res = spec.resolution
     _, w_eff, h_eff = spec.snapped_extents()
     ids, conn = _hex_grid(spec.cells())
 
-    p = spec.E * _hex_unit_sums(res)
-    K = _isotropic_stiffness(_pair_pattern(conn),
-                             lambda i, j: np.broadcast_to(p[i, j], (len(conn), 8, 8)), _NU, ids.size)
+    # Every cell ranks its corners alike, so one column order sorts every row.
+    local = np.argsort(conn[0])
+    a, b = local[np.array(np.triu_indices(8))]
+    p = spec.E * _hex_unit_sums(res)[:, :, a, b]  # the sums at the sorted rows' upper entries
+    shape = (len(conn), len(a))
+    K = _isotropic_stiffness(_pair_pattern(conn[:, local]),
+                             lambda i, j: np.broadcast_to(p[i, j], shape), _NU, ids.size)
 
     # Uniform body force -q/(w*h) per mm^3; each corner takes V_e/8 of its element.
     f = np.zeros(3 * ids.size)

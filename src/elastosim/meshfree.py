@@ -6,9 +6,10 @@ the mask.  Inverse-distance-squared Shepard functions over the k nearest
 nodes give each voxel center a partition-of-unity weight set with analytic
 gradients.  Mass and stiffness are then assembled with one integration point
 per voxel: lumped M and K = sum of B^T D B * V_voxel.  One kernel,
-`_isotropic_stiffness`, sums K per node pair in closed form, without forming
-B or any element's block; it serves both discretizations, the voxels here
-and the hex FEA of `beam`.  The node-pair pattern of a shape map is
+`_isotropic_stiffness`, sums K per unordered node pair in closed form,
+without forming B or any element's block, and writes each lower block as
+its mirror's transpose; it serves both discretizations, the voxels here and
+the hex FEA of `beam`.  The node-pair pattern of a shape map is
 computed once, so that a model and its atlas-stiffness twin share it.  The
 Rayleigh damping C = alpha*M + beta*K is held as its two coefficients.  A
 model archive stores no Shepard weights, raw gradients or M: `load_model`
@@ -187,9 +188,11 @@ class ShapeMap:
         return self.indices.shape[1]
 
     @cached_property
-    def _pairs(self) -> _PairPattern:
-        """The node-pair pattern of the supports, computed once per shape map."""
-        return _pair_pattern(self.indices)
+    def _pairs(self) -> tuple[np.ndarray, _PairPattern]:
+        """Each support row's order by ascending node index, and the node-pair
+        pattern of the rows so sorted, computed once per shape map."""
+        order = np.argsort(self.indices, axis=1)
+        return order, _pair_pattern(np.take_along_axis(self.indices, order, axis=1))
 
 
 @dataclass(frozen=True)
@@ -536,20 +539,21 @@ def assemble_stiffness(shape: ShapeMap, field: MaterialField, n_nodes: int) -> s
 
     Each voxel contributes B^T D(E_voxel, nu) B * V_voxel at its center,
     with B built from the first-order-consistent gradients g: the voxel is
-    an element whose k support nodes are its shape map row, and
-    `_isotropic_stiffness` sums P_ab = sum_v E_v V_voxel g_a g_b^T per node
-    pair.  The pattern of those pairs is computed once per ShapeMap: every
-    K assembled on one shape map, such as an atlas twin's, shares it.
+    an element whose k support nodes are its shape map row, sorted by node
+    index, and `_isotropic_stiffness` sums P_ab = sum_v E_v V_voxel g_a g_b^T
+    per unordered node pair.  The sort and the pattern of those pairs are
+    computed once per ShapeMap: every K assembled on one shape map, such as
+    an atlas twin's, shares them.
     """
-    pattern = shape._pairs  # first: its temporaries are the call's largest
-    g = shape.corrected_gradients
+    order, pattern = shape._pairs  # first: its temporaries are the call's largest
+    g = np.take_along_axis(shape.corrected_gradients, order[:, :, None], axis=1)
     w = field.masked_young() * field.voxel_volume_mm3
+    a, b = np.triu_indices(shape.k)
 
     def sums(i, j):
-        # The product before the weight, so that sums(j, i)[v, b, a] equals
-        # sums(i, j)[v, a, b] bit for bit and K equals its transpose.
-        s = g[:, :, i, None] * g[:, None, :, j]
-        s *= w[:, None, None]
+        s = g[:, a, i]
+        s *= g[:, b, j]  # the product before the weight, as `_isotropic_stiffness` requires
+        s *= w[:, None]
         return s
 
     return _isotropic_stiffness(pattern, sums, field.nu, n_nodes)
@@ -562,78 +566,116 @@ def _lame(nu: float) -> tuple[float, float]:
 
 
 class _PairPattern(NamedTuple):
-    """Symbolic structure of a sum of element blocks per node pair.
+    """Symbolic structure of a sum of element blocks per unordered node pair.
 
-    pairs holds each distinct (row node, column node) pair once, as the
-    sorted key row * span + column.  inverse maps every (element, a, b)
-    entry of the element-to-node table, shape (e, m), to its pair, in that
-    order.
+    The element-to-node table, shape (e, m), lists each element's nodes in
+    ascending order, so its upper entries (a, b), a <= b, in the order of
+    `np.triu_indices(m)`, name each node pair of the element once.  inverse
+    maps every (element, upper entry) of the table to its pair, in that
+    order; the pairs are numbered by (row node, column node), row <= column.
+    indptr and indices give the block CSR structure of both triangles, with
+    no rows past the largest node: pair u's block sits at position upper[u],
+    and its mirror, the transposed block, at mirror[u] (upper[u] itself for
+    a pair of one node).
     """
 
-    pairs: np.ndarray
-    span: int
     inverse: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    upper: np.ndarray
+    mirror: np.ndarray
 
 
 def _pair_pattern(nodes: np.ndarray) -> _PairPattern:
-    """The node-pair pattern of an element-to-node table, shape (e, m)."""
+    """The node-pair pattern of an element-to-node table, shape (e, m).
+
+    Each row must hold distinct nodes in ascending order: the upper entries
+    of such a row name each of its unordered node pairs once.  A caller
+    sorts its rows, and permutes its sums to match, before the call.
+
+    Raises:
+        ValueError: a row does not hold distinct nodes in ascending order.
+    """
     nodes = np.asarray(nodes, dtype=np.int64)
+    if not (nodes[:, 1:] > nodes[:, :-1]).all():
+        raise ValueError("every element's nodes must be distinct and in ascending order")
     span = int(nodes.max()) + 1
-    keys = (nodes[:, :, None] * span + nodes[:, None, :]).ravel()
+    a, b = np.triu_indices(nodes.shape[1])
+    keys = (nodes[:, a] * span + nodes[:, b]).ravel()
     # np.unique's inverse would hold about twice the key-sized temporaries.
     order = np.argsort(keys)
     keys = keys[order]
     first = np.empty(len(keys), dtype=bool)  # first entry of each distinct pair
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    pairs = keys[first]
+    rows, cols = np.divmod(keys[first], span)
     del keys
     rank = np.cumsum(first)
     rank -= 1
     inverse = np.empty_like(order)
     inverse[order] = rank
-    return _PairPattern(pairs=pairs, span=span, inverse=inverse)
+    del order, rank, first
+    # Block row r holds the mirrors (r, a) of the upper pairs (a, r), a < r,
+    # then its upper pairs (r, c), c >= r.  Transposing the strict upper pairs
+    # is a counting sort: it lists the mirrors by row, then by column.
+    starts = np.arange(span + 1)
+    row_ptr = np.searchsorted(rows, starts)
+    strict = np.flatnonzero(rows != cols)
+    lower = sp.csr_array((strict, cols[strict], np.searchsorted(rows[strict], starts)),
+                         shape=(span, span)).tocsc()
+    indptr = row_ptr + lower.indptr
+    upper = np.arange(len(rows)) + lower.indptr[rows + 1]
+    mirror = upper.copy()
+    mirror[lower.data] = np.arange(len(strict)) + np.repeat(row_ptr[:-1], np.diff(lower.indptr))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[upper] = cols
+    indices[mirror] = rows
+    return _PairPattern(inverse=inverse, indptr=indptr, indices=indices, upper=upper, mirror=mirror)
 
 
 def _isotropic_stiffness(pattern: _PairPattern, sums, nu: float, n_nodes: int) -> sp.csr_matrix:
     """Sum of B^T D B over weighted points, (3 n_nodes)^2 CSR, for an isotropic D.
 
-    sums(i, j) gives, for every (element, a, b) entry of the pattern's
+    sums(i, j) gives, for every (element, upper entry) of the pattern's
     table, sum_p w_p dN_a/dx_i dN_b/dx_j over the element's points p, shape
-    (e, m, m), with w_p the point's Young's modulus times its volume weight
-    (kPa mm^3).  B^T D B then has a closed form per node pair (a, b), so
-    neither B nor an element's (3m x 3m) block is ever formed:
+    (e, m(m+1)/2), with w_p the point's Young's modulus times its volume
+    weight (kPa mm^3).  B^T D B then has a closed form per node pair (a, b),
+    so neither B nor an element's (3m x 3m) block is ever formed:
 
         P_ab = sum_p w_p grad N_a grad N_b^T,   K_ab = lam P_ab + mu P_ab^T + mu tr(P_ab) I
 
-    with lam, mu the Lame constants at unit E.  P is summed per pair one
-    component at a time, so temporaries stay at e*m^2.
+    with lam, mu the Lame constants at unit E.  P is summed per unordered
+    pair one component at a time, so temporaries stay at e*m(m+1)/2, and
+    each lower block is written as its mirror's transpose, K_ba = K_ab^T:
+    K equals K^T bit for bit by construction.
 
-    K equals K^T bit for bit, with no symmetrizing step, when
-    sums(j, i)[e, b, a] == sums(i, j)[e, a, b] exactly and no table row
-    repeats a node: the sum of pair (a, b) then adds the same products in
-    the same element order as the sum of pair (b, a).  The k-nearest-node
-    supports and the hex corners both hold distinct nodes.
+    A block (a, a) is its own mirror, so its entries (i, j) and (j, i) are
+    each written from both.  That is exact when sums(i, j) and sums(j, i)
+    agree on the entries (a, a) bit for bit: each product g_a,i g_a,j is
+    formed before its weight, or the sums are made to equal their mirror,
+    as `beam._hex_unit_sums` is.  K then equals, bit for bit, the sum over
+    both ordered pairs (a, b) and (b, a) of sums that are mirror-exact.
     """
     lam, mu = _lame(nu)
-    pairs, span = pattern.pairs, pattern.span
-    n_pairs = len(pairs)
-    p = np.empty((3, 3, n_pairs))
+    n_upper = len(pattern.upper)
+    p = np.empty((3, 3, n_upper))
     for i, j in np.ndindex(3, 3):
         # Passed inline, so that each component is freed before the next is formed.
-        p[i, j] = np.bincount(pattern.inverse, weights=sums(i, j).ravel(), minlength=n_pairs)
+        p[i, j] = np.bincount(pattern.inverse, weights=sums(i, j).ravel(), minlength=n_upper)
     trace = p[0, 0] + p[1, 1] + p[2, 2]
-    blocks = np.empty((n_pairs, 3, 3))
+    blocks = np.empty((len(pattern.indices), 3, 3))
     for i, j in np.ndindex(3, 3):
-        blocks[:, i, j] = lam * p[i, j] + mu * p[j, i]
-    for i in range(3):
-        blocks[:, i, i] += mu * trace
+        k_ij = lam * p[i, j] + mu * p[j, i]
+        if i == j:
+            k_ij += mu * trace
+        blocks[pattern.upper, i, j] = k_ij
+        blocks[pattern.mirror, j, i] = k_ij
     # Held through the CSR conversion, P left the heap 10-20 MB larger when the
     # slender beam's FEA factor is allocated, in every validate-beam of a
     # process after its first.
-    del p, trace
-    indptr = np.searchsorted(pairs, np.arange(n_nodes + 1) * span)
-    K = sp.bsr_matrix((blocks, pairs % span, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
+    del p, trace, k_ij
+    indptr = np.pad(pattern.indptr, (0, n_nodes + 1 - len(pattern.indptr)), mode="edge")
+    K = sp.bsr_matrix((blocks, pattern.indices, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
     K.eliminate_zeros()
     return K
 

@@ -1,10 +1,12 @@
 """Shared builders for small test fields, degenerate point models and model archives,
-the dense stiffness references that the closed-form kernel replaced, and the
-upper-band factor, product Dirichlet reduction and einsum gradient correction
-that faster paths replaced."""
+the dense stiffness references that the closed-form kernel replaced, the
+full-pair kernel that its upper-pair form replaced, and the upper-band factor,
+product Dirichlet reduction and einsum gradient correction that faster paths
+replaced."""
 
 import json
 import struct
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +20,7 @@ from elastosim.meshfree import (
     MeshFreeModel,
     ShapeMap,
     SystemMatrices,
-    _pair_pattern,
+    _lame,
     assemble_mass,
 )
 from elastosim.volume import RoiMask, VoxelVolume
@@ -117,24 +119,76 @@ def hex_element_stiffness(res, young_kpa, nu):
     return ke
 
 
+class FullPairPattern(NamedTuple):
+    """Reference: the node-pair pattern over every ordered pair of a table's row.
+
+    pairs holds each distinct (row node, column node) pair once, as the
+    sorted key row * span + column.  inverse maps every (element, a, b)
+    entry of the element-to-node table, shape (e, m), to its pair, in that
+    order.  Rows may repeat nodes and hold them in any order.
+    """
+
+    pairs: np.ndarray
+    span: int
+    inverse: np.ndarray
+
+
+def full_pair_pattern(nodes):
+    """Reference: the `FullPairPattern` of an element-to-node table, shape (e, m)."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    span = int(nodes.max()) + 1
+    keys = (nodes[:, :, None] * span + nodes[:, None, :]).ravel()
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    return FullPairPattern(pairs=pairs, span=span, inverse=inverse.ravel())
+
+
+def pair_blocks_csr(pattern, blocks, n_nodes):
+    """Reference: (3 n_nodes)^2 CSR of one 3x3 block per pair of a `FullPairPattern`."""
+    pairs, span = pattern.pairs, pattern.span
+    indptr = np.searchsorted(pairs, np.arange(n_nodes + 1) * span)
+    return sp.bsr_matrix((blocks, pairs % span, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
+
+
+def full_pair_stiffness(pattern, sums, nu, n_nodes):
+    """Reference: the stiffness kernel as it summed both ordered pairs (a, b) and (b, a).
+
+    sums(i, j) gives, for every (element, a, b) entry of the pattern's table,
+    sum_p w_p dN_a/dx_i dN_b/dx_j, shape (e, m, m); each pair's block is
+    K_ab = lam P_ab + mu P_ab^T + mu tr(P_ab) I, with nothing mirrored.
+    `_isotropic_stiffness` must equal it bit for bit on mirror-exact sums.
+    """
+    lam, mu = _lame(nu)
+    n_pairs = len(pattern.pairs)
+    p = np.empty((3, 3, n_pairs))
+    for i, j in np.ndindex(3, 3):
+        p[i, j] = np.bincount(pattern.inverse, weights=sums(i, j).ravel(), minlength=n_pairs)
+    trace = p[0, 0] + p[1, 1] + p[2, 2]
+    blocks = np.empty((n_pairs, 3, 3))
+    for i, j in np.ndindex(3, 3):
+        blocks[:, i, j] = lam * p[i, j] + mu * p[j, i]
+    for i in range(3):
+        blocks[:, i, i] += mu * trace
+    K = pair_blocks_csr(pattern, blocks, n_nodes)
+    K.eliminate_zeros()
+    return K
+
+
 def block_assembly(nodes, blocks, n_nodes):
     """Reference: dense element blocks summed per node pair, then symmetrized.
 
     blocks has shape (e, 3m, 3m), rows and columns node-major: local DOF
     3a + c is component c of local node nodes[:, a].  This is the dense-block
-    route that the closed-form kernel replaced, on the same pair pattern.
+    route that the closed-form kernel replaced, on the full pair pattern.
     """
     e, m = np.shape(nodes)
     parts = np.asarray(blocks).reshape(e, m, 3, m, 3)
-    pattern = _pair_pattern(nodes)
+    pattern = full_pair_pattern(nodes)
     n_pairs = len(pattern.pairs)
     data = np.empty((n_pairs, 3, 3))
     for a, b in np.ndindex(3, 3):
         data[:, a, b] = np.bincount(pattern.inverse, weights=parts[:, :, a, :, b].ravel(),
                                     minlength=n_pairs)
-    pairs, span = pattern.pairs, pattern.span
-    indptr = np.searchsorted(pairs, np.arange(n_nodes + 1) * span)
-    K = sp.bsr_matrix((data, pairs % span, indptr), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
+    K = pair_blocks_csr(pattern, data, n_nodes)
     K = (K + K.T) * 0.5
     K.eliminate_zeros()
     return K

@@ -3,9 +3,9 @@
 A default that no caller overrides is a constant with a second name: it
 doubles the configurations a reader must consider and never gets a second
 value.  The first check lists every parameter with a default of every public
-function and method in `src/elastosim/`, then looks for a call in `src/`,
-`perfbench/` or `demos/` that passes it, by keyword or by position.  Tests
-do not count as callers.
+function and method of the imported `elastosim` package, installed or under
+`src/`, then looks for a call in the package, `perfbench/` or `demos/` that
+passes it, by keyword or by position.  Tests do not count as callers.
 
 A call that only forwards an optional parameter of its enclosing function
 (``g(x=x)``) sets it only if that parameter is set in turn.  Calls are
@@ -15,11 +15,11 @@ failure.
 
 Its mirror asks the opposite: a default that every call overrides is never
 used, so the parameter should be required.  Each optional parameter must be
-left unset by at least one call in `src/`, `perfbench/`, `demos/` or
+left unset by at least one call in the package, `perfbench/`, `demos/` or
 `tests/`; a splat counts as setting it.
 
 The second check does the same for names: every public function, class,
-method and property must be read somewhere in `src/` outside its own
+method and property must be read somewhere in the package outside its own
 definition, or in `perfbench/` or `demos/`.  A read is a bare name or an
 attribute; an import alone, or a mention in a string, is not one.  Names are
 again matched alone, so a same-named attribute of another object counts.
@@ -29,8 +29,10 @@ import ast
 from collections import Counter, defaultdict
 from pathlib import Path
 
+import elastosim
+
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "elastosim"
+PACKAGE = Path(elastosim.__file__).resolve().parent  # the package the rest of the tests import
 CALLER_DIRS = ("perfbench", "demos")  # plus the package itself
 
 FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -165,12 +167,20 @@ def test_scanner_follows_positions_methods_and_forwarding():
     ]
 
 
-def test_every_optional_parameter_has_a_caller_that_sets_it():
+def package_sources() -> dict[str, str]:
+    """Source text of each module of the imported package, by module name."""
     package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    # An empty scan would pass every check below.
+    assert {"meshfree", "solver", "cli"} <= package.keys(), f"no elastosim modules in {PACKAGE}"
+    return package
+
+
+def test_every_optional_parameter_has_a_caller_that_sets_it():
+    package = package_sources()
     callers = [p.read_text() for top in CALLER_DIRS for p in sorted((ROOT / top).rglob("*.py"))]
     orphans = orphaned_options(package, callers)
     assert not orphans, (
-        "optional parameters that no call in src/, perfbench/ or demos/ sets; "
+        "optional parameters that no call in the package, perfbench/ or demos/ sets; "
         "fold each into a constant or pass it from a caller:\n  " + "\n  ".join(orphans)
     )
 
@@ -217,12 +227,12 @@ def test_mirror_scanner_counts_splats_positions_and_uncalled_functions():
 
 
 def test_every_optional_parameter_has_a_caller_that_leaves_it_unset():
-    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    package = package_sources()
     callers = [p.read_text() for top in CALLER_DIRS + ("tests",)
                for p in sorted((ROOT / top).rglob("*.py"))]
     unused = unused_defaults(package, callers)
     assert not unused, (
-        "defaults that every call in src/, perfbench/, demos/ or tests/ overrides; "
+        "defaults that every call in the package, perfbench/, demos/ or tests/ overrides; "
         "make each parameter required:\n  " + "\n  ".join(unused)
     )
 
@@ -287,10 +297,10 @@ def test_scanner_skips_own_definitions_imports_and_strings():
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():
-    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    package = package_sources()
     callers = [p.read_text() for top in CALLER_DIRS for p in sorted((ROOT / top).rglob("*.py"))]
     unread = unreferenced_names(package, callers)
     assert not unread, (
-        "public names that nothing in src/, perfbench/ or demos/ reads; delete each "
+        "public names that nothing in the package, perfbench/ or demos/ reads; delete each "
         "or make it private:\n  " + "\n  ".join(unread)
     )

@@ -39,6 +39,8 @@ from conftest import (
     assert_same_csr,
     block_assembly,
     elasticity_matrix,
+    full_pair_pattern,
+    full_pair_stiffness,
     hex_element_stiffness,
     product_dirichlet,
 )
@@ -338,7 +340,8 @@ class TestHexElement:
     @staticmethod
     def element_stiffness(res, young, nu):
         """The 24x24 K that the stiffness kernel gives for the one-element table [[0, ..., 7]]."""
-        p = young * _hex_unit_sums(res)
+        a, b = np.triu_indices(8)  # the kernel reads the upper entries of an ascending row
+        p = young * _hex_unit_sums(res)[:, :, a, b]
         return _isotropic_stiffness(_pair_pattern(np.arange(8)[None]), lambda i, j: p[i, j][None],
                                     nu, 8).toarray()
 
@@ -384,6 +387,11 @@ class TestFeaStiffness:
         system = _fea_system(spec)
         ((K, f, fixed),) = seen
         ids, conn = _hex_grid(spec.cells())
+        # Bit for bit the full-pair kernel on `_hex_grid`'s own, unsorted table.
+        p = spec.E * _hex_unit_sums(spec.resolution)
+        assert_same_csr(K, full_pair_stiffness(
+            full_pair_pattern(conn), lambda i, j: np.broadcast_to(p[i, j], (len(conn), 8, 8)),
+            elastosim.beam._NU, ids.size))
         blocks = np.broadcast_to(hex_element_stiffness(spec.resolution, spec.E, 0.0),
                                  (len(conn), 24, 24))
         ref = block_assembly(conn, blocks, ids.size)

@@ -54,9 +54,12 @@ from elastosim.meshfree import (
 from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume, voxel_centers
 
 from conftest import (
+    assert_same_csr,
     block_assembly,
     einsum_corrected_gradients,
     elasticity_matrix,
+    full_pair_pattern,
+    full_pair_stiffness,
     hex_element_stiffness,
     strain_displacement,
 )
@@ -873,8 +876,16 @@ def assert_same_pattern(K, ref):
 
 
 def kernel_stiffness(nodes, sums, nu, n_nodes):
-    """`_isotropic_stiffness` of per-entry sums given as one (3, 3, e, m, m) array."""
-    return _isotropic_stiffness(_pair_pattern(nodes), lambda i, j: sums[i, j], nu, n_nodes)
+    """`_isotropic_stiffness` of per-entry sums given as one (3, 3, e, m, m) array.
+
+    Each row of the table, of distinct nodes, is sorted, and the kernel gets
+    the sums at the sorted rows' upper entries.
+    """
+    order = np.argsort(nodes, axis=1)
+    a, b = np.triu_indices(np.shape(nodes)[1])
+    upper = sums[:, :, np.arange(len(nodes))[:, None], order[:, a], order[:, b]]
+    return _isotropic_stiffness(_pair_pattern(np.take_along_axis(nodes, order, axis=1)),
+                                lambda i, j: upper[i, j], nu, n_nodes)
 
 
 class TestAssembleBlocks:
@@ -899,8 +910,8 @@ class TestAssembleBlocks:
         n_nodes = ids.size
         assert n_nodes == 5 * 4 * 3
         p = 12.0 * _hex_unit_sums(0.8)
-        K = _isotropic_stiffness(_pair_pattern(conn),
-                                 lambda i, j: np.broadcast_to(p[i, j], (len(conn), 8, 8)), nu, n_nodes)
+        sums = np.broadcast_to(p[:, :, None], (3, 3, len(conn), 8, 8))
+        K = kernel_stiffness(conn, sums, nu, n_nodes)
         blocks = np.broadcast_to(hex_element_stiffness(0.8, 12.0, nu), (len(conn), 24, 24))
         assert_matches_dense(K, conn, blocks, n_nodes)
         # Identical element blocks cancel exactly to zero in some summation
@@ -917,7 +928,7 @@ class TestAssembleBlocks:
     def test_random_node_tables_match_references(self, e, m, spare, q, nu, seed):
         n_nodes = m + spare
         rng = np.random.default_rng(seed)
-        nodes = rng.integers(0, n_nodes, size=(e, m))  # repeats within an element too
+        nodes = np.sort(rng.permuted(np.tile(np.arange(n_nodes), (e, 1)), axis=1)[:, :m], axis=1)
         grads = rng.standard_normal((e, q, m, 3))  # q points per element
         w = rng.uniform(0.1, 10.0, size=(e, q))
         K = kernel_stiffness(nodes, np.einsum("ep,epai,epbj->ijeab", w, grads, grads), nu, n_nodes)
@@ -949,6 +960,16 @@ class TestAssembleBlocks:
         assert (K != K.T).nnz == 0
         assert_matches_dense(K, nodes, blocks, n_nodes)
 
+    @pytest.mark.parametrize("nodes", [[[0, 2, 2]], [[2, 1, 3]], [[0, 1, 2], [3, 3, 4]],
+                                       [[0, 1, 2], [4, 3, 5]]],
+                             ids=["repeated", "descending", "second row repeated",
+                                  "second row descending"])
+    def test_rows_not_distinct_and_ascending_rejected(self, nodes):
+        # The kernel sums each unordered pair once, from the upper entries of
+        # sorted rows: a repeated node would be counted once, not twice.
+        with pytest.raises(ValueError, match="distinct and in ascending order"):
+            _pair_pattern(np.array(nodes))
+
 
 def block_reference_stiffness(shape, field, n_nodes):
     """Reference: every voxel's dense B^T D B block, summed per node pair.
@@ -976,6 +997,26 @@ def slender_beam_model():
     return build_beam_phantom(spec, n_nodes=n_nodes, k=VALIDATION_K, seed=VALIDATION_SEED).model
 
 
+@pytest.fixture(scope="module")
+def benchmark_beam_model():
+    """The mesh-free model of the default `validate-beam`."""
+    spec, n_nodes = VALIDATION_BEAMS["benchmark"]
+    return build_beam_phantom(spec, n_nodes=n_nodes, k=VALIDATION_K, seed=VALIDATION_SEED).model
+
+
+def full_pair_meshfree_stiffness(shape, field, n_nodes):
+    """Reference: `assemble_stiffness` as it summed both ordered pairs of each support row."""
+    g = shape.corrected_gradients
+    w = field.masked_young() * field.voxel_volume_mm3
+
+    def sums(i, j):
+        s = g[:, :, i, None] * g[:, None, :, j]
+        s *= w[:, None, None]
+        return s
+
+    return full_pair_stiffness(full_pair_pattern(shape.indices), sums, field.nu, n_nodes)
+
+
 class TestClosedFormStiffness:
     @pytest.mark.parametrize("model_name", ["cohort_seed_7_model", "slender_beam_model"])
     def test_matches_the_voxel_block_route(self, request, model_name):
@@ -990,6 +1031,18 @@ class TestClosedFormStiffness:
             t = np.zeros(K.shape[0])
             t[axis::3] = 1.0
             assert np.linalg.norm(K @ t) <= 1e-13 * norm_K * np.linalg.norm(t)
+
+    @pytest.mark.parametrize("model_name", ["cohort_seed_7_model", "slender_beam_model",
+                                            "benchmark_beam_model"])
+    def test_equals_the_full_pair_kernel_bit_for_bit(self, request, model_name):
+        # Each upper pair adds the products that the full-pair kernel added for
+        # (a, b), in the same voxel order, and its mirror holds what it added
+        # for (b, a).  The atlas twin reuses the model's cached pattern.
+        model = request.getfixturevalue(model_name)
+        twin = model.with_constant_young(2.1)
+        for m in (model, twin):
+            ref = full_pair_meshfree_stiffness(m.shape, m.field, m.n_nodes)
+            assert_same_csr(m.matrices.K, ref)
 
     def test_atlas_twin_equals_a_fresh_assembly(self, cohort_seed_7_model):
         model = cohort_seed_7_model
@@ -1324,7 +1377,7 @@ class TestArchiveRebuild:
 class TestStiffnessEqualsItsTranspose:
     # `load_model` rejects a K that differs from its transpose, so every K the
     # build assembles must equal its transpose bit for bit: `_isotropic_stiffness`
-    # gets mirror-exact sums over rows of distinct nodes.
+    # sums each unordered node pair once and writes its mirror as the transpose.
     @pytest.mark.parametrize("source", ["cohort-run --seed 7", "inclusion 4x", "build workload"])
     def test_pipeline_models_and_their_atlas_twins(self, source):
         if source == "cohort-run --seed 7":
