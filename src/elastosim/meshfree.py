@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -66,6 +67,16 @@ _LLOYD_BALL_BLOCK = 32
 
 _ARCHIVE_MAGIC = b"ESIMMDL1"
 ARCHIVE_VERSION = 4
+# The dtype `save_model` writes for each archive array other than the three
+# index arrays, which may hold any integers.  A same-size relabelling would
+# otherwise load with reinterpreted values.
+_ARCHIVE_DTYPES = {
+    "volume_data": np.dtype(np.float32),
+    "mask_flags": np.dtype(bool),
+    "nodes": np.dtype(np.float64),
+    "shape_corrected": np.dtype(np.float64),
+    "K_data": np.dtype(np.float64),
+}
 
 
 @dataclass(frozen=True)
@@ -708,23 +719,21 @@ def build_model(field: MaterialField, n_nodes: int, *, k: int, seed: int,
                          matrices=SystemMatrices(M=M, K=K, alpha=alpha, beta=beta))
 
 
-def _pack_arrays(arrays: dict[str, np.ndarray]) -> tuple[list[dict], bytes]:
-    manifest, blobs, offset = [], [], 0
+def _manifest(arrays: dict[str, np.ndarray]) -> list[dict]:
+    """Manifest entries of C-contiguous arrays laid back to back from payload offset 0."""
+    manifest, offset = [], 0
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        blob = arr.tobytes()
         manifest.append(
             {
                 "name": name,
                 "dtype": arr.dtype.str,
                 "shape": list(arr.shape),
                 "offset": offset,
-                "nbytes": len(blob),
+                "nbytes": arr.nbytes,
             }
         )
-        blobs.append(blob)
-        offset += len(blob)
-    return manifest, b"".join(blobs)
+        offset += arr.nbytes
+    return manifest
 
 
 def save_model(model: MeshFreeModel, path: str | Path) -> Path:
@@ -732,10 +741,12 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
 
     Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
     (scalars plus an array manifest with dtype/shape/offset), then the raw
-    array bytes back to back.  Each fact is stored once: the damping as
-    alpha and beta, the support size as the width of `shape_indices`, and
-    the Lloyd owners as its first column, the nearest node of each voxel.
-    The Shepard weights, their raw gradients and M are not stored, because
+    array bytes back to back.  Each array is written from its own buffer, so
+    a save holds no copy of the payload; only K's index arrays are copied,
+    as int64.  Each fact is stored once: the damping as alpha and
+    beta, the support size as the width of `shape_indices`, and the Lloyd
+    owners as its first column, the nearest node of each voxel.  The
+    Shepard weights, their raw gradients and M are not stored, because
     `load_model` recomputes them; K and the corrected gradients would cost more.
     """
     path = Path(path)
@@ -750,7 +761,7 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
         "K_indices": K.indices.astype(np.int64),
         "K_indptr": K.indptr.astype(np.int64),
     }
-    manifest, payload = _pack_arrays(arrays)
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
     header = {
         "format": "meshfree-model",
         "version": ARCHIVE_VERSION,
@@ -761,7 +772,7 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
         "density": model.field.density,
         "alpha": model.matrices.alpha,
         "beta": model.matrices.beta,
-        "arrays": manifest,
+        "arrays": _manifest(arrays),
     }
     blob = json.dumps(header).encode()
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -769,41 +780,57 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
         fh.write(_ARCHIVE_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(payload)
+        for arr in arrays.values():
+            fh.write(arr.data)
     return path
 
 
 def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and arrays of a model archive, every manifest entry checked against the payload.
 
+    The file is never read whole: the header read is bounded by the file
+    size, and each array is read straight into its own new aligned,
+    C-contiguous array, so a load holds one copy of the payload.
+
     Raises:
         VolumeFormatError: bad magic, a short or malformed header, an
             unknown version, an array whose offset, size, dtype or shape the
             payload cannot back, or a NaN or inf in a float array.
     """
-    raw = path.read_bytes()
-    if raw[:8] != _ARCHIVE_MAGIC:
-        raise VolumeFormatError(f"{path} is not a model archive (bad magic)")
-    if len(raw) < 16:
-        raise VolumeFormatError(f"{path}: archive ends inside its header")
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    payload = raw[16 + hlen :]
-    try:
-        header = json.loads(raw[16 : 16 + hlen].decode())
-        arrays = {}
-        for item in header["arrays"]:
-            name, offset, nbytes = item["name"], operator.index(item["offset"]), operator.index(item["nbytes"])
-            dtype, shape = np.dtype(item["dtype"]), tuple(operator.index(n) for n in item["shape"])
-            if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
-                raise VolumeFormatError(f"array {name!r} lies outside the payload")
-            if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize != nbytes:
-                raise VolumeFormatError(f"array {name!r} of shape {shape} does not fill {nbytes} bytes")
-            buf = payload[offset : offset + nbytes]
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
-            if dtype.kind == "f" and not np.isfinite(arrays[name]).all():
-                raise VolumeFormatError(f"array {name!r} holds a NaN or inf")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise VolumeFormatError(f"{path}: malformed archive header: {exc}") from exc
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(16)
+        if prefix[:8] != _ARCHIVE_MAGIC:
+            raise VolumeFormatError(f"{path} is not a model archive (bad magic)")
+        if len(prefix) < 16:
+            raise VolumeFormatError(f"{path}: archive ends inside its header")
+        (hlen,) = struct.unpack("<Q", prefix[8:16])
+        # A corrupt length may exceed the file; the header then reads short and fails to parse.
+        blob = fh.read(min(hlen, size - 16))
+        start = 16 + hlen
+        payload_nbytes = max(size - start, 0)
+        try:
+            header = json.loads(blob.decode())
+            arrays = {}
+            for item in header["arrays"]:
+                name = item["name"]
+                offset, nbytes = operator.index(item["offset"]), operator.index(item["nbytes"])
+                dtype, shape = np.dtype(item["dtype"]), tuple(operator.index(n) for n in item["shape"])
+                if offset < 0 or nbytes < 0 or offset + nbytes > payload_nbytes:
+                    raise VolumeFormatError(f"array {name!r} lies outside the payload")
+                if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize != nbytes:
+                    raise VolumeFormatError(f"array {name!r} of shape {shape} does not fill {nbytes} bytes")
+                if dtype.hasobject or dtype.itemsize == 0:
+                    raise VolumeFormatError(f"array {name!r} has dtype {dtype}, which raw bytes cannot hold")
+                arr = np.empty(shape, dtype)
+                fh.seek(start + offset)
+                if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                    raise VolumeFormatError(f"array {name!r} lies outside the payload")
+                if dtype.kind == "f" and not np.isfinite(arr).all():
+                    raise VolumeFormatError(f"array {name!r} holds a NaN or inf")
+                arrays[name] = arr
+        except (KeyError, TypeError, ValueError) as exc:
+            raise VolumeFormatError(f"{path}: malformed archive header: {exc}") from exc
     if header.get("version") != ARCHIVE_VERSION:
         raise VolumeFormatError(f"{path}: unsupported archive version {header.get('version')!r}")
     return header, arrays
@@ -812,17 +839,20 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
 def load_model(path: str | Path) -> MeshFreeModel:
     """Load a model archive written by save_model.
 
+    Each array is read once, into its own aligned array (`_read_archive`).
     The Shepard weights, raw gradients and M are recomputed by the code
     `build_model` runs, so the loaded model equals the built one bit for bit.
 
     Raises:
         FileNotFoundError: archive missing.
         VolumeFormatError: bad magic, a truncated or malformed header, a
-            missing array, an array whose bytes or shape disagree with the
-            manifest, the mask, the support size or the model's DOF count,
-            a node count or support size that a build would reject, a
-            shape_indices entry outside [0, node count), a K unequal to its
-            transpose, or a density, alpha or beta of the wrong type or range.
+            missing array, an array of another dtype than `save_model`
+            writes (any integers for the three index arrays), an array whose
+            bytes or shape disagree with the manifest, the mask, the support
+            size or the model's DOF count, a node count or support size that
+            a build would reject, a shape_indices entry outside [0, node
+            count), a K unequal to its transpose, or a density, alpha or beta
+            of the wrong type or range.
     """
     path = Path(path)
     if not path.exists():
@@ -832,11 +862,14 @@ def load_model(path: str | Path) -> MeshFreeModel:
         for name in ("shape_indices", "K_indices", "K_indptr"):
             if arrays[name].dtype.kind not in "iu":
                 raise VolumeFormatError(f"array {name!r} must hold integers, not {arrays[name].dtype}")
+        for name, dtype in _ARCHIVE_DTYPES.items():
+            if arrays[name].dtype != dtype:
+                raise VolumeFormatError(f"array {name!r} must hold {dtype}, not {arrays[name].dtype}")
         volume = VoxelVolume(dims=tuple(header["dims"]), spacing_mm=tuple(header["spacing_mm"]),
                              kind=header["kind"], data=arrays["volume_data"])
         mask = RoiMask(dims=volume.dims, flags=arrays["mask_flags"])
         field = MaterialField(volume=volume, mask=mask, nu=header["nu"], density=header["density"])
-        indices, m = arrays["shape_indices"].astype(np.int64), mask.n_selected
+        indices, m = arrays["shape_indices"].astype(np.int64, copy=False), mask.n_selected
         if indices.ndim != 2 or len(indices) != m:
             raise VolumeFormatError(f"array 'shape_indices' has shape {indices.shape}; "
                                     f"{m} masked voxels need ({m}, k)")

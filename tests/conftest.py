@@ -1,11 +1,15 @@
 """Shared builders for small test fields, degenerate point models and model archives,
 the dense stiffness references that the closed-form kernel replaced, the
-full-pair kernel that its upper-pair form replaced, and the upper-band factor,
+full-pair kernel that its upper-pair form replaced, the upper-band factor,
 product Dirichlet reduction and einsum gradient correction that faster paths
-replaced."""
+replaced, and the whole-payload archive writer and reader that the
+array-by-array ones replaced."""
 
 import json
+import math
+import operator
 import struct
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -14,6 +18,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from elastosim.meshfree import (
+    _ARCHIVE_MAGIC,
+    ARCHIVE_VERSION,
     KPA_TO_N_PER_MM2,
     DofSet,
     MaterialField,
@@ -23,7 +29,7 @@ from elastosim.meshfree import (
     _lame,
     assemble_mass,
 )
-from elastosim.volume import RoiMask, VoxelVolume
+from elastosim.volume import RoiMask, VolumeFormatError, VoxelVolume
 
 
 def split_archive(raw):
@@ -36,6 +42,74 @@ def join_archive(header, payload):
     """Model archive bytes from a JSON header and a payload."""
     blob = json.dumps(header).encode()
     return b"ESIMMDL1" + struct.pack("<Q", len(blob)) + blob + payload
+
+
+def reference_save_model(model, path):
+    """Reference: `save_model` as it packed the payload (`tobytes` per array, then one join)."""
+    path = Path(path)
+    K = model.matrices.K.tocsr()
+    arrays = {
+        "volume_data": model.field.volume.data,
+        "mask_flags": model.field.mask.flags,
+        "nodes": model.dofs.nodes,
+        "shape_indices": model.shape.indices,
+        "shape_corrected": model.shape.corrected_gradients,
+        "K_data": K.data,
+        "K_indices": K.indices.astype(np.int64),
+        "K_indptr": K.indptr.astype(np.int64),
+    }
+    manifest, blobs, offset = [], [], 0
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr)
+        blob = arr.tobytes()
+        manifest.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
+                         "offset": offset, "nbytes": len(blob)})
+        blobs.append(blob)
+        offset += len(blob)
+    header = {
+        "format": "meshfree-model",
+        "version": ARCHIVE_VERSION,
+        "dims": list(model.field.volume.dims),
+        "spacing_mm": list(model.field.volume.spacing_mm),
+        "kind": model.field.volume.kind,
+        "nu": model.field.nu,
+        "density": model.field.density,
+        "alpha": model.matrices.alpha,
+        "beta": model.matrices.beta,
+        "arrays": manifest,
+    }
+    blob = json.dumps(header).encode()
+    path.write_bytes(_ARCHIVE_MAGIC + struct.pack("<Q", len(blob)) + blob + b"".join(blobs))
+    return path
+
+
+def reference_read_archive(path):
+    """Reference: `_read_archive` as it read the whole file and viewed each array in it."""
+    raw = Path(path).read_bytes()
+    if raw[:8] != _ARCHIVE_MAGIC:
+        raise VolumeFormatError(f"{path} is not a model archive (bad magic)")
+    if len(raw) < 16:
+        raise VolumeFormatError(f"{path}: archive ends inside its header")
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    payload = raw[16 + hlen:]
+    try:
+        header = json.loads(raw[16:16 + hlen].decode())
+        arrays = {}
+        for item in header["arrays"]:
+            name, offset, nbytes = item["name"], operator.index(item["offset"]), operator.index(item["nbytes"])
+            dtype, shape = np.dtype(item["dtype"]), tuple(operator.index(n) for n in item["shape"])
+            if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
+                raise VolumeFormatError(f"array {name!r} lies outside the payload")
+            if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize != nbytes:
+                raise VolumeFormatError(f"array {name!r} of shape {shape} does not fill {nbytes} bytes")
+            arrays[name] = np.frombuffer(payload[offset:offset + nbytes], dtype=dtype).reshape(shape)
+            if dtype.kind == "f" and not np.isfinite(arrays[name]).all():
+                raise VolumeFormatError(f"array {name!r} holds a NaN or inf")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise VolumeFormatError(f"{path}: malformed archive header: {exc}") from exc
+    if header.get("version") != ARCHIVE_VERSION:
+        raise VolumeFormatError(f"{path}: unsupported archive version {header.get('version')!r}")
+    return header, arrays
 
 
 def make_field(dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0), young=2.1, nu=0.45,

@@ -468,6 +468,14 @@ def _support_width_one(header, payload):
     return payload
 
 
+def _relabel(name, dtype):
+    """A corruption that gives array `name` another dtype of the same item size."""
+    def corrupt(header, payload):
+        _entry(header, name)["dtype"] = dtype
+        return payload
+    return corrupt
+
+
 def _scale_off_diagonal_k(raw, factor):
     """Archive with the first off-diagonal K_data entry of row 0 scaled by factor."""
     header, payload = split_archive(raw)
@@ -534,6 +542,19 @@ class TestCorruptModelArchive:
         (_column_index_past_dofs, "indices must be"),
         (_owner_past_nodes, "'shape_indices' holds a node index outside [0, 40)"),
         (_support_width_one, "support size k=1 must lie in [2, 40], the node count"),
+        # Each relabelling loaded before: reinterpreted values that settled
+        # (shape_corrected, volume_data), a solver error (K_data), or an
+        # empty tool region (nodes).
+        pytest.param(_relabel("K_data", "<i8"), "'K_data' must hold float64, not int64",
+                     id="K_data-as-i8"),
+        pytest.param(_relabel("K_data", "<u8"), "'K_data' must hold float64, not uint64",
+                     id="K_data-as-u8"),
+        pytest.param(_relabel("shape_corrected", "<i8"),
+                     "'shape_corrected' must hold float64, not int64", id="shape_corrected-as-i8"),
+        pytest.param(_relabel("volume_data", "<i4"), "'volume_data' must hold float32, not int32",
+                     id="volume_data-as-i4"),
+        pytest.param(_relabel("nodes", "<i8"), "'nodes' must hold float64, not int64",
+                     id="nodes-as-i8"),
     ])
     def test_bad_manifest_is_data_error(self, capsys, tmp_path, archive, corrupt, named):
         header, payload = split_archive(archive)

@@ -61,6 +61,8 @@ from conftest import (
     full_pair_pattern,
     full_pair_stiffness,
     hex_element_stiffness,
+    reference_read_archive,
+    reference_save_model,
     strain_displacement,
 )
 
@@ -1335,8 +1337,23 @@ class TestModelArchive:
 
 
 def assert_loads_as_built(model, path):
-    """The archive loads to the built model, bit for bit in every array the benchmark digests."""
-    back = load_model(save_model(model, path))
+    """The archive loads to the built model, bit for bit in every array the benchmark digests.
+
+    `save_model` writes the bytes the whole-payload reference writer writes,
+    and `_read_archive` returns the arrays the reference reader returns, in
+    dtype, shape and bits.
+    """
+    save_model(model, path)
+    reference = reference_save_model(model, path.with_suffix(".reference"))
+    assert path.read_bytes() == reference.read_bytes()
+    header, arrays = meshfree._read_archive(path)
+    want_header, want_arrays = reference_read_archive(path)
+    assert header == want_header and list(arrays) == list(want_arrays)
+    for name, want in want_arrays.items():
+        got = arrays[name]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    back = load_model(path)
     built_arrays, loaded_arrays = _model_arrays(model), _model_arrays(back)
     for name, built in built_arrays.items():
         loaded = loaded_arrays[name]
@@ -1372,6 +1389,38 @@ class TestArchiveRebuild:
     def test_validate_beam_phantoms(self, tmp_path, spec, n_nodes):
         phantom = build_beam_phantom(spec, n_nodes=n_nodes, k=6, seed=0)
         assert_loads_as_built(phantom.model, tmp_path / "beam.esm")
+
+
+class TestArchiveMemory:
+    # A save writes each array from its own buffer and a load reads each into
+    # its own array; neither holds the payload as one more bytes object.
+    def test_save_peaks_below_half_the_archive(self, tmp_path, cohort_seed_7_model):
+        path = tmp_path / "model.esm"
+        tracemalloc.start()
+        try:
+            save_model(cohort_seed_7_model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 0.5 * size, f"peak {peak / size:.2f} of the archive"
+
+    def test_read_peaks_below_1_1_payloads(self, tmp_path, cohort_seed_7_model):
+        raw = save_model(cohort_seed_7_model, tmp_path / "model.esm").read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        payload = len(raw) - 16 - hlen
+        tracemalloc.start()
+        try:
+            meshfree._read_archive(tmp_path / "model.esm")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * payload, f"peak {peak / payload:.2f} of the payload"
+
+    def test_loaded_arrays_are_aligned_and_contiguous(self, tmp_path, cohort_seed_7_model):
+        back = load_model(save_model(cohort_seed_7_model, tmp_path / "model.esm"))
+        for name, arr in _model_arrays(back).items():
+            assert arr.flags.aligned and arr.flags.c_contiguous, name
 
 
 class TestStiffnessEqualsItsTranspose:
