@@ -37,6 +37,7 @@ from elastosim.meshfree import (
     build_model,
 )
 from elastosim.solver import (
+    CG_MAX,
     BandedCholesky,
     LinearSystem,
     _factored_cg,
@@ -47,7 +48,6 @@ from elastosim.volume import RoiMask, VoxelVolume, _finite, _write_csv
 
 _NU = 0.0  # Poisson ratio of both discretizations; bending theory has no Poisson term
 _STATIC_CG_TOL = 1e-8  # true relative residual of both beam models' static solves
-_STATIC_CG_MAX = 200  # iteration cap of both static solves; the factored CG takes one
 MAX_FEA_FACTOR_BYTES = 2**30  # a finer grid is an input error, not a longer run
 
 
@@ -259,7 +259,7 @@ def simulate_beam(phantom: BeamPhantom) -> DeflectionCurve:
     """
     model = phantom.model
     system = _meshfree_system(phantom)
-    q = _factored_cg(system, BandedCholesky.of(system.A), _STATIC_CG_MAX, _STATIC_CG_TOL,
+    q = _factored_cg(system, BandedCholesky.of(system.A), CG_MAX, _STATIC_CG_TOL,
                      "mesh-free beam")
     _, w_eff, h_eff = phantom.spec.snapped_extents()
     xs = axis_samples(phantom.spec)
@@ -350,7 +350,7 @@ def fea_baseline(spec: BeamSpec) -> DeflectionCurve:
     _, w_eff, h_eff = spec.snapped_extents()
     ids, _ = _hex_grid(spec.cells())
     system = _fea_system(spec)
-    u = _factored_cg(system, BandedCholesky.of(system.A), _STATIC_CG_MAX, _STATIC_CG_TOL,
+    u = _factored_cg(system, BandedCholesky.of(system.A), CG_MAX, _STATIC_CG_TOL,
                      "FEA baseline")
     xs = axis_samples(spec)
     w = -_trilinear_sample(u[2::3][ids], spec.resolution, xs[1:], w_eff / 2.0, h_eff / 2.0)

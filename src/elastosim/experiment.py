@@ -21,6 +21,8 @@ import numpy as np
 
 from elastosim.meshfree import RAYLEIGH_ALPHA, RAYLEIGH_BETA, MaterialField, MeshFreeModel, build_model
 from elastosim.solver import (
+    CG_MAX,
+    CG_TOL,
     LoadCase,
     NonConvergenceError,
     SimState,
@@ -80,8 +82,8 @@ class RetractionConfig:
     h: float = 0.05
     v_tol: float = 1e-6
     max_steps: int = 5000
-    cg_tol: float = 1e-6
-    cg_max: int = 200
+    cg_tol: float = CG_TOL
+    cg_max: int = CG_MAX
     voxel_ref_mm: float = 1.64
 
     def __post_init__(self):
@@ -408,15 +410,12 @@ def young_material_field(
     The conversion uses E = 2 G (1 + conversion_nu), by default at
     `RetractionConfig.conversion_nu` (the imaging side's incompressible
     limit); the simulation itself then runs at a numerically safe sim_nu < 0.5.
+    The field keeps the volume's geometry and kind, and `with_young` stores
+    E as float32, as every volume holds its data.
     """
     factor = shear_to_young(1.0, conversion_nu)
-    young = VoxelVolume(
-        dims=volume.dims,
-        spacing_mm=volume.spacing_mm,
-        kind="elastogram_shear_kPa",  # same container; values are E in kPa
-        data=(volume.data.astype(np.float64) * factor).astype(np.float32),
-    )
-    return MaterialField(volume=young, mask=mask, nu=sim_nu, density=density)
+    field = MaterialField(volume=volume, mask=mask, nu=sim_nu, density=density)
+    return field.with_young(volume.data.astype(np.float64) * factor)
 
 
 def default_retractor(field: MaterialField) -> RetractorSpec:

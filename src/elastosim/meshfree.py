@@ -67,15 +67,18 @@ _LLOYD_BALL_BLOCK = 32
 
 _ARCHIVE_MAGIC = b"ESIMMDL1"
 ARCHIVE_VERSION = 4
-# The dtype `save_model` writes for each archive array other than the three
-# index arrays, which may hold any integers.  A same-size relabelling would
-# otherwise load with reinterpreted values.
-_ARCHIVE_DTYPES = {
+# What an archive holds: each array's name, in payload order, and the dtype
+# `save_model` writes it as.  `_read_archive` refuses any other name or dtype,
+# so a same-size relabelling cannot load as reinterpreted values.
+_ARCHIVE_ARRAYS = {
     "volume_data": np.dtype(np.float32),
     "mask_flags": np.dtype(bool),
     "nodes": np.dtype(np.float64),
+    "shape_indices": np.dtype(np.int64),
     "shape_corrected": np.dtype(np.float64),
     "K_data": np.dtype(np.float64),
+    "K_indices": np.dtype(np.int64),
+    "K_indptr": np.dtype(np.int64),
 }
 
 
@@ -469,9 +472,10 @@ def _shepard(points: np.ndarray, nodes: np.ndarray, idx: np.ndarray):
 
     Each support is ordered nearest first, so a coincident node is its first.
     """
-    support = nodes[idx]
-    diff = points[:, None, :] - support  # (m, k, 3)
+    support = nodes[idx]  # (m, k, 3)
     d2k = _squared_distances(points, support)
+    gs = points[:, None, :] - support  # x - x_i, scaled into grad s_i below
+    del support
     coincident = d2k[:, 0] <= _COINCIDENT_D2
 
     with np.errstate(divide="ignore"):
@@ -481,10 +485,15 @@ def _shepard(points: np.ndarray, nodes: np.ndarray, idx: np.ndarray):
     S[coincident] = 1.0
     w = s / S[:, None]
 
-    # grad s_i = -2 (x - x_i) / d_i^4; grad w_i = (grad s_i - w_i grad S)/S
-    gs = -2.0 * diff * (s * s)[:, :, None]
+    # grad s_i = -2 (x - x_i) / d_i^4; grad w_i = (grad s_i - w_i grad S)/S.
+    # Formed in place, so at most two (m, k, 3) arrays are alive at once.
+    gs *= -2.0
+    gs *= (s * s)[:, :, None]
     gS = gs.sum(axis=1)
-    gw = (gs - w[:, :, None] * gS[:, None, :]) / S[:, None, None]
+    gw = w[:, :, None] * gS[:, None, :]
+    np.subtract(gs, gw, out=gw)
+    del gs
+    gw /= S[:, None, None]
 
     w[coincident] = 0.0
     w[coincident, 0] = 1.0
@@ -741,11 +750,12 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
 
     Layout: 8-byte magic, little-endian u64 header length, UTF-8 JSON header
     (scalars plus an array manifest with dtype/shape/offset), then the raw
-    array bytes back to back.  Each array is written from its own buffer, so
-    a save holds no copy of the payload; only K's index arrays are copied,
-    as int64.  Each fact is stored once: the damping as alpha and
-    beta, the support size as the width of `shape_indices`, and the Lloyd
-    owners as its first column, the nearest node of each voxel.  The
+    array bytes back to back, in the order and dtypes of `_ARCHIVE_ARRAYS`.
+    Each array is written from its own buffer, so a save holds no copy of
+    the payload; the cast copies only K's index arrays, which scipy holds
+    as int32.  Each fact is stored once: the damping as alpha and beta, the
+    support size as the width of `shape_indices`, and the Lloyd owners as
+    its first column, the nearest node of each voxel.  The
     Shepard weights, their raw gradients and M are not stored, because
     `load_model` recomputes them; K and the corrected gradients would cost more.
     """
@@ -758,10 +768,11 @@ def save_model(model: MeshFreeModel, path: str | Path) -> Path:
         "shape_indices": model.shape.indices,
         "shape_corrected": model.shape.corrected_gradients,
         "K_data": K.data,
-        "K_indices": K.indices.astype(np.int64),
-        "K_indptr": K.indptr.astype(np.int64),
+        "K_indices": K.indices,
+        "K_indptr": K.indptr,
     }
-    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    arrays = {name: np.ascontiguousarray(arrays[name], dtype)
+              for name, dtype in _ARCHIVE_ARRAYS.items()}
     header = {
         "format": "meshfree-model",
         "version": ARCHIVE_VERSION,
@@ -790,12 +801,15 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
 
     The file is never read whole: the header read is bounded by the file
     size, and each array is read straight into its own new aligned,
-    C-contiguous array, so a load holds one copy of the payload.
+    C-contiguous array, so a load holds one copy of the payload.  An array
+    is refused before it is allocated unless `_ARCHIVE_ARRAYS` names it with
+    its dtype.
 
     Raises:
         VolumeFormatError: bad magic, a short or malformed header, an
-            unknown version, an array whose offset, size, dtype or shape the
-            payload cannot back, or a NaN or inf in a float array.
+            unknown version, an array `_ARCHIVE_ARRAYS` does not name or of
+            another dtype than it gives, an array whose offset, size or shape
+            the payload cannot back, or a NaN or inf in a float array.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -816,12 +830,15 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                 name = item["name"]
                 offset, nbytes = operator.index(item["offset"]), operator.index(item["nbytes"])
                 dtype, shape = np.dtype(item["dtype"]), tuple(operator.index(n) for n in item["shape"])
+                if name not in _ARCHIVE_ARRAYS:
+                    raise VolumeFormatError(f"archive holds an unknown array {name!r}")
+                if dtype != _ARCHIVE_ARRAYS[name]:
+                    raise VolumeFormatError(
+                        f"array {name!r} must hold {_ARCHIVE_ARRAYS[name]}, not {dtype}")
                 if offset < 0 or nbytes < 0 or offset + nbytes > payload_nbytes:
                     raise VolumeFormatError(f"array {name!r} lies outside the payload")
                 if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize != nbytes:
                     raise VolumeFormatError(f"array {name!r} of shape {shape} does not fill {nbytes} bytes")
-                if dtype.hasobject or dtype.itemsize == 0:
-                    raise VolumeFormatError(f"array {name!r} has dtype {dtype}, which raw bytes cannot hold")
                 arr = np.empty(shape, dtype)
                 fh.seek(start + offset)
                 if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
@@ -839,15 +856,16 @@ def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
 def load_model(path: str | Path) -> MeshFreeModel:
     """Load a model archive written by save_model.
 
-    Each array is read once, into its own aligned array (`_read_archive`).
-    The Shepard weights, raw gradients and M are recomputed by the code
-    `build_model` runs, so the loaded model equals the built one bit for bit.
+    Each array is read once, into its own aligned array of the dtype that
+    `_ARCHIVE_ARRAYS` gives it (`_read_archive`).  The Shepard weights, raw
+    gradients and M are recomputed by the code `build_model` runs, so the
+    loaded model equals the built one bit for bit.
 
     Raises:
         FileNotFoundError: archive missing.
         VolumeFormatError: bad magic, a truncated or malformed header, a
-            missing array, an array of another dtype than `save_model`
-            writes (any integers for the three index arrays), an array whose
+            missing or unknown array, an array of another dtype than
+            `save_model` writes (int64 for the three index arrays), an array whose
             bytes or shape disagree with the manifest, the mask, the support
             size or the model's DOF count, a node count or support size that
             a build would reject, a shape_indices entry outside [0, node
@@ -859,17 +877,11 @@ def load_model(path: str | Path) -> MeshFreeModel:
         raise FileNotFoundError(f"model archive not found: {path}")
     header, arrays = _read_archive(path)
     try:
-        for name in ("shape_indices", "K_indices", "K_indptr"):
-            if arrays[name].dtype.kind not in "iu":
-                raise VolumeFormatError(f"array {name!r} must hold integers, not {arrays[name].dtype}")
-        for name, dtype in _ARCHIVE_DTYPES.items():
-            if arrays[name].dtype != dtype:
-                raise VolumeFormatError(f"array {name!r} must hold {dtype}, not {arrays[name].dtype}")
         volume = VoxelVolume(dims=tuple(header["dims"]), spacing_mm=tuple(header["spacing_mm"]),
                              kind=header["kind"], data=arrays["volume_data"])
         mask = RoiMask(dims=volume.dims, flags=arrays["mask_flags"])
         field = MaterialField(volume=volume, mask=mask, nu=header["nu"], density=header["density"])
-        indices, m = arrays["shape_indices"].astype(np.int64, copy=False), mask.n_selected
+        indices, m = arrays["shape_indices"], mask.n_selected
         if indices.ndim != 2 or len(indices) != m:
             raise VolumeFormatError(f"array 'shape_indices' has shape {indices.shape}; "
                                     f"{m} masked voxels need ({m}, k)")

@@ -48,6 +48,12 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from elastosim.meshfree import MeshFreeModel, shepard_weights
 from elastosim.volume import _finite, _write_csv
 
+# Default CG iteration cap and relative residual of every solve that does not
+# set its own: `cg_solve`, `RetractionConfig` (the CLI's --cg-max and
+# --cg-tol) and the cantilever's static solves (the cap only).
+CG_MAX = 200
+CG_TOL = 1e-6
+
 
 class NonConvergenceError(RuntimeError):
     """Raised when a run hits its step budget before reaching steady state,
@@ -324,8 +330,8 @@ def prepare_settle(model: MeshFreeModel, loads: LoadCase, h: float) -> Settle:
 
 def cg_solve(
     system: LinearSystem,
-    N_max: int = 200,
-    tol: float = 1e-6,
+    N_max: int = CG_MAX,
+    tol: float = CG_TOL,
     preconditioner=None,
 ) -> CgResult:
     """Conjugate gradient on an SPD system, optionally preconditioned.

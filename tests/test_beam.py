@@ -436,7 +436,7 @@ class TestHexGrid:
         cells = spec.cells()
         _, w_eff, h_eff = spec.snapped_extents()
         system = _fea_system(spec)
-        u = _factored_cg(system, BandedCholesky.of(system.A), elastosim.beam._STATIC_CG_MAX,
+        u = _factored_cg(system, BandedCholesky.of(system.A), elastosim.solver.CG_MAX,
                          elastosim.beam._STATIC_CG_TOL, "FEA baseline")
         uz = u[2::3].reshape(tuple(c + 1 for c in cells))
         xs = axis_samples(spec)

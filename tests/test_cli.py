@@ -291,7 +291,6 @@ class TestNonFiniteFlags:
         assert cli_main(synth_args(out, n=1)) == EXIT_OK
         return out
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command, flag, kind", float_flags(
         "cohort-stats", "synth-cohort", "cohort-run", "build-model"))
@@ -476,6 +475,12 @@ def _relabel(name, dtype):
     return corrupt
 
 
+def _extra_array(header, payload):
+    """A manifest entry under a name no archive holds, over K_indptr's bytes."""
+    header["arrays"].append({**_entry(header, "K_indptr"), "name": "K_extra"})
+    return payload
+
+
 def _scale_off_diagonal_k(raw, factor):
     """Archive with the first off-diagonal K_data entry of row 0 scaled by factor."""
     header, payload = split_archive(raw)
@@ -555,6 +560,13 @@ class TestCorruptModelArchive:
                      id="volume_data-as-i4"),
         pytest.param(_relabel("nodes", "<i8"), "'nodes' must hold float64, not int64",
                      id="nodes-as-i8"),
+        # Each loaded before: the index arrays took any integers, and an
+        # array of another name was read and ignored.
+        pytest.param(_relabel("K_indices", "<u8"), "'K_indices' must hold int64, not uint64",
+                     id="K_indices-as-u8"),
+        pytest.param(_relabel("shape_indices", "<u8"),
+                     "'shape_indices' must hold int64, not uint64", id="shape_indices-as-u8"),
+        pytest.param(_extra_array, "unknown array 'K_extra'", id="unknown-array"),
     ])
     def test_bad_manifest_is_data_error(self, capsys, tmp_path, archive, corrupt, named):
         header, payload = split_archive(archive)

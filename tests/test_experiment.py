@@ -430,7 +430,6 @@ class TestRetractionConfig:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             RetractionConfig(**{name: value})
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name, value", [
         (name, value) for name in ("h", "v_tol", "alpha", "beta")
         for value in (float("nan"), float("inf"))
